@@ -57,7 +57,7 @@ pub mod semantics;
 pub mod traffic;
 
 pub use error::CollectiveError;
-pub use machine::{PhaseMachine, Reaction, SendCmd, Target};
+pub use machine::{PhaseMachine, SendCmd, Target};
 pub use plan::{plan, plan_with_intra, CollectivePlan, IntraAlgo, PhaseAlgo, PhaseOp, PhaseSpec};
 pub use ratio::Ratio;
 

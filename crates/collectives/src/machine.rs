@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// phase's ring/group. The system layer resolves targets to node ids and
 /// routes (distance-`i` ring sends become `i`-hop software routes; group
 /// offsets go through the phase's assigned global switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Target {
     /// The downstream ring neighbor.
     RingNext,
@@ -43,15 +43,6 @@ pub struct SendCmd {
     /// Algorithm step the message belongs to (receivers hand it back to
     /// [`PhaseMachine::on_receive`]).
     pub step: u32,
-}
-
-/// The machine's reaction to a processed receive.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Reaction {
-    /// Messages to inject now.
-    pub sends: Vec<SendCmd>,
-    /// Whether the phase just completed on this NPU.
-    pub completed: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,11 +69,18 @@ enum Kind {
 ///
 /// // Ring all-reduce over 4 nodes, 4 KiB entering the phase.
 /// let mut m = PhaseMachine::ring(PhaseOp::AllReduce, 4, 4096);
-/// let sends = m.start();
+/// // Sends are appended to a caller-owned buffer, so a caller that reuses
+/// // one buffer drives the machine without allocating.
+/// let mut sends = Vec::new();
+/// m.start(&mut sends);
 /// assert_eq!(sends.len(), 1);
 /// assert_eq!(sends[0].target, Target::RingNext);
 /// assert_eq!(sends[0].bytes, 1024); // input / n
 /// assert_eq!(m.expected_receives(), 6); // 2(n-1) steps
+/// sends.clear();
+/// assert!(!m.on_receive(0, &mut sends)?);
+/// assert_eq!(sends[0].step, 1);
+/// # Ok::<(), astra_collectives::CollectiveError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseMachine {
@@ -284,160 +282,130 @@ impl PhaseMachine {
         self.completed
     }
 
-    /// Kicks off the phase: the initial sends.
+    /// Kicks off the phase: appends the initial sends to `sends`.
     ///
     /// # Panics
     ///
     /// Panics if called twice.
-    pub fn start(&mut self) -> Vec<SendCmd> {
+    pub fn start(&mut self, sends: &mut Vec<SendCmd>) {
         assert!(!self.started, "phase already started");
         self.started = true;
         let msg = self.message_bytes();
         match self.kind {
-            Kind::RingRs | Kind::RingAg | Kind::RingAr => vec![SendCmd {
+            Kind::RingRs | Kind::RingAg | Kind::RingAr => sends.push(SendCmd {
                 target: Target::RingNext,
                 bytes: msg,
                 step: 0,
-            }],
-            Kind::RingA2a => (1..self.n)
-                .map(|d| SendCmd {
-                    target: Target::RingDistance(d),
-                    bytes: msg,
-                    step: d as u32,
-                })
-                .collect(),
-            Kind::DirectRs | Kind::DirectAg | Kind::DirectAr | Kind::DirectA2a => (1..self.n)
-                .map(|off| SendCmd {
-                    target: Target::GroupOffset(off),
-                    bytes: msg,
-                    step: 0,
-                })
-                .collect(),
-            Kind::HdRs | Kind::HdAg | Kind::HdAr => vec![SendCmd {
+            }),
+            Kind::RingA2a => sends.extend((1..self.n).map(|d| SendCmd {
+                target: Target::RingDistance(d),
+                bytes: msg,
+                step: d as u32,
+            })),
+            Kind::DirectRs | Kind::DirectAg | Kind::DirectAr | Kind::DirectA2a => {
+                self.push_broadcast(sends, 0);
+            }
+            Kind::HdRs | Kind::HdAg | Kind::HdAr => sends.push(SendCmd {
                 target: Target::GroupXor(self.hd_mask(0)),
                 bytes: self.hd_bytes(0),
                 step: 0,
-            }],
+            }),
         }
     }
 
+    /// Appends one `step` message to every other group member.
+    fn push_broadcast(&self, sends: &mut Vec<SendCmd>, step: u32) {
+        let msg = self.message_bytes();
+        sends.extend((1..self.n).map(|off| SendCmd {
+            target: Target::GroupOffset(off),
+            bytes: msg,
+            step,
+        }));
+    }
+
+    /// Whether [`PhaseMachine::on_receive`] would accept `step` now. A
+    /// message that overtook its predecessor is not accepted yet; the
+    /// system layer holds it back until the machine catches up.
+    pub fn accepts(&self, step: u32) -> bool {
+        let n1 = (self.n - 1) as u32;
+        !self.completed
+            && match self.kind {
+                Kind::RingRs
+                | Kind::RingAg
+                | Kind::RingAr
+                | Kind::HdRs
+                | Kind::HdAg
+                | Kind::HdAr => step == self.recvs,
+                Kind::RingA2a => (1..=n1).contains(&step),
+                Kind::DirectRs | Kind::DirectAg | Kind::DirectA2a => step == 0,
+                Kind::DirectAr => step == u32::from(self.recvs >= n1),
+            }
+    }
+
+    /// The error for a `step` that [`PhaseMachine::accepts`] rejects.
+    fn unexpected(&self, step: u32) -> CollectiveError {
+        let n1 = (self.n - 1) as u32;
+        let expected = if self.completed {
+            "none: phase already complete".to_string()
+        } else {
+            match self.kind {
+                Kind::RingA2a => format!("distance in 1..={n1}"),
+                Kind::DirectRs | Kind::DirectAg | Kind::DirectA2a => "step 0".to_string(),
+                Kind::DirectAr => format!("stage {}", u32::from(self.recvs >= n1)),
+                _ => format!("in-order step {}", self.recvs),
+            }
+        };
+        CollectiveError::UnexpectedStep { step, expected }
+    }
+
     /// Processes a received (and, if applicable, already-reduced) message of
-    /// `step`; returns follow-up sends and completion.
+    /// `step`: appends the follow-up sends to `sends` and returns whether
+    /// the phase just completed on this NPU.
     ///
     /// # Errors
     ///
     /// Fails if the step is outside what the algorithm can accept at this
-    /// point (protocol violation — indicates a system-layer bug).
-    pub fn on_receive(&mut self, step: u32) -> Result<Reaction, CollectiveError> {
-        if self.completed {
-            return Err(CollectiveError::UnexpectedStep {
-                step,
-                expected: "none: phase already complete".into(),
-            });
+    /// point (see [`PhaseMachine::accepts`]); nothing is appended then.
+    pub fn on_receive(
+        &mut self,
+        step: u32,
+        sends: &mut Vec<SendCmd>,
+    ) -> Result<bool, CollectiveError> {
+        if !self.accepts(step) {
+            return Err(self.unexpected(step));
         }
-        let n1 = (self.n - 1) as u32;
-        let msg = self.message_bytes();
-        let mut reaction = Reaction::default();
+        self.recvs += 1;
+        let total = self.expected_receives();
         match self.kind {
-            Kind::RingRs | Kind::RingAg => {
-                if step != self.recvs {
-                    return Err(CollectiveError::UnexpectedStep {
-                        step,
-                        expected: format!("in-order step {}", self.recvs),
-                    });
-                }
-                self.recvs += 1;
-                if step + 1 < n1 {
-                    reaction.sends.push(SendCmd {
+            Kind::RingRs | Kind::RingAg | Kind::RingAr => {
+                if step + 1 < total {
+                    sends.push(SendCmd {
                         target: Target::RingNext,
-                        bytes: msg,
+                        bytes: self.message_bytes(),
                         step: step + 1,
                     });
                 }
-                reaction.completed = self.recvs == n1;
             }
-            Kind::RingAr => {
-                if step != self.recvs {
-                    return Err(CollectiveError::UnexpectedStep {
-                        step,
-                        expected: format!("in-order step {}", self.recvs),
-                    });
-                }
-                self.recvs += 1;
-                if step + 1 < 2 * n1 {
-                    reaction.sends.push(SendCmd {
-                        target: Target::RingNext,
-                        bytes: msg,
-                        step: step + 1,
-                    });
-                }
-                reaction.completed = self.recvs == 2 * n1;
-            }
-            Kind::RingA2a => {
-                if step == 0 || step > n1 {
-                    return Err(CollectiveError::UnexpectedStep {
-                        step,
-                        expected: format!("distance in 1..={n1}"),
-                    });
-                }
-                self.recvs += 1;
-                reaction.completed = self.recvs == n1;
-            }
-            Kind::DirectRs | Kind::DirectAg | Kind::DirectA2a => {
-                if step != 0 {
-                    return Err(CollectiveError::UnexpectedStep {
-                        step,
-                        expected: "step 0".into(),
-                    });
-                }
-                self.recvs += 1;
-                reaction.completed = self.recvs == n1;
-            }
+            Kind::RingA2a | Kind::DirectRs | Kind::DirectAg | Kind::DirectA2a => {}
             Kind::HdRs | Kind::HdAg | Kind::HdAr => {
-                if step != self.recvs {
-                    return Err(CollectiveError::UnexpectedStep {
-                        step,
-                        expected: format!("in-order step {}", self.recvs),
-                    });
-                }
-                self.recvs += 1;
-                let total = self.expected_receives();
                 if self.recvs < total {
                     let next = self.recvs;
-                    reaction.sends.push(SendCmd {
+                    sends.push(SendCmd {
                         target: Target::GroupXor(self.hd_mask(next)),
                         bytes: self.hd_bytes(next),
                         step: next,
                     });
                 }
-                reaction.completed = self.recvs == total;
             }
             Kind::DirectAr => {
-                let stage = if self.recvs < n1 { 0 } else { 1 };
-                if step != stage {
-                    return Err(CollectiveError::UnexpectedStep {
-                        step,
-                        expected: format!("stage {stage}"),
-                    });
-                }
-                self.recvs += 1;
-                if self.recvs == n1 {
+                if self.recvs == total / 2 {
                     // Reduce-scatter stage done: broadcast the reduced shard.
-                    reaction.sends = (1..self.n)
-                        .map(|off| SendCmd {
-                            target: Target::GroupOffset(off),
-                            bytes: msg,
-                            step: 1,
-                        })
-                        .collect();
+                    self.push_broadcast(sends, 1);
                 }
-                reaction.completed = self.recvs == 2 * n1;
             }
         }
-        if reaction.completed {
-            self.completed = true;
-        }
-        Ok(reaction)
+        self.completed = self.recvs == total;
+        Ok(self.completed)
     }
 
     /// Total bytes this NPU sends over the whole phase.
@@ -460,22 +428,38 @@ impl PhaseMachine {
 mod tests {
     use super::*;
 
+    /// The initial sends of a fresh `start`.
+    pub(super) fn start(m: &mut PhaseMachine) -> Vec<SendCmd> {
+        let mut sends = Vec::new();
+        m.start(&mut sends);
+        sends
+    }
+
+    /// `on_receive` into a fresh buffer: (completed, sends).
+    pub(super) fn recv(
+        m: &mut PhaseMachine,
+        step: u32,
+    ) -> Result<(bool, Vec<SendCmd>), CollectiveError> {
+        let mut sends = Vec::new();
+        m.on_receive(step, &mut sends).map(|done| (done, sends))
+    }
+
     /// Runs a single machine against a loopback harness: we simulate a
     /// symmetric system by feeding back the steps this node itself emits
     /// (every peer runs the identical program).
     fn run_ring_symmetric(op: PhaseOp, n: usize, input: u64) -> (u64, u32) {
         let mut m = PhaseMachine::ring(op, n, input);
-        let mut pending: Vec<u32> = m.start().iter().map(|s| s.step).collect();
+        let mut pending: Vec<u32> = start(&mut m).iter().map(|s| s.step).collect();
         let mut sent: u64 = pending.len() as u64 * m.message_bytes();
         let mut recvs = 0;
         while let Some(step) = pending.pop() {
-            let r = m.on_receive(step).unwrap();
+            let (completed, sends) = recv(&mut m, step).unwrap();
             recvs += 1;
-            for s in r.sends {
+            for s in sends {
                 sent += s.bytes;
                 pending.push(s.step);
             }
-            if r.completed {
+            if completed {
                 break;
             }
             pending.sort_unstable_by(|a, b| b.cmp(a)); // process lowest step first
@@ -508,7 +492,7 @@ mod tests {
     #[test]
     fn ring_a2a_is_one_shot() {
         let mut m = PhaseMachine::ring(PhaseOp::AllToAll, 4, 4096);
-        let sends = m.start();
+        let sends = start(&mut m);
         assert_eq!(sends.len(), 3);
         let targets: Vec<Target> = sends.iter().map(|s| s.target).collect();
         assert_eq!(
@@ -520,37 +504,37 @@ mod tests {
             ]
         );
         // Receives arrive in any order.
-        assert!(!m.on_receive(2).unwrap().completed);
-        assert!(!m.on_receive(3).unwrap().completed);
-        assert!(m.on_receive(1).unwrap().completed);
+        assert!(!recv(&mut m, 2).unwrap().0);
+        assert!(!recv(&mut m, 3).unwrap().0);
+        assert!(recv(&mut m, 1).unwrap().0);
     }
 
     #[test]
     fn direct_ar_two_stages() {
         let mut m = PhaseMachine::direct(PhaseOp::AllReduce, 4, 4096);
-        let first = m.start();
+        let first = start(&mut m);
         assert_eq!(first.len(), 3);
         assert!(first.iter().all(|s| s.step == 0 && s.bytes == 1024));
         assert!(m.reduces_on(0));
         assert!(!m.reduces_on(1));
         // Stage 0: three reduced receives; the third triggers the broadcast.
-        assert!(m.on_receive(0).unwrap().sends.is_empty());
-        assert!(m.on_receive(0).unwrap().sends.is_empty());
-        let r = m.on_receive(0).unwrap();
-        assert_eq!(r.sends.len(), 3);
-        assert!(r.sends.iter().all(|s| s.step == 1));
-        assert!(!r.completed);
+        assert!(recv(&mut m, 0).unwrap().1.is_empty());
+        assert!(recv(&mut m, 0).unwrap().1.is_empty());
+        let (done, sends) = recv(&mut m, 0).unwrap();
+        assert_eq!(sends.len(), 3);
+        assert!(sends.iter().all(|s| s.step == 1));
+        assert!(!done);
         // Stage 1: three more receives complete the phase.
-        m.on_receive(1).unwrap();
-        m.on_receive(1).unwrap();
-        assert!(m.on_receive(1).unwrap().completed);
+        recv(&mut m, 1).unwrap();
+        recv(&mut m, 1).unwrap();
+        assert!(recv(&mut m, 1).unwrap().0);
         assert_eq!(m.bytes_sent_total(), 6 * 1024);
     }
 
     #[test]
     fn direct_ag_broadcasts_full_input() {
         let mut m = PhaseMachine::direct(PhaseOp::AllGather, 3, 500);
-        let sends = m.start();
+        let sends = start(&mut m);
         assert_eq!(sends.len(), 2);
         assert!(sends.iter().all(|s| s.bytes == 500));
     }
@@ -568,20 +552,39 @@ mod tests {
     #[test]
     fn protocol_violations_rejected() {
         let mut m = PhaseMachine::ring(PhaseOp::ReduceScatter, 4, 64);
-        m.start();
-        assert!(m.on_receive(2).is_err()); // out of order
+        start(&mut m);
+        assert!(recv(&mut m, 2).is_err()); // out of order
         let mut a2a = PhaseMachine::ring(PhaseOp::AllToAll, 4, 64);
-        a2a.start();
-        assert!(a2a.on_receive(0).is_err()); // distance 0 invalid
-        assert!(a2a.on_receive(9).is_err());
+        start(&mut a2a);
+        assert!(recv(&mut a2a, 0).is_err()); // distance 0 invalid
+        assert!(recv(&mut a2a, 9).is_err());
+    }
+
+    #[test]
+    fn accepts_matches_on_receive_and_rejections_append_nothing() {
+        let mut m = PhaseMachine::direct(PhaseOp::AllReduce, 3, 300);
+        let mut sends = Vec::new();
+        m.start(&mut sends);
+        for step in [0, 0, 1, 1] {
+            let other = 1 - step;
+            assert!(m.accepts(step) && !m.accepts(other));
+            sends.clear();
+            assert!(m.on_receive(other, &mut sends).is_err());
+            assert!(sends.is_empty(), "a rejected step must not send");
+            m.on_receive(step, &mut sends).unwrap();
+        }
+        assert!(m.is_complete() && !m.accepts(0) && !m.accepts(1));
+        let mut ring = PhaseMachine::ring(PhaseOp::AllReduce, 4, 64);
+        ring.start(&mut sends);
+        assert!(ring.accepts(0) && !ring.accepts(1));
     }
 
     #[test]
     fn receive_after_complete_is_error() {
         let mut m = PhaseMachine::direct(PhaseOp::ReduceScatter, 2, 64);
-        m.start();
-        assert!(m.on_receive(0).unwrap().completed);
-        assert!(m.on_receive(0).is_err());
+        start(&mut m);
+        assert!(recv(&mut m, 0).unwrap().0);
+        assert!(recv(&mut m, 0).is_err());
     }
 
     #[test]
@@ -594,13 +597,14 @@ mod tests {
     #[should_panic(expected = "already started")]
     fn double_start_panics() {
         let mut m = PhaseMachine::ring(PhaseOp::AllGather, 2, 64);
-        m.start();
-        m.start();
+        start(&mut m);
+        start(&mut m);
     }
 }
 
 #[cfg(test)]
 mod hd_tests {
+    use super::tests::{recv, start};
     use super::*;
 
     #[test]
@@ -608,17 +612,17 @@ mod hd_tests {
         // n = 8: 3 rounds, masks 4, 2, 1; sizes input/2, input/4, input/8.
         let mut m = PhaseMachine::halving_doubling(PhaseOp::ReduceScatter, 8, 8192);
         assert_eq!(m.expected_receives(), 3);
-        let s = m.start();
+        let s = start(&mut m);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].target, Target::GroupXor(4));
         assert_eq!(s[0].bytes, 4096);
-        let r = m.on_receive(0).unwrap();
-        assert_eq!(r.sends[0].target, Target::GroupXor(2));
-        assert_eq!(r.sends[0].bytes, 2048);
-        let r = m.on_receive(1).unwrap();
-        assert_eq!(r.sends[0].target, Target::GroupXor(1));
-        assert_eq!(r.sends[0].bytes, 1024);
-        assert!(m.on_receive(2).unwrap().completed);
+        let (_, sends) = recv(&mut m, 0).unwrap();
+        assert_eq!(sends[0].target, Target::GroupXor(2));
+        assert_eq!(sends[0].bytes, 2048);
+        let (_, sends) = recv(&mut m, 1).unwrap();
+        assert_eq!(sends[0].target, Target::GroupXor(1));
+        assert_eq!(sends[0].bytes, 1024);
+        assert!(recv(&mut m, 2).unwrap().0);
         // Total sent = input * (1 - 1/n).
         assert_eq!(m.bytes_sent_total(), 4096 + 2048 + 1024);
     }
@@ -630,14 +634,14 @@ mod hd_tests {
         // AG input is the shard; step sizes are shard, 2*shard, 4*shard
         // relative to the *final* gathered data = input here is the shard.
         let mut m = PhaseMachine::halving_doubling(PhaseOp::AllGather, 8, 1024);
-        let s = m.start();
+        let s = start(&mut m);
         assert_eq!(s[0].target, Target::GroupXor(1));
         // hd_bytes(0) = input >> (rounds - 0) = 1024 >> 3 = 128.
         // Total sent over 3 rounds = 128 + 256 + 512 = 896 = input*(n-1)/n.
         assert_eq!(m.bytes_sent_total(), 896);
-        m.on_receive(0).unwrap();
-        m.on_receive(1).unwrap();
-        assert!(m.on_receive(2).unwrap().completed);
+        recv(&mut m, 0).unwrap();
+        recv(&mut m, 1).unwrap();
+        assert!(recv(&mut m, 2).unwrap().0);
     }
 
     #[test]
@@ -654,13 +658,13 @@ mod hd_tests {
     #[test]
     fn hd_ar_runs_to_completion_symmetrically() {
         let mut m = PhaseMachine::halving_doubling(PhaseOp::AllReduce, 4, 4096);
-        let mut pending: Vec<u32> = m.start().iter().map(|s| s.step).collect();
+        let mut pending: Vec<u32> = start(&mut m).iter().map(|s| s.step).collect();
         let mut recvs = 0;
         while let Some(step) = pending.pop() {
-            let r = m.on_receive(step).unwrap();
+            let (completed, sends) = recv(&mut m, step).unwrap();
             recvs += 1;
-            pending.extend(r.sends.iter().map(|s| s.step));
-            if r.completed {
+            pending.extend(sends.iter().map(|s| s.step));
+            if completed {
                 break;
             }
         }
@@ -671,8 +675,8 @@ mod hd_tests {
     #[test]
     fn hd_out_of_order_rejected() {
         let mut m = PhaseMachine::halving_doubling(PhaseOp::ReduceScatter, 8, 64);
-        m.start();
-        assert!(m.on_receive(1).is_err());
+        start(&mut m);
+        assert!(recv(&mut m, 1).is_err());
     }
 
     #[test]

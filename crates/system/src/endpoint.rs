@@ -8,7 +8,7 @@
 //! machine-stepping logic, so [`crate::SystemSim`] only sequences events.
 
 use crate::{CollReport, SystemError};
-use astra_collectives::{CollectiveError, CollectivePlan, PhaseMachine, SendCmd};
+use astra_collectives::{CollectivePlan, PhaseMachine, SendCmd};
 use astra_des::Time;
 
 /// Per-chunk runtime state on one NPU.
@@ -22,15 +22,16 @@ pub(crate) struct ChunkState {
     /// (neighbors can run ahead): (phase, step), drained at phase entry.
     pub(crate) pending: Vec<(u8, u32)>,
     /// Current-phase steps that overtook a predecessor still in flight
-    /// behind a retransmission or reroute (only possible under a fault
-    /// plan); retried after each successful receive.
+    /// (behind a retransmission or reroute, or behind flit-level
+    /// arbitration in garnet); retried after each successful receive.
     pub(crate) deferred: Vec<u32>,
     pub(crate) done: bool,
 }
 
 impl ChunkState {
     /// Drains the early-arrived messages buffered for `phase`, in step
-    /// order, leaving later phases' messages queued.
+    /// order, leaving later phases' messages queued. Allocates nothing when
+    /// no message for `phase` arrived early (an empty `collect` does not).
     pub(crate) fn take_early(&mut self, phase: u8) -> Vec<u32> {
         let mut early: Vec<u32> = self
             .pending
@@ -121,6 +122,28 @@ impl CollState {
     }
 }
 
+/// The in-flight collective `coll`, from the dense slots indexed by the
+/// sequential collective id.
+pub(crate) fn live(colls: &[Option<CollState>], coll: u64) -> Result<&CollState, SystemError> {
+    usize::try_from(coll)
+        .ok()
+        .and_then(|i| colls.get(i))
+        .and_then(Option::as_ref)
+        .ok_or(SystemError::UnknownCollective { coll })
+}
+
+/// Mutable form of [`live`].
+pub(crate) fn live_mut(
+    colls: &mut [Option<CollState>],
+    coll: u64,
+) -> Result<&mut CollState, SystemError> {
+    usize::try_from(coll)
+        .ok()
+        .and_then(|i| colls.get_mut(i))
+        .and_then(Option::as_mut)
+        .ok_or(SystemError::UnknownCollective { coll })
+}
+
 /// Endpoint processing time for receiving `step`: the constant endpoint
 /// delay, plus the local-update cost of reducing the step's payload when
 /// the step reduces.
@@ -138,60 +161,71 @@ pub(crate) fn receive_cost(
     delay
 }
 
-/// Feeds a received `step` into the chunk's phase machine and drains any
-/// previously deferred steps it unblocks.
+/// Feeds a received `step` into the chunk's phase machine, appending the
+/// sends it triggers to `sends`, and drains any previously deferred steps
+/// it unblocks.
 ///
-/// Returns `None` when the step itself had to be deferred (only possible
-/// under an active fault plan, where retransmissions and reroutes let a
-/// step overtake its predecessor); otherwise `Some((phase_completed,
-/// sends_to_issue))`.
+/// A step the machine does not accept yet overtook its predecessor: under
+/// a fault plan the predecessor may be stalled behind a retransmission
+/// timeout or a longer rerouted path, and in garnet flit-level arbitration
+/// can deliver one chunk's step `k + 1` before step `k`. Such a step is
+/// held back in `deferred` and retried once the machine advances.
+///
+/// Returns whether the phase completed.
+///
+/// # Errors
+///
+/// [`SystemError::Protocol`] if the phase completes while steps are still
+/// deferred (they can never be accepted).
 pub(crate) fn absorb_step(
     machine: &mut PhaseMachine,
     deferred: &mut Vec<u32>,
     step: u32,
-    faults_active: bool,
-) -> Result<Option<(bool, Vec<SendCmd>)>, SystemError> {
-    let reaction = match machine.on_receive(step) {
-        Ok(r) => r,
-        // Under a fault plan, a step can overtake its predecessor: the
-        // predecessor may be stalled behind a retransmission timeout or
-        // a longer rerouted path. Hold the early step back and retry it
-        // once the machine advances. Without faults the strict protocol
-        // check stands — out-of-order steps stay hard errors.
-        Err(CollectiveError::UnexpectedStep { .. }) if faults_active => {
-            deferred.push(step);
-            return Ok(None);
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let mut completed = reaction.completed;
-    let mut sends = reaction.sends;
+    sends: &mut Vec<SendCmd>,
+) -> Result<bool, SystemError> {
+    if !machine.accepts(step) {
+        deferred.push(step);
+        return Ok(false);
+    }
+    let mut completed = receive(machine, step, sends)?;
     // Each accepted step may unblock held-back successors; drain until
     // a full sweep makes no progress.
     loop {
         let mut progressed = false;
         let mut i = 0;
         while i < deferred.len() {
-            match machine.on_receive(deferred[i]) {
-                Ok(r) => {
-                    deferred.swap_remove(i);
-                    completed |= r.completed;
-                    sends.extend(r.sends);
-                    progressed = true;
-                }
-                Err(CollectiveError::UnexpectedStep { .. }) => i += 1,
-                Err(e) => return Err(e.into()),
+            if machine.accepts(deferred[i]) {
+                let step = deferred.swap_remove(i);
+                completed |= receive(machine, step, sends)?;
+                progressed = true;
+            } else {
+                i += 1;
             }
         }
         if !progressed {
             break;
         }
     }
-    debug_assert!(
-        !completed || deferred.is_empty(),
-        "phase completed with steps still deferred"
-    );
-    Ok(Some((completed, sends)))
+    if completed && !deferred.is_empty() {
+        return Err(SystemError::Protocol {
+            what: format!("phase completed with steps {deferred:?} still deferred"),
+        });
+    }
+    Ok(completed)
+}
+
+/// [`PhaseMachine::on_receive`] with its error surfaced as the system-layer
+/// protocol violation it is.
+fn receive(
+    machine: &mut PhaseMachine,
+    step: u32,
+    sends: &mut Vec<SendCmd>,
+) -> Result<bool, SystemError> {
+    machine
+        .on_receive(step, sends)
+        .map_err(|e| SystemError::Protocol {
+            what: format!("phase machine rejected a receive: {e}"),
+        })
 }
 
 #[cfg(test)]
@@ -217,6 +251,47 @@ mod tests {
         assert_eq!(c.take_early(1), [2, 5, 9]);
         assert_eq!(c.pending, [(0, 3), (2, 0)]);
         assert_eq!(c.take_early(3), Vec::<u32>::new());
+        c.pending.clear();
+        assert_eq!(
+            c.take_early(0).capacity(),
+            0,
+            "no allocation when nothing is early"
+        );
+    }
+
+    #[test]
+    fn absorb_step_defers_overtaking_steps_until_unblocked() {
+        use astra_collectives::PhaseOp;
+        let mut m = PhaseMachine::ring(PhaseOp::ReduceScatter, 4, 4096);
+        let mut deferred = Vec::new();
+        let mut sends = Vec::new();
+        m.start(&mut sends);
+        sends.clear();
+        // Step 2 and step 1 overtake step 0: both are held back.
+        assert!(!absorb_step(&mut m, &mut deferred, 2, &mut sends).unwrap());
+        assert!(!absorb_step(&mut m, &mut deferred, 1, &mut sends).unwrap());
+        assert_eq!(deferred, [2, 1]);
+        assert!(sends.is_empty());
+        // Step 0 unblocks both; the phase completes with all three sends
+        // it owes (steps 1 and 2; step 3 does not exist in a 4-ring RS).
+        assert!(absorb_step(&mut m, &mut deferred, 0, &mut sends).unwrap());
+        assert!(deferred.is_empty());
+        assert_eq!(sends.iter().map(|s| s.step).collect::<Vec<_>>(), [1, 2]);
+    }
+
+    #[test]
+    fn steps_deferred_past_completion_are_a_protocol_error() {
+        use astra_collectives::PhaseOp;
+        let mut m = PhaseMachine::direct(PhaseOp::ReduceScatter, 2, 64);
+        let mut sends = Vec::new();
+        m.start(&mut sends);
+        // Step 5 never becomes acceptable: completing with it held back is
+        // a typed error, not a silent drop.
+        let mut deferred = vec![5];
+        assert!(matches!(
+            absorb_step(&mut m, &mut deferred, 0, &mut sends),
+            Err(SystemError::Protocol { .. })
+        ));
     }
 
     #[test]

@@ -7,13 +7,28 @@
 //! This is the send half of the staged system layer; the receive half
 //! lives in `endpoint`. Both are sequenced by the event loop in `sim`.
 
+use crate::endpoint::live;
 use crate::sim::{NetQ, SysEvent, SystemSim};
 use crate::{BackendKind, InjectionPolicy, SystemConfig, SystemError, Tag};
 use astra_collectives::{SendCmd, Target};
 use astra_des::Time;
 use astra_network::{AnalyticalNet, Backend, GarnetNet, Message, NetworkConfig};
-use astra_topology::{LogicalTopology, Mapping, NodeId, PathFinder, Route};
+use astra_topology::{Dim, LogicalTopology, Mapping, NodeId, PathFinder, Route};
 use std::fmt;
+
+/// Everything that decides where a send goes: the memo key of
+/// [`SystemSim`]'s route table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct RouteKey {
+    pub(crate) dim: Dim,
+    /// Whether the phase's dimension is ring-connected (decides how
+    /// halving-doubling partners are reached).
+    pub(crate) on_rings: bool,
+    pub(crate) channel: usize,
+    /// The sending (logical) NPU.
+    pub(crate) npu: usize,
+    pub(crate) target: Target,
+}
 
 /// Logical→physical overlay state (§IV-B: "map a single logical topology
 /// on different physical topologies").
@@ -93,71 +108,36 @@ impl SystemSim {
         phase: u8,
         sends: &[SendCmd],
     ) -> Result<(), SystemError> {
-        if sends.is_empty() {
+        let Some(first) = sends.first() else {
             return Ok(());
-        }
-        let cs = self
-            .colls
-            .get(&coll)
-            .ok_or(SystemError::UnknownCollective { coll })?;
-        let spec = cs.plan.phases()[phase as usize];
+        };
+        let spec = live(&self.colls, coll)?.plan.phases()[phase as usize];
         let channel = chunk as usize % spec.concurrency.max(1);
-        let me = NodeId(npu);
-        let mut routes: Vec<(Route, u64, u32)> = Vec::with_capacity(sends.len());
-        for s in sends {
-            let route = match s.target {
-                Target::RingNext => self.topo.ring_route(spec.dim, channel, me, 1)?,
-                Target::RingDistance(d) => self.topo.ring_route(spec.dim, channel, me, d)?,
-                Target::GroupOffset(off) => {
-                    let group = self.topo.ring(spec.dim, channel, me)?;
-                    let dst = group.ahead(me, off)?;
-                    self.topo.switch_route(me, dst, channel)?
-                }
-                Target::GroupXor(mask) => {
-                    let group = self.topo.ring(spec.dim, channel, me)?;
-                    let pos = group.position(me)?;
-                    let partner = group.members()[pos ^ mask];
-                    if spec.on_rings {
-                        // Software-routed along the ring direction.
-                        let dist = ((pos ^ mask) + group.size() - pos) % group.size();
-                        self.topo.ring_route(spec.dim, channel, me, dist)?
-                    } else {
-                        self.topo.switch_route(me, partner, channel)?
-                    }
-                }
-            };
-            routes.push((route, s.bytes, s.step));
-        }
         // Under the `normal` injection policy, bursts are paced: each
         // subsequent message waits one first-link serialization time.
-        let gap = if self.cfg.injection == InjectionPolicy::Normal && routes.len() > 1 {
+        let gap = if self.cfg.injection == InjectionPolicy::Normal && sends.len() > 1 {
             let params = self.net_cfg.link(spec.class);
-            let wire = params.wire_bytes(routes[0].1);
+            let wire = params.wire_bytes(first.bytes);
             self.net_cfg.clock.serialization_time(wire, params.gbps)
         } else {
             Time::ZERO
         };
-        for (k, (route, bytes, step)) in routes.into_iter().enumerate() {
+        for (k, s) in sends.iter().enumerate() {
+            let route = self.route_for(RouteKey {
+                dim: spec.dim,
+                on_rings: spec.on_rings,
+                channel,
+                npu,
+                target: s.target,
+            })?;
             let tag = Tag {
                 coll,
                 chunk,
                 phase,
-                step,
+                step: s.step,
             }
             .pack();
-            // Under an overlay, the logical route only determines the
-            // destination; the message physically travels a shortest path
-            // on the real fabric (spread over parallel links by channel).
-            let (src, route) = match &mut self.overlay {
-                None => (me, route),
-                Some(o) => {
-                    let psrc = o.mapping.apply(me);
-                    let pdst = o.mapping.apply(route.dst());
-                    let proute = o.finder.route(psrc, pdst, channel)?;
-                    (psrc, proute)
-                }
-            };
-            let msg = Message::new(self.next_msg, src, route.dst(), bytes, tag);
+            let msg = Message::new(self.next_msg, route.src(), route.dst(), s.bytes, tag);
             self.next_msg += 1;
             let delay = gap.scale(k as u64, 1);
             if delay == Time::ZERO {
@@ -168,6 +148,65 @@ impl SystemSim {
             }
         }
         Ok(())
+    }
+
+    /// The physical route of a send, resolved once per [`RouteKey`] and
+    /// shared after that. No invalidation is needed: the key fixes every
+    /// input of [`SystemSim::resolve_route`], and fault rerouting happens
+    /// later, per message, in [`SystemSim::send_now`].
+    fn route_for(&mut self, key: RouteKey) -> Result<Route, SystemError> {
+        if let Some(route) = self.routes.get(&key) {
+            return Ok(route.clone());
+        }
+        let route = self.resolve_route(key)?;
+        self.routes.insert(key, route.clone());
+        Ok(route)
+    }
+
+    /// Turns a phase machine's relative target into a route on the logical
+    /// topology and, under an overlay, into the physical route the message
+    /// really takes.
+    fn resolve_route(&mut self, key: RouteKey) -> Result<Route, SystemError> {
+        let RouteKey {
+            dim,
+            on_rings,
+            channel,
+            npu,
+            target,
+        } = key;
+        let me = NodeId(npu);
+        let route = match target {
+            Target::RingNext => self.topo.ring_route(dim, channel, me, 1)?,
+            Target::RingDistance(d) => self.topo.ring_route(dim, channel, me, d)?,
+            Target::GroupOffset(off) => {
+                let group = self.topo.ring(dim, channel, me)?;
+                let dst = group.ahead(me, off)?;
+                self.topo.switch_route(me, dst, channel)?
+            }
+            Target::GroupXor(mask) => {
+                let group = self.topo.ring(dim, channel, me)?;
+                let pos = group.position(me)?;
+                let partner = group.members()[pos ^ mask];
+                if on_rings {
+                    // Software-routed along the ring direction.
+                    let dist = ((pos ^ mask) + group.size() - pos) % group.size();
+                    self.topo.ring_route(dim, channel, me, dist)?
+                } else {
+                    self.topo.switch_route(me, partner, channel)?
+                }
+            }
+        };
+        // Under an overlay, the logical route only determines the
+        // destination; the message physically travels a shortest path on
+        // the real fabric (spread over parallel links by channel).
+        Ok(match &mut self.overlay {
+            None => route,
+            Some(o) => {
+                let psrc = o.mapping.apply(me);
+                let pdst = o.mapping.apply(route.dst());
+                o.finder.route(psrc, pdst, channel)?
+            }
+        })
     }
 
     /// Final injection gate: reroutes around hard-down links and applies

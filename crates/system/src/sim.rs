@@ -6,24 +6,28 @@
 //! modeling to `endpoint`, loss/retransmit/reroute machinery to
 //! `transport`. Deferred sends ride the queue as `u32` slab keys
 //! ([`astra_des::SlabKey`]) into the transport's payload arena, so the hot
-//! loop performs no per-event heap allocation.
+//! loop performs no per-event heap allocation: collectives live in dense
+//! slots indexed by their sequential id, send lists go through a reused
+//! scratch buffer, and resolved routes are memoized shared `Arc`s
+//! (DESIGN.md "hot-path conventions").
 
-use crate::endpoint::{self, ChunkState, CollState};
-use crate::routing::Overlay;
+use crate::endpoint::{self, live, live_mut, ChunkState, CollState};
+use crate::routing::{Overlay, RouteKey};
 use crate::scheduler::{Npu, QueuedChunk};
 use crate::transport::Transport;
 use crate::{
     BackendKind, CallbackId, CollId, CollReport, CollectiveRequest, Notification, PhaseSpan,
     SystemConfig, SystemError, SystemStats, Tag,
 };
-use astra_collectives::{plan_with_intra, PhaseMachine};
+use astra_collectives::{plan_with_intra, PhaseMachine, SendCmd};
+use astra_des::hash::IdMap;
 use astra_des::{EventQueue, SlabKey, Time};
 use astra_network::{
     AnalyticalNet, Arrival, Backend, FaultError, FaultPlan, GarnetNet, NetEvent, NetScheduler,
     NetworkConfig,
 };
-use astra_topology::{LogicalTopology, NodeId};
-use std::collections::{HashMap, VecDeque};
+use astra_topology::{LogicalTopology, NodeId, Route};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Master event type: network events plus system-layer events. Deferred
@@ -74,8 +78,13 @@ pub struct SystemSim {
     pub(crate) overlay: Option<Overlay>,
     pub(crate) queue: EventQueue<SysEvent>,
     pub(crate) npus: Vec<Npu>,
-    pub(crate) colls: HashMap<u64, CollState>,
-    pub(crate) reports: HashMap<u64, CollReport>,
+    /// In-flight collectives, indexed by their dense sequential id; a slot
+    /// empties when its collective completes.
+    pub(crate) colls: Vec<Option<CollState>>,
+    /// Occupied slots of `colls`.
+    pub(crate) live_colls: usize,
+    /// Reports of completed collectives, indexed like `colls`.
+    pub(crate) reports: Vec<Option<CollReport>>,
     pub(crate) notifications: VecDeque<Notification>,
     pub(crate) stats: SystemStats,
     pub(crate) trace: Option<Vec<PhaseSpan>>,
@@ -83,6 +92,10 @@ pub struct SystemSim {
     pub(crate) next_msg: u64,
     pub(crate) next_cb: u64,
     pub(crate) arrivals_scratch: Vec<Arrival>,
+    /// Reused buffer the phase machines append their sends to.
+    pub(crate) sends_scratch: Vec<SendCmd>,
+    /// Resolved (post-overlay) send routes, memoized on first use.
+    pub(crate) routes: IdMap<RouteKey, Route>,
     pub(crate) transport: Transport,
 }
 
@@ -91,7 +104,7 @@ impl fmt::Debug for SystemSim {
         f.debug_struct("SystemSim")
             .field("topo", &self.topo.shape_string())
             .field("now", &self.queue.now())
-            .field("inflight_colls", &self.colls.len())
+            .field("inflight_colls", &self.live_colls)
             .field("pending_events", &self.queue.len())
             .finish()
     }
@@ -138,8 +151,9 @@ impl SystemSim {
             overlay: None,
             queue: EventQueue::new(),
             npus: (0..n).map(|_| Npu::new(cfg.scheduling)).collect(),
-            colls: HashMap::new(),
-            reports: HashMap::new(),
+            colls: Vec::new(),
+            live_colls: 0,
+            reports: Vec::new(),
             notifications: VecDeque::new(),
             stats: SystemStats::default(),
             trace: None,
@@ -147,6 +161,8 @@ impl SystemSim {
             next_msg: 0,
             next_cb: 0,
             arrivals_scratch: Vec::new(),
+            sends_scratch: Vec::new(),
+            routes: IdMap::default(),
             transport: Transport::new(),
         }
     }
@@ -232,7 +248,8 @@ impl SystemSim {
 
     /// The archived report of a completed collective.
     pub fn report(&self, coll: CollId) -> Option<&CollReport> {
-        self.reports.get(&coll.0)
+        let slot = usize::try_from(coll.0).ok()?;
+        self.reports.get(slot)?.as_ref()
     }
 
     /// Audits that the whole stack is quiescent: no pending events, no
@@ -252,10 +269,10 @@ impl SystemSim {
                 self.queue.len()
             ));
         }
-        if !self.colls.is_empty() {
+        if self.live_colls != 0 {
             return Err(format!(
                 "system: {} collective(s) still in flight",
-                self.colls.len()
+                self.live_colls
             ));
         }
         if !self.transport.arena_is_empty() {
@@ -298,18 +315,18 @@ impl SystemSim {
             .collect();
 
         let now = self.now();
-        self.colls.insert(
-            id,
-            CollState::new(
-                p,
-                req.local_update_per_kb
-                    .unwrap_or(self.cfg.local_update_per_kb),
-                self.topo.num_npus(),
-                &chunk_bytes,
-                req.bytes,
-                now,
-            ),
-        );
+        debug_assert_eq!(self.colls.len() as u64, id, "collective ids are dense");
+        self.live_colls += 1;
+        self.reports.push(None);
+        self.colls.push(Some(CollState::new(
+            p,
+            req.local_update_per_kb
+                .unwrap_or(self.cfg.local_update_per_kb),
+            self.topo.num_npus(),
+            &chunk_bytes,
+            req.bytes,
+            now,
+        )));
 
         // Admit the chunk batch to every NPU's ready queue (the scheduling
         // policy decides where it lands) and kick the dispatchers.
@@ -441,7 +458,7 @@ impl SystemSim {
             };
             let wait = self.now() - q.queued_at;
             self.stats.record_ready_delay(wait);
-            if let Some(cs) = self.colls.get_mut(&q.coll) {
+            if let Ok(cs) = live_mut(&mut self.colls, q.coll) {
                 cs.report.ready_delay.record_time(wait);
             }
             self.npus[npu].active_first_phase += 1;
@@ -453,20 +470,21 @@ impl SystemSim {
     /// Moves a chunk into phase `phase`: builds the machine, issues initial
     /// sends, drains any early-arrived messages.
     fn enter_phase(&mut self, npu: usize, coll: u64, chunk: u32, phase: u8) -> Result<(), SystemError> {
-        let cs = self
-            .colls
-            .get_mut(&coll)
-            .ok_or(SystemError::UnknownCollective { coll })?;
+        let cs = live_mut(&mut self.colls, coll)?;
         let spec = cs.plan.phases()[phase as usize];
         let chunk_state = &mut cs.per_npu[npu].chunks[chunk as usize];
         chunk_state.phase = phase;
         chunk_state.entered_phase_at = self.queue.now();
         let mut machine = PhaseMachine::new(&spec, chunk_state.bytes);
-        let sends = machine.start();
+        // On an error the scratch buffer is simply dropped: the run is over.
+        let mut sends = std::mem::take(&mut self.sends_scratch);
+        sends.clear();
+        machine.start(&mut sends);
         chunk_state.machine = Some(machine);
         let early = chunk_state.take_early(phase);
 
         self.issue_sends(npu, coll, chunk, phase, &sends)?;
+        self.sends_scratch = sends;
         for step in early {
             self.schedule_endpoint(npu, coll, chunk, phase, step)?;
         }
@@ -490,10 +508,7 @@ impl SystemSim {
         let wire = arrival.wire_time();
         self.stats
             .record_message(tag.phase as usize, queueing, wire);
-        let cs = self
-            .colls
-            .get_mut(&tag.coll)
-            .ok_or(SystemError::UnknownCollective { coll: tag.coll })?;
+        let cs = live_mut(&mut self.colls, tag.coll)?;
         cs.record_arrival(tag.phase as usize, queueing, wire);
         let chunk_state = &mut cs.per_npu[npu].chunks[tag.chunk as usize];
         let ready_for_it = chunk_state.machine.is_some() && chunk_state.phase == tag.phase;
@@ -523,10 +538,7 @@ impl SystemSim {
         phase: u8,
         step: u32,
     ) -> Result<(), SystemError> {
-        let cs = self
-            .colls
-            .get(&coll)
-            .ok_or(SystemError::UnknownCollective { coll })?;
+        let cs = live(&self.colls, coll)?;
         let chunk_state = &cs.per_npu[npu].chunks[chunk as usize];
         let machine = chunk_state
             .machine
@@ -558,11 +570,7 @@ impl SystemSim {
         phase: u8,
         step: u32,
     ) -> Result<(), SystemError> {
-        let faults_active = !self.transport.faults().is_empty();
-        let cs = self
-            .colls
-            .get_mut(&coll)
-            .ok_or(SystemError::UnknownCollective { coll })?;
+        let cs = live_mut(&mut self.colls, coll)?;
         let chunk_state = &mut cs.per_npu[npu].chunks[chunk as usize];
         debug_assert_eq!(chunk_state.phase, phase, "endpoint for a stale phase");
         let ChunkState {
@@ -571,12 +579,11 @@ impl SystemSim {
         let machine = machine.as_mut().ok_or_else(|| SystemError::Protocol {
             what: format!("endpoint done for chunk {chunk} with no active phase machine"),
         })?;
-        let Some((completed, sends)) =
-            endpoint::absorb_step(machine, deferred, step, faults_active)?
-        else {
-            return Ok(());
-        };
+        let mut sends = std::mem::take(&mut self.sends_scratch);
+        sends.clear();
+        let completed = endpoint::absorb_step(machine, deferred, step, &mut sends)?;
         self.issue_sends(npu, coll, chunk, phase, &sends)?;
+        self.sends_scratch = sends;
         if completed {
             self.on_phase_complete(npu, coll, chunk, phase)?;
         }
@@ -594,13 +601,8 @@ impl SystemSim {
     ) -> Result<(), SystemError> {
         let now = self.now();
         if let Some(trace) = &mut self.trace {
-            let start = self
-                .colls
-                .get(&coll)
-                .ok_or(SystemError::UnknownCollective { coll })?
-                .per_npu[npu]
-                .chunks[chunk as usize]
-                .entered_phase_at;
+            let start =
+                live(&self.colls, coll)?.per_npu[npu].chunks[chunk as usize].entered_phase_at;
             trace.push(PhaseSpan {
                 npu: npu as u32,
                 coll,
@@ -618,10 +620,7 @@ impl SystemSim {
                     what: "first-phase accounting underflow".to_string(),
                 })?;
         }
-        let cs = self
-            .colls
-            .get_mut(&coll)
-            .ok_or(SystemError::UnknownCollective { coll })?;
+        let cs = live_mut(&mut self.colls, coll)?;
         let num_phases = cs.plan.phases().len();
         let next = phase as usize + 1;
         if next < num_phases {
@@ -648,8 +647,10 @@ impl SystemSim {
                 if cs.npus_done == cs.per_npu.len() {
                     cs.report.finished_at = time;
                     self.stats.collectives_completed += 1;
-                    if let Some(done) = self.colls.remove(&coll) {
-                        self.reports.insert(coll, done.report);
+                    let slot = coll as usize;
+                    if let Some(done) = self.colls[slot].take() {
+                        self.live_colls -= 1;
+                        self.reports[slot] = Some(done.report);
                     }
                 }
             }

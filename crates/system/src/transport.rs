@@ -9,11 +9,11 @@
 //! pairs (see `astra_des::Slab`).
 
 use crate::{SystemError, SystemStats};
+use astra_des::hash::IdSet;
 use astra_des::rng::SplitMix64;
 use astra_des::{Slab, SlabKey, Time};
 use astra_network::{FaultPlan, Message, MsgId};
 use astra_topology::{Dim, LogicalTopology, NodeId, PathFinder, Route};
-use std::collections::HashSet;
 
 /// A message waiting in the arena for a deferred injection (paced bursts)
 /// or a retransmission timer.
@@ -45,7 +45,7 @@ pub(crate) struct Transport {
     /// Seeded RNG for loss decisions; reseeded from the plan on install.
     loss_rng: SplitMix64,
     /// Messages injected but destined to drop: their arrival is discarded.
-    doomed: HashSet<MsgId>,
+    doomed: IdSet<MsgId>,
     /// Exclusion pathfinder cached for the current set of down links.
     reroute_cache: Option<(Vec<(NodeId, NodeId)>, PathFinder)>,
     /// In-flight payloads of deferred injections and retransmissions,
@@ -58,7 +58,7 @@ impl Transport {
         Transport {
             faults: FaultPlan::default(),
             loss_rng: SplitMix64::new(0),
-            doomed: HashSet::new(),
+            doomed: IdSet::default(),
             reroute_cache: None,
             pending: Slab::new(),
         }

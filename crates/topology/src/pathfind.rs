@@ -7,7 +7,6 @@
 //! [`PathFinder`] produces those routes deterministically.
 
 use crate::{Hop, LogicalTopology, NodeId, Route, TopologyError};
-use std::collections::HashMap;
 
 /// Deterministic shortest-path router over a topology's physical links.
 ///
@@ -32,8 +31,8 @@ pub struct PathFinder {
     /// adjacency[node] = outgoing hops, sorted for determinism.
     adjacency: Vec<Vec<Hop>>,
     /// dist_to[target][node] = hop distance node -> target (usize::MAX if
-    /// unreachable). Built lazily per target.
-    dist_to: HashMap<usize, Vec<usize>>,
+    /// unreachable). Built lazily per target; empty until then.
+    dist_to: Vec<Vec<usize>>,
     num_nodes: usize,
 }
 
@@ -69,14 +68,14 @@ impl PathFinder {
         }
         PathFinder {
             adjacency,
-            dist_to: HashMap::new(),
+            dist_to: vec![Vec::new(); n],
             num_nodes: n,
         }
     }
 
     /// Reverse BFS from `target`, filling hop distances.
     fn distances(&mut self, target: usize) -> &Vec<usize> {
-        if !self.dist_to.contains_key(&target) {
+        if self.dist_to[target].is_empty() {
             // Build a reverse adjacency on the fly (BFS from target over
             // incoming edges).
             let mut rev: Vec<Vec<usize>> = vec![Vec::new(); self.num_nodes];
@@ -100,9 +99,9 @@ impl PathFinder {
                 }
                 frontier = next;
             }
-            self.dist_to.insert(target, dist);
+            self.dist_to[target] = dist;
         }
-        &self.dist_to[&target]
+        &self.dist_to[target]
     }
 
     /// Hop distance from `from` to `to` (`None` if unreachable).
@@ -147,7 +146,7 @@ impl PathFinder {
         let mut hops = Vec::new();
         let mut cur = from;
         loop {
-            let dist = &self.dist_to[&to.index()];
+            let dist = &self.dist_to[to.index()];
             let here = dist[cur.index()];
             if here == 0 {
                 break;

@@ -3,6 +3,7 @@
 use crate::{Dim, NodeId, TopologyError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Link technology class, which selects bandwidth/latency/packet parameters
 /// (Table IV distinguishes intra-package from inter-package links).
@@ -72,9 +73,12 @@ pub struct Hop {
 ///
 /// With the paper's software routing, multi-hop sends are store-and-forward
 /// relays of the whole message at each intermediate NPU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The hops are shared and immutable, so cloning a route (to memoize it, or
+/// to park it for a retransmission) never allocates.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
-    hops: Vec<Hop>,
+    hops: Arc<[Hop]>,
 }
 
 impl Route {
@@ -90,7 +94,7 @@ impl Route {
             hops.windows(2).all(|w| w[0].to == w[1].from),
             "route hops must be contiguous"
         );
-        Route { hops }
+        Route { hops: hops.into() }
     }
 
     /// The hops in traversal order.

@@ -17,11 +17,11 @@
 //! the dependency rules require it.
 
 use crate::{CommSpec, LayerReport, TrainingReport, Workload};
+use astra_des::hash::{IdMap, IdSet};
 use astra_des::Time;
 use astra_system::{
     CallbackId, CollId, CollectiveRequest, Notification, SystemError, SystemSim,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Which training phase a collective belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,13 +74,15 @@ pub struct TrainingRunner {
     passes: u32,
     n: usize,
     states: Vec<NpuState>,
-    cb_map: HashMap<CallbackId, usize>,
+    // Per-event lookups keyed by simulator-minted ids: `IdHasher` maps.
+    // Nothing iterates them, so their order never reaches the report.
+    cb_map: IdMap<CallbackId, usize>,
     /// Issue gates: how many NPUs have reached each collective's issue
     /// point; at `n` the collective is issued.
-    gates: HashMap<CollKey, usize>,
-    issued: HashMap<CollKey, CollId>,
-    keys: HashMap<CollId, CollKey>,
-    completed: HashSet<(u64, usize)>,
+    gates: IdMap<CollKey, usize>,
+    issued: IdMap<CollKey, CollId>,
+    keys: IdMap<CollId, CollKey>,
+    completed: IdSet<(u64, usize)>,
     /// Per-NPU compute-slowdown factor from the sim's fault plan
     /// (1.0 everywhere without stragglers).
     slowdowns: Vec<f64>,
@@ -114,11 +116,11 @@ impl TrainingRunner {
             passes,
             n,
             states: vec![NpuState::Done; n], // overwritten in run()
-            cb_map: HashMap::new(),
-            gates: HashMap::new(),
-            issued: HashMap::new(),
-            keys: HashMap::new(),
-            completed: HashSet::new(),
+            cb_map: IdMap::default(),
+            gates: IdMap::default(),
+            issued: IdMap::default(),
+            keys: IdMap::default(),
+            completed: IdSet::default(),
             slowdowns,
             stall_start: vec![Time::ZERO; n],
             exposed: vec![vec![Time::ZERO; layers]; n],
@@ -152,7 +154,9 @@ impl TrainingRunner {
     ///
     /// # Errors
     ///
-    /// Propagates system-layer failures (plan synthesis, routing).
+    /// Propagates system-layer failures (plan synthesis, routing), and
+    /// fails with [`SystemError::Protocol`] if the drained simulation is not
+    /// quiescent (see [`SystemSim::audit_quiescent`]).
     pub fn run_instrumented(mut self) -> Result<(TrainingReport, u64), SystemError> {
         for npu in 0..self.n {
             self.start_fwd(npu, 0, 0)?;
@@ -180,6 +184,12 @@ impl TrainingRunner {
             }
         }
         self.sim.run_until_idle()?;
+        // A drained run leaves nothing behind: a leaked collective, parked
+        // send or in-flight message (a step deferred forever, say) is a
+        // protocol failure, not a silently short report.
+        self.sim
+            .audit_quiescent()
+            .map_err(|what| SystemError::Protocol { what })?;
         let events = self.sim.events_processed();
         Ok((self.assemble(), events))
     }
