@@ -10,7 +10,7 @@
 
 use astra_core::{SimConfig, Simulator};
 use astra_des::Time;
-use astra_system::{BackendKind, CollectiveRequest, Notification};
+use astra_system::{BackendKind, CollectiveRequest};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -204,27 +204,9 @@ pub fn run_traced(cfg: &SimConfig, req: &CollectiveRequest) -> Result<TracedRun,
         .map_err(|e| DiffError::Run(e.to_string()))?;
     sim.enable_tracing();
     let id = sim
-        .issue_collective(req.clone())
+        .complete_collective(req.clone())
         .map_err(|e| DiffError::Run(e.to_string()))?;
     let n = sim.topology().num_npus();
-    let mut done = 0;
-    while done < n {
-        match sim
-            .run_until_notification()
-            .map_err(|e| DiffError::Run(e.to_string()))?
-        {
-            Some(Notification::CollectiveDone { coll, .. }) if coll == id => done += 1,
-            Some(_) => {}
-            None => {
-                return Err(DiffError::Run(
-                    "collective never completed (simulation drained)".into(),
-                ))
-            }
-        }
-    }
-    sim.run_until_idle()
-        .map_err(|e| DiffError::Run(e.to_string()))?;
-    sim.audit_quiescent().map_err(DiffError::Run)?;
 
     let report = sim
         .report(id)

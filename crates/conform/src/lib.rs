@@ -13,16 +13,19 @@
 //!   through **both** backends and asserts structural equivalence: the same
 //!   per-NPU chunk completion order, the same message counts, and an
 //!   analytical completion time within a configurable envelope of Garnet's.
-//! * [`shadow`] — a data-plane oracle: every chunk carries a symbolic
-//!   payload (the set of contributing nodes), and the collective's
-//!   postcondition is checked on every NPU — all-reduce yields the full
-//!   sum everywhere, all-gather yields all shards, reduce-scatter
-//!   partitions exactly. Deliberate [`shadow::Mutation`]s prove the oracle
-//!   actually bites.
-//! * DES invariant checkers — compiled into the kernel behind the
-//!   `conform-checks` feature (monotone event time, FIFO tie-break
-//!   stability, slab double-free detection, Garnet credit conservation)
-//!   plus the always-on quiescence audits
+//! * [`shadow`] — a data-plane oracle: each piece of the plan carries a
+//!   symbolic payload (the set of contributing nodes) through the one
+//!   symbolic executor, [`astra_collectives::semantics`], and the
+//!   collective's postcondition is checked on every NPU — all-reduce
+//!   yields the full sum everywhere, all-gather yields all shards,
+//!   reduce-scatter partitions exactly. Deliberate [`shadow::Mutation`]s
+//!   prove the oracle actually bites; the timed run's trace must then take
+//!   every (NPU, chunk) pair through that plan.
+//! * invariant checkers — compiled in behind the `conform-checks` feature
+//!   (monotone event time, FIFO tie-break stability, slab double-free
+//!   detection, Garnet credit conservation, and
+//!   [`astra_system::SystemSim::check_invariants`] after every event of
+//!   the system-layer loop) plus the always-on quiescence audits
 //!   ([`astra_system::SystemSim::audit_quiescent`]).
 //!
 //! The [`fuzz`] module drives all of them from a seeded config generator

@@ -2,11 +2,12 @@
 //!
 //! The timing simulation moves *bytes*; nothing in it can notice a plan
 //! that moves the wrong bytes on schedule. This oracle re-executes the
-//! exact plan the system layer runs — chunk by chunk — with **symbolic**
-//! payloads: each chunk of each node's set starts as an atom identifying
-//! its contributor, reduction phases fold contributor sets together, and
-//! gather/scatter phases move them. At the end the collective's
-//! postcondition is checked on every NPU:
+//! exact plan the system layer runs with **symbolic** payloads, through
+//! the one symbolic executor in [`astra_collectives::semantics`]: each
+//! piece of each node's set starts as an atom identifying its contributor,
+//! reduction phases fold contributor sets together, and gather/scatter
+//! phases move them. At the end the collective's postcondition is checked
+//! on every NPU:
 //!
 //! * **all-reduce** — every NPU holds every piece, each reduced over the
 //!   full participant slice (the "full sum" everywhere);
@@ -17,16 +18,19 @@
 //! * **all-to-all** — every NPU ends with precisely the items addressed
 //!   to it, one from each source.
 //!
+//! The symbolic check runs once per plan: every chunk executes the same
+//! phase list, so the payload outcome cannot differ between chunks.
 //! [`Mutation`]s inject deliberate faults (a skipped phase, a swapped
 //! reduction op, a dropped contribution) to prove the oracle catches them,
 //! and [`shadow_conformance`] ties the symbolic result to the timed
-//! simulation by checking the recorded trace follows the same plan.
+//! simulation by checking that every (NPU, chunk) pair of the recorded
+//! trace follows the same plan.
 
-use astra_collectives::{plan_with_intra, CollectiveOp, CollectivePlan, PhaseOp, PhaseSpec};
+use astra_collectives::{plan_with_intra, semantics, CollectivePlan, PhaseOp, PhaseSpec};
 use astra_core::{SimConfig, Simulator};
-use astra_system::{CollectiveRequest, Notification};
-use astra_topology::{Coord, Dim, LogicalTopology, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use astra_system::CollectiveRequest;
+use astra_topology::LogicalTopology;
+use std::collections::BTreeMap;
 
 /// A deliberate fault injected into the symbolic execution, used to
 /// demonstrate that the oracle bites (a mutated plan must fail to verify).
@@ -52,112 +56,24 @@ pub enum Mutation {
     },
 }
 
-/// Coordinates of a node along every dimension (inactive dims read 0).
-fn coords_of(topo: &LogicalTopology, node: NodeId) -> [usize; 5] {
-    let mut c = [0usize; 5];
-    // infallible: callers iterate node over 0..topo.num_npus().
-    match topo {
-        LogicalTopology::Torus3d(t) => {
-            let Coord { l, h, v } = t.coord(node).expect("node in range");
-            c[Dim::Local.index()] = l;
-            c[Dim::Horizontal.index()] = h;
-            c[Dim::Vertical.index()] = v;
-        }
-        LogicalTopology::AllToAll(a) => {
-            let (l, p) = a.split(node).expect("node in range");
-            c[Dim::Local.index()] = l;
-            c[Dim::Package.index()] = p;
-        }
-        LogicalTopology::Pods(f) => {
-            let (intra, pod) = f.split(node).expect("node in range");
-            let Coord { l, h, v } = f.pod().coord(NodeId(intra)).expect("intra id in range");
-            c[Dim::Local.index()] = l;
-            c[Dim::Horizontal.index()] = h;
-            c[Dim::Vertical.index()] = v;
-            c[Dim::ScaleOut.index()] = pod;
-        }
-    }
-    c
-}
-
-/// Mixed-radix encoding of a node's plan-dimension coordinates.
-fn piece_of(coords: &[usize; 5], dims: &[(Dim, usize)]) -> usize {
-    let mut piece = 0;
-    let mut stride = 1;
-    for &(d, size) in dims {
-        piece += coords[d.index()] * stride;
-        stride *= size;
-    }
-    piece
-}
-
-fn piece_coord(piece: usize, dims: &[(Dim, usize)], dim: Dim) -> Result<usize, String> {
-    let mut rest = piece;
-    for &(d, size) in dims {
-        if d == dim {
-            return Ok(rest % size);
-        }
-        rest /= size;
-    }
-    Err(format!("phase dimension {dim} is not a plan dimension"))
-}
-
-fn group_key(coords: &[usize; 5], dim: Dim) -> [usize; 5] {
-    let mut k = *coords;
-    k[dim.index()] = usize::MAX;
-    k
-}
-
-fn slice_key(coords: &[usize; 5], dims: &[(Dim, usize)]) -> [usize; 5] {
-    let mut k = *coords;
-    for &(d, _) in dims {
-        k[d.index()] = usize::MAX;
-    }
-    k
-}
-
-fn build_groups(coords: &[[usize; 5]], dim: Dim) -> BTreeMap<[usize; 5], Vec<usize>> {
-    let mut groups: BTreeMap<[usize; 5], Vec<usize>> = BTreeMap::new();
-    for (i, c) in coords.iter().enumerate() {
-        groups.entry(group_key(c, dim)).or_default().push(i);
-    }
-    groups
-}
-
-/// piece -> symbolic payload (the set of contributor node ids folded in).
-type Contribs = BTreeMap<usize, BTreeSet<usize>>;
-
-/// Symbolically executes `plan` on `topo` for every one of `chunks`
-/// independent chunks, applying `mutations`, and checks the collective's
-/// postcondition on every NPU for every chunk.
+/// Symbolically executes `plan` on `topo` with `mutations` applied and
+/// checks the collective's postcondition on every NPU, through the one
+/// symbolic executor, [`astra_collectives::semantics::verify_phases`].
 ///
-/// With no mutations this must pass for every plan the planner emits; with
-/// any mutation it must fail (that is what the demonstration tests assert).
+/// The executor has no chunk-dependent input, so one run covers every
+/// chunk of the collective. With no mutations this must pass for every
+/// plan the planner emits; with any mutation it must fail (that is what the
+/// demonstration tests assert).
 ///
 /// # Errors
 ///
-/// A human-readable description of the first violated postcondition,
-/// prefixed with the chunk it occurred on.
+/// A human-readable description of the first violated invariant, naming
+/// the phase or the postcondition that failed.
 pub fn shadow_verify(
     topo: &LogicalTopology,
     plan: &CollectivePlan,
-    chunks: u32,
     mutations: &[Mutation],
 ) -> Result<(), String> {
-    let n = topo.num_npus();
-    let coords: Vec<[usize; 5]> = (0..n).map(|i| coords_of(topo, NodeId(i))).collect();
-    let dims: Vec<(Dim, usize)> = {
-        let plan_dims = plan.dims();
-        topo.dims()
-            .into_iter()
-            .filter(|s| plan_dims.contains(&s.dim))
-            .map(|s| (s.dim, s.size))
-            .collect()
-    };
-    if dims.is_empty() {
-        return Err("plan has no dimensions".into());
-    }
-
     // Apply the structural mutations, keeping original phase indices so
     // DropContribution can still target by index.
     let mut phases: Vec<(usize, PhaseSpec)> =
@@ -180,285 +96,7 @@ pub fn shadow_verify(
             |m| matches!(*m, Mutation::DropContribution { phase: p, node: x } if p == phase && x == node),
         )
     };
-
-    for chunk in 0..chunks {
-        let result = match plan.op() {
-            CollectiveOp::AllToAll => {
-                run_a2a_chunk(&phases, &coords, &dims, &dropped)
-            }
-            op => run_reduction_chunk(op, &phases, &coords, &dims, &dropped),
-        };
-        result.map_err(|e| format!("chunk {chunk}: {e}"))?;
-    }
-    Ok(())
-}
-
-/// One chunk of the reduction family (all-reduce / reduce-scatter /
-/// all-gather): execute the phases, then check the op's postcondition.
-fn run_reduction_chunk(
-    op: CollectiveOp,
-    phases: &[(usize, PhaseSpec)],
-    coords: &[[usize; 5]],
-    dims: &[(Dim, usize)],
-    dropped: &dyn Fn(usize, usize) -> bool,
-) -> Result<(), String> {
-    let n = coords.len();
-    let num_pieces: usize = dims.iter().map(|&(_, s)| s).product();
-    let mut state: Vec<Contribs> = (0..n)
-        .map(|i| {
-            let mut m = Contribs::new();
-            match op {
-                CollectiveOp::AllGather => {
-                    m.insert(piece_of(&coords[i], dims), BTreeSet::from([i]));
-                }
-                _ => {
-                    for p in 0..num_pieces {
-                        m.insert(p, BTreeSet::from([i]));
-                    }
-                }
-            }
-            m
-        })
-        .collect();
-
-    for &(idx, phase) in phases {
-        let groups = build_groups(coords, phase.dim);
-        for members in groups.values() {
-            match phase.op {
-                PhaseOp::ReduceScatter => {
-                    let pieces: BTreeSet<usize> = members
-                        .iter()
-                        .flat_map(|&m| state[m].keys().copied())
-                        .collect();
-                    for p in pieces {
-                        let mut union = BTreeSet::new();
-                        for &m in members {
-                            let contrib = state[m].remove(&p);
-                            if dropped(idx, m) {
-                                continue;
-                            }
-                            if let Some(c) = contrib {
-                                union.extend(c);
-                            }
-                        }
-                        let want = piece_coord(p, dims, phase.dim)?;
-                        let owner = members
-                            .iter()
-                            .copied()
-                            .find(|&m| coords[m][phase.dim.index()] == want)
-                            .ok_or_else(|| {
-                                format!("phase {idx}: no group member owns piece coord {want}")
-                            })?;
-                        state[owner].insert(p, union);
-                    }
-                }
-                PhaseOp::AllGather => {
-                    // A gather copies shards verbatim — it cannot combine.
-                    // Conflicting versions of the same piece among the group
-                    // mean a reduce was required here (the "mutated
-                    // reduction op" failure mode), and the symbolic payload
-                    // makes that visible.
-                    let mut gathered = Contribs::new();
-                    for &m in members {
-                        if dropped(idx, m) {
-                            continue;
-                        }
-                        for (p, c) in &state[m] {
-                            match gathered.get(p) {
-                                None => {
-                                    gathered.insert(*p, c.clone());
-                                }
-                                Some(seen) if seen == c => {}
-                                Some(seen) => {
-                                    return Err(format!(
-                                        "phase {idx}: all-gather saw conflicting versions \
-                                         of piece {p} ({:?} vs {:?}) — gather cannot \
-                                         combine partial reductions",
-                                        seen, c
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    for &m in members {
-                        state[m] = gathered.clone();
-                    }
-                }
-                PhaseOp::AllReduce => {
-                    let pieces: BTreeSet<usize> = members
-                        .iter()
-                        .flat_map(|&m| state[m].keys().copied())
-                        .collect();
-                    for p in pieces {
-                        let mut union = BTreeSet::new();
-                        for &m in members {
-                            if dropped(idx, m) {
-                                continue;
-                            }
-                            if let Some(c) = state[m].get(&p) {
-                                union.extend(c.iter().copied());
-                            }
-                        }
-                        for &m in members {
-                            state[m].insert(p, union.clone());
-                        }
-                    }
-                }
-                PhaseOp::AllToAll => {
-                    return Err(format!(
-                        "phase {idx}: all-to-all phase inside a reduction collective"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Postconditions: the op's semantics on every node.
-    for i in 0..n {
-        let slice: BTreeSet<usize> = (0..n)
-            .filter(|&j| slice_key(&coords[j], dims) == slice_key(&coords[i], dims))
-            .collect();
-        match op {
-            CollectiveOp::AllReduce => {
-                if state[i].len() != num_pieces {
-                    return Err(format!(
-                        "all-reduce: node {i} holds {} of {num_pieces} pieces",
-                        state[i].len()
-                    ));
-                }
-                for (p, c) in &state[i] {
-                    if *c != slice {
-                        return Err(format!(
-                            "all-reduce: node {i} piece {p} reduced over {} of {} \
-                             contributors",
-                            c.len(),
-                            slice.len()
-                        ));
-                    }
-                }
-            }
-            CollectiveOp::ReduceScatter => {
-                let own = piece_of(&coords[i], dims);
-                if state[i].len() != 1 || !state[i].contains_key(&own) {
-                    return Err(format!(
-                        "reduce-scatter: node {i} holds pieces {:?}, want only {own}",
-                        state[i].keys().collect::<Vec<_>>()
-                    ));
-                }
-                if state[i][&own] != slice {
-                    return Err(format!("reduce-scatter: node {i} shard not fully reduced"));
-                }
-            }
-            CollectiveOp::AllGather => {
-                if state[i].len() != num_pieces {
-                    return Err(format!(
-                        "all-gather: node {i} holds {} of {num_pieces} shards",
-                        state[i].len()
-                    ));
-                }
-                for (p, c) in &state[i] {
-                    let Some(owner) = slice
-                        .iter()
-                        .copied()
-                        .find(|&j| piece_of(&coords[j], dims) == *p)
-                    else {
-                        return Err(format!(
-                            "all-gather: node {i} holds shard {p}, which no node in its \
-                             slice owns"
-                        ));
-                    };
-                    if *c != BTreeSet::from([owner]) {
-                        return Err(format!(
-                            "all-gather: node {i} shard {p} attributed to {c:?}, want \
-                             {{{owner}}}"
-                        ));
-                    }
-                }
-            }
-            CollectiveOp::AllToAll => unreachable!("handled separately"),
-        }
-    }
-    Ok(())
-}
-
-/// One chunk of an all-to-all: items are `(source piece, destination
-/// piece)`; each phase routes items toward their destination coordinate
-/// along its dimension.
-fn run_a2a_chunk(
-    phases: &[(usize, PhaseSpec)],
-    coords: &[[usize; 5]],
-    dims: &[(Dim, usize)],
-    dropped: &dyn Fn(usize, usize) -> bool,
-) -> Result<(), String> {
-    let n = coords.len();
-    let num_pieces: usize = dims.iter().map(|&(_, s)| s).product();
-    let mut state: Vec<BTreeSet<(usize, usize)>> = (0..n)
-        .map(|i| {
-            let s = piece_of(&coords[i], dims);
-            (0..num_pieces).map(|d| (s, d)).collect()
-        })
-        .collect();
-
-    for &(idx, phase) in phases {
-        if phase.op != PhaseOp::AllToAll {
-            return Err(format!("phase {idx}: non-A2A phase in an all-to-all plan"));
-        }
-        let groups = build_groups(coords, phase.dim);
-        for members in groups.values() {
-            let mut moved: Vec<(usize, (usize, usize))> = Vec::new();
-            let mut err: Option<String> = None;
-            for &m in members {
-                state[m].retain(|&(s, d)| {
-                    let want = match piece_coord(d, dims, phase.dim) {
-                        Ok(w) => w,
-                        Err(e) => {
-                            err.get_or_insert(e);
-                            return true;
-                        }
-                    };
-                    let Some(target) = members
-                        .iter()
-                        .copied()
-                        .find(|&y| coords[y][phase.dim.index()] == want)
-                    else {
-                        err.get_or_insert(format!(
-                            "phase {idx}: piece {d} routes along {} to a coordinate no \
-                             group member occupies",
-                            phase.dim
-                        ));
-                        return true;
-                    };
-                    if target == m {
-                        true
-                    } else {
-                        if !dropped(idx, m) {
-                            moved.push((target, (s, d)));
-                        }
-                        false
-                    }
-                });
-            }
-            if let Some(e) = err {
-                return Err(e);
-            }
-            for (target, item) in moved {
-                state[target].insert(item);
-            }
-        }
-    }
-
-    for i in 0..n {
-        let me = piece_of(&coords[i], dims);
-        let want: BTreeSet<(usize, usize)> = (0..num_pieces).map(|s| (s, me)).collect();
-        if state[i] != want {
-            return Err(format!(
-                "all-to-all: node {i} ended with {} items, {} expected (or wrong items)",
-                state[i].len(),
-                want.len()
-            ));
-        }
-    }
-    Ok(())
+    semantics::verify_phases(topo, plan, &phases, dropped)
 }
 
 /// The end-to-end shadow oracle for one configuration: verifies the data
@@ -482,25 +120,17 @@ pub fn shadow_conformance(cfg: &SimConfig, req: &CollectiveRequest) -> Result<()
     )
     .map_err(|e| e.to_string())?;
 
-    // 1. The schedule's data plane is correct, chunk by chunk.
-    shadow_verify(&topo, &plan, cfg.system.set_splits, &[])?;
+    // 1. The schedule's data plane is correct.
+    shadow_verify(&topo, &plan, &[])?;
 
     // 2. The timed simulation executes that schedule faithfully.
     let simulator = Simulator::new(cfg.clone()).map_err(|e| e.to_string())?;
     let mut sim = simulator.system_sim().map_err(|e| e.to_string())?;
     sim.enable_tracing();
-    let id = sim.issue_collective(req.clone()).map_err(|e| e.to_string())?;
+    let id = sim
+        .complete_collective(req.clone())
+        .map_err(|e| e.to_string())?;
     let n = sim.topology().num_npus();
-    let mut done = 0;
-    while done < n {
-        match sim.run_until_notification().map_err(|e| e.to_string())? {
-            Some(Notification::CollectiveDone { coll, .. }) if coll == id => done += 1,
-            Some(_) => {}
-            None => return Err("collective never completed (simulation drained)".into()),
-        }
-    }
-    sim.run_until_idle().map_err(|e| e.to_string())?;
-    sim.audit_quiescent()?;
 
     let report = sim.report(id).ok_or("missing collective report")?;
     let phases = report.phases;

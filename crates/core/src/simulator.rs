@@ -3,9 +3,7 @@
 use crate::{CoreError, SimConfig};
 use astra_des::Time;
 use astra_network::NetStats;
-use astra_system::{
-    CollReport, CollectiveRequest, Notification, SystemSim, SystemStats,
-};
+use astra_system::{CollReport, CollectiveRequest, SystemSim, SystemStats};
 use astra_workload::{TrainingReport, TrainingRunner, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -169,12 +167,15 @@ impl Simulator {
     /// Runs one [`Experiment`] — the single entry point the sweep engine
     /// and the CLI share. Bandwidth tests issue one collective and simulate
     /// until every NPU completes it; training runs simulate
-    /// `self.config().passes` iterations of the workload.
+    /// `self.config().passes` iterations of the workload. Either way the
+    /// drained simulation must pass its quiescence audit
+    /// ([`SystemSim::audit_quiescent`]).
     ///
     /// # Errors
     ///
     /// Fails on empty collective requests, malformed workloads, or
-    /// system-layer errors.
+    /// system-layer errors, including a run that drains before completing
+    /// or leaves state behind.
     pub fn run(&self, experiment: Experiment) -> Result<RunReport, CoreError> {
         self.run_instrumented(experiment).map(|(report, _)| report)
     }
@@ -195,23 +196,7 @@ impl Simulator {
         match experiment {
             Experiment::Collective(req) => {
                 let mut sim = self.system_sim()?;
-                let id = sim.issue_collective(req)?;
-                let n = sim.topology().num_npus();
-                let mut done = 0;
-                while done < n {
-                    match sim.run_until_notification().map_err(CoreError::System)? {
-                        Some(Notification::CollectiveDone { coll, .. }) if coll == id => {
-                            done += 1
-                        }
-                        Some(_) => {}
-                        None => {
-                            return Err(CoreError::Workload(
-                                "collective never completed (simulation drained)".into(),
-                            ))
-                        }
-                    }
-                }
-                sim.run_until_idle().map_err(CoreError::System)?;
+                let id = sim.complete_collective(req)?;
                 let coll = sim
                     .report(id)
                     .ok_or(CoreError::MissingReport(id.0))?

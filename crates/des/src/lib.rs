@@ -39,7 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
-mod engine;
 pub mod hash;
 mod queue;
 pub mod rng;
@@ -48,7 +47,6 @@ pub mod stats;
 mod time;
 
 pub use clock::Clock;
-pub use engine::{Engine, Model};
 pub use queue::EventQueue;
 pub use slab::{Slab, SlabKey};
 pub use time::Time;

@@ -30,7 +30,8 @@
 //!
 //! The simulation object is [`SystemSim`]; the workload layer drives it via
 //! [`SystemSim::issue_collective`], [`SystemSim::schedule_callback`] and
-//! [`SystemSim::run_until_notification`].
+//! [`SystemSim::run_until_notification`]. A lone bandwidth test is one call
+//! to [`SystemSim::complete_collective`].
 //!
 //! ## Example
 //!

@@ -12,7 +12,7 @@ use crate::sim::{NetQ, SysEvent, SystemSim};
 use crate::{BackendKind, InjectionPolicy, SystemConfig, SystemError, Tag};
 use astra_collectives::{SendCmd, Target};
 use astra_des::Time;
-use astra_network::{AnalyticalNet, Backend, GarnetNet, Message, NetworkConfig};
+use astra_network::{Message, NetworkConfig};
 use astra_topology::{Dim, LogicalTopology, Mapping, NodeId, PathFinder, Route};
 use std::fmt;
 
@@ -80,10 +80,7 @@ impl SystemSim {
                 ),
             });
         }
-        let net: Box<dyn Backend> = match backend {
-            BackendKind::Analytical => Box::new(AnalyticalNet::new(physical, net_cfg)),
-            BackendKind::Garnet => Box::new(GarnetNet::new(physical, net_cfg)),
-        };
+        let net = backend.build(physical, net_cfg);
         let mut inverse = vec![usize::MAX; physical.num_npus()];
         for l in 0..logical.num_npus() {
             inverse[mapping.apply(NodeId(l)).index()] = l;

@@ -110,6 +110,16 @@ impl fmt::Debug for SystemSim {
     }
 }
 
+impl BackendKind {
+    /// Builds this kind of network backend over `topo`.
+    pub(crate) fn build(self, topo: &LogicalTopology, net_cfg: &NetworkConfig) -> Box<dyn Backend> {
+        match self {
+            BackendKind::Analytical => Box::new(AnalyticalNet::new(topo, net_cfg)),
+            BackendKind::Garnet => Box::new(GarnetNet::new(topo, net_cfg)),
+        }
+    }
+}
+
 impl SystemSim {
     /// Builds a simulator over `topo` with the chosen network backend.
     ///
@@ -122,10 +132,7 @@ impl SystemSim {
         net_cfg: &NetworkConfig,
         backend: BackendKind,
     ) -> Self {
-        let net: Box<dyn Backend> = match backend {
-            BackendKind::Analytical => Box::new(AnalyticalNet::new(&topo, net_cfg)),
-            BackendKind::Garnet => Box::new(GarnetNet::new(&topo, net_cfg)),
-        };
+        let net = backend.build(&topo, net_cfg);
         Self::with_backend(topo, cfg, net_cfg, net)
     }
 
@@ -284,6 +291,50 @@ impl SystemSim {
         self.net.audit_quiescent()
     }
 
+    /// Audits the system layer's bookkeeping between events, in
+    /// O(NPUs + collectives):
+    ///
+    /// * the dense collective slots: `colls`, `reports` and the id counter
+    ///   agree on how many collectives were issued, and `live_colls`
+    ///   counts the occupied slots;
+    /// * Fig 7's dispatcher bound: no NPU has `dispatcher_threshold +
+    ///   dispatcher_batch` or more chunks in their first phase.
+    ///
+    /// [`SystemSim::step`] calls this after every event when the
+    /// `conform-checks` feature is enabled.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let slots = self.colls.len();
+        if slots != self.reports.len() || slots as u64 != self.next_coll {
+            return Err(format!(
+                "system: {slots} collective slot(s), {} report slot(s), {} id(s) issued",
+                self.reports.len(),
+                self.next_coll
+            ));
+        }
+        let occupied = self.colls.iter().filter(|c| c.is_some()).count();
+        if occupied != self.live_colls {
+            return Err(format!(
+                "system: {occupied} occupied collective slot(s), live count says {}",
+                self.live_colls
+            ));
+        }
+        let bound = self.cfg.dispatcher_threshold + self.cfg.dispatcher_batch;
+        for (npu, state) in self.npus.iter().enumerate() {
+            if state.active_first_phase >= bound {
+                return Err(format!(
+                    "system: npu {npu} has {} chunk(s) in their first phase, dispatcher \
+                     bound is {bound}",
+                    state.active_first_phase
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Issues a collective on every NPU. Each NPU gets its own
     /// [`Notification::CollectiveDone`] when its participation finishes.
     ///
@@ -349,6 +400,54 @@ impl SystemSim {
         Ok(CollId(id))
     }
 
+    /// Issues `req`, runs until every NPU has reported its
+    /// [`Notification::CollectiveDone`], then drains and audits the
+    /// simulation ([`SystemSim::drain_and_audit`]). Other notifications
+    /// are consumed and ignored.
+    ///
+    /// # Errors
+    ///
+    /// As [`SystemSim::issue_collective`] and [`SystemSim::step`], and
+    /// [`SystemError::Protocol`] if the simulation drains before every NPU
+    /// completes or fails its quiescence audit.
+    pub fn complete_collective(&mut self, req: CollectiveRequest) -> Result<CollId, SystemError> {
+        let id = self.issue_collective(req)?;
+        let n = self.npus.len();
+        let mut done = 0;
+        while done < n {
+            match self.run_until_notification()? {
+                Some(Notification::CollectiveDone { coll, .. }) if coll == id => done += 1,
+                Some(_) => {}
+                None => {
+                    return Err(SystemError::Protocol {
+                        what: format!(
+                            "collective {} never completed: the simulation drained with \
+                             {done} of {n} NPUs done",
+                            id.0
+                        ),
+                    })
+                }
+            }
+        }
+        self.drain_and_audit()?;
+        Ok(id)
+    }
+
+    /// Runs until no events remain, then audits that nothing is left
+    /// behind ([`SystemSim::audit_quiescent`]): a leaked collective,
+    /// parked send or in-flight message is a protocol failure, not a
+    /// silently short report.
+    ///
+    /// # Errors
+    ///
+    /// As [`SystemSim::step`], and [`SystemError::Protocol`] if the drained
+    /// simulation is not quiescent.
+    pub fn drain_and_audit(&mut self) -> Result<(), SystemError> {
+        self.run_until_idle()?;
+        self.audit_quiescent()
+            .map_err(|what| SystemError::Protocol { what })
+    }
+
     /// Schedules a workload callback `delay` from now; a
     /// [`Notification::Callback`] with the returned id fires then.
     pub fn schedule_callback(&mut self, delay: Time) -> CallbackId {
@@ -398,6 +497,12 @@ impl SystemSim {
     /// links disconnect a sender from its destination, and on
     /// [`SystemError::RetriesExhausted`] when lossy transport defeats the
     /// retransmission budget.
+    ///
+    /// # Panics
+    ///
+    /// With the `conform-checks` feature, panics with the event time and
+    /// the violation when [`SystemSim::check_invariants`] fails after the
+    /// event.
     pub fn step(&mut self) -> Result<bool, SystemError> {
         let Some((_, ev)) = self.queue.pop() else {
             return Ok(false);
@@ -435,6 +540,13 @@ impl SystemSim {
                 let p = self.transport.claim(key)?;
                 self.send_now(p.msg, p.route, p.attempt)?;
             }
+        }
+        #[cfg(feature = "conform-checks")]
+        if let Err(violation) = self.check_invariants() {
+            panic!(
+                "conform-checks: system invariant violated at t={}: {violation}",
+                self.now()
+            );
         }
         Ok(true)
     }
@@ -659,5 +771,59 @@ impl SystemSim {
             self.maybe_dispatch(npu)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use astra_topology::Torus3d;
+
+    fn sim() -> SystemSim {
+        let topo = LogicalTopology::torus(Torus3d::new(2, 2, 2, 1, 1, 1).unwrap());
+        SystemSim::new(
+            topo,
+            SystemConfig::default(),
+            &NetworkConfig::default(),
+            BackendKind::Analytical,
+        )
+    }
+
+    #[test]
+    fn invariants_hold_after_every_step_of_a_clean_run() {
+        let mut s = sim();
+        s.check_invariants().unwrap();
+        // Two overlapping collectives: slots fill, empty and coexist.
+        s.issue_collective(CollectiveRequest::all_reduce(1 << 16))
+            .unwrap();
+        s.issue_collective(CollectiveRequest::all_to_all(1 << 14))
+            .unwrap();
+        let mut steps = 0;
+        while s.step().unwrap() {
+            s.check_invariants()
+                .unwrap_or_else(|e| panic!("after step {steps}: {e}"));
+            steps += 1;
+        }
+        assert!(steps > 0);
+        assert_eq!(s.stats().collectives_completed, 2);
+    }
+
+    #[test]
+    fn corrupted_bookkeeping_fails_the_invariants() {
+        let mut s = sim();
+        s.issue_collective(CollectiveRequest::all_reduce(1 << 16))
+            .unwrap();
+        s.step().unwrap();
+        s.check_invariants().unwrap();
+
+        s.live_colls += 1;
+        let err = s.check_invariants().expect_err("a miscounted live slot");
+        assert!(err.contains("occupied"), "{err}");
+        s.live_colls -= 1;
+        s.check_invariants().unwrap();
+
+        s.npus[3].active_first_phase = s.cfg.dispatcher_threshold + s.cfg.dispatcher_batch;
+        let err = s.check_invariants().expect_err("an over-full dispatcher");
+        assert!(err.contains("npu 3"), "{err}");
     }
 }

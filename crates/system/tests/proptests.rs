@@ -3,9 +3,7 @@
 
 use astra_collectives::{plan, traffic, Algorithm, CollectiveOp};
 use astra_network::NetworkConfig;
-use astra_system::{
-    BackendKind, CollectiveRequest, Notification, SchedulingPolicy, SystemConfig, SystemSim,
-};
+use astra_system::{BackendKind, CollectiveRequest, SchedulingPolicy, SystemConfig, SystemSim};
 use astra_topology::{HierAllToAll, LogicalTopology, Torus3d};
 use proptest::prelude::*;
 
@@ -51,28 +49,16 @@ fn run_one(
         &NetworkConfig::default(),
         BackendKind::Analytical,
     );
+    // Every NPU must complete, leaving nothing behind.
     let id = sim
-        .issue_collective(CollectiveRequest {
+        .complete_collective(CollectiveRequest {
             op,
             bytes,
             dims: None,
             algorithm: None,
             local_update_per_kb: None,
         })
-        .expect("active dims exist");
-    let n = topo.num_npus();
-    let mut done = 0;
-    while let Some(note) = sim.run_until_notification().expect("run failed") {
-        if let Notification::CollectiveDone { coll, .. } = note {
-            assert_eq!(coll, id);
-            done += 1;
-            if done == n {
-                break;
-            }
-        }
-    }
-    assert_eq!(done, n, "every NPU must complete");
-    sim.run_until_idle().expect("run failed");
+        .expect("run failed");
     let finished = sim.report(id).unwrap().finished_at.cycles();
     (
         finished,

@@ -46,6 +46,39 @@ mod core_behavior {
         (sim.report(id).unwrap().finished_at, id)
     }
 
+    /// `complete_collective` is the hand-written loop above plus the
+    /// quiescence audit: the same report, statistics and event count on
+    /// either backend.
+    #[test]
+    fn complete_collective_matches_the_hand_written_loop() {
+        for backend in [BackendKind::Analytical, BackendKind::Garnet] {
+            let topo = LogicalTopology::torus(Torus3d::new(2, 2, 2, 1, 1, 1).unwrap());
+            let build = || {
+                SystemSim::new(
+                    topo.clone(),
+                    SystemConfig::default(),
+                    &NetworkConfig::default(),
+                    backend,
+                )
+            };
+            let req = CollectiveRequest::all_reduce(1 << 14);
+            let mut by_hand = build();
+            let (_, hand_id) = run_collective(&mut by_hand, req.clone());
+            let mut driven = build();
+            let id = driven.complete_collective(req).unwrap();
+            assert_eq!(id, hand_id);
+            assert_eq!(driven.report(id), by_hand.report(hand_id), "{backend:?}");
+            assert_eq!(driven.stats(), by_hand.stats(), "{backend:?}");
+            assert_eq!(driven.net_stats(), by_hand.net_stats(), "{backend:?}");
+            assert_eq!(
+                driven.events_processed(),
+                by_hand.events_processed(),
+                "{backend:?}"
+            );
+            driven.audit_quiescent().unwrap();
+        }
+    }
+
     #[test]
     fn ring_all_reduce_completes_on_all_npus() {
         let mut s = sim(ring8());
@@ -186,43 +219,48 @@ mod core_behavior {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn two_collectives_lifo_vs_fifo_priority() {
-        // Issue a big collective then a small one; under LIFO the small one
-        // (issued last) finishes earlier than under FIFO.
-        let run = |policy: SchedulingPolicy| {
-            let cfg = SystemConfig {
-                scheduling: policy,
-                // Small threshold so the ready queue actually holds chunks.
-                dispatcher_threshold: 2,
-                dispatcher_batch: 2,
-                ..SystemConfig::default()
-            };
-            let mut s = SystemSim::new(
-                ring8(),
-                cfg,
-                &NetworkConfig::default(),
-                BackendKind::Analytical,
-            );
-            let _big = s.issue_collective(CollectiveRequest::all_reduce(1 << 24)).unwrap();
-            let small = s.issue_collective(CollectiveRequest::all_reduce(1 << 16)).unwrap();
-            let mut small_done_at = Time::ZERO;
-            let mut done = 0;
-            while let Some(n) = s.run_until_notification().unwrap() {
-                if let Notification::CollectiveDone { coll, time, .. } = n {
-                    if coll == small {
-                        done += 1;
-                        small_done_at = time;
-                        if done == 8 {
-                            break;
-                        }
+    /// Issues a big collective then a small one, with a dispatcher small
+    /// enough that the ready queue actually holds chunks; returns when the
+    /// small one finished on every NPU.
+    fn small_after_big_done_at(policy: SchedulingPolicy) -> Time {
+        let cfg = SystemConfig {
+            scheduling: policy,
+            dispatcher_threshold: 2,
+            dispatcher_batch: 2,
+            ..SystemConfig::default()
+        };
+        let mut s = SystemSim::new(
+            ring8(),
+            cfg,
+            &NetworkConfig::default(),
+            BackendKind::Analytical,
+        );
+        let _big = s
+            .issue_collective(CollectiveRequest::all_reduce(1 << 24))
+            .unwrap();
+        let small = s
+            .issue_collective(CollectiveRequest::all_reduce(1 << 16))
+            .unwrap();
+        let mut done = 0;
+        while let Some(n) = s.run_until_notification().unwrap() {
+            if let Notification::CollectiveDone { coll, time, .. } = n {
+                if coll == small {
+                    done += 1;
+                    if done == 8 {
+                        return time;
                     }
                 }
             }
-            small_done_at
-        };
-        let lifo = run(SchedulingPolicy::Lifo);
-        let fifo = run(SchedulingPolicy::Fifo);
+        }
+        panic!("the small collective never completed");
+    }
+
+    #[test]
+    fn two_collectives_lifo_vs_fifo_priority() {
+        // Under LIFO the small collective (issued last) finishes earlier
+        // than under FIFO.
+        let lifo = small_after_big_done_at(SchedulingPolicy::Lifo);
+        let fifo = small_after_big_done_at(SchedulingPolicy::Fifo);
         assert!(
             lifo < fifo,
             "LIFO should prioritize the later collective: lifo {lifo} vs fifo {fifo}"
@@ -231,40 +269,10 @@ mod core_behavior {
 
     #[test]
     fn priority_policy_favors_small_collectives_end_to_end() {
-        // Same two-collective setup: priority (smallest chunk first) should
-        // finish the small late-issued collective no later than FIFO does.
-        let run = |policy: SchedulingPolicy| {
-            let cfg = SystemConfig {
-                scheduling: policy,
-                dispatcher_threshold: 2,
-                dispatcher_batch: 2,
-                ..SystemConfig::default()
-            };
-            let mut s = SystemSim::new(
-                ring8(),
-                cfg,
-                &NetworkConfig::default(),
-                BackendKind::Analytical,
-            );
-            let _big = s.issue_collective(CollectiveRequest::all_reduce(1 << 24)).unwrap();
-            let small = s.issue_collective(CollectiveRequest::all_reduce(1 << 16)).unwrap();
-            let mut done = 0;
-            let mut small_done_at = Time::ZERO;
-            while let Some(n) = s.run_until_notification().unwrap() {
-                if let Notification::CollectiveDone { coll, time, .. } = n {
-                    if coll == small {
-                        done += 1;
-                        small_done_at = time;
-                        if done == 8 {
-                            break;
-                        }
-                    }
-                }
-            }
-            small_done_at
-        };
-        let prio = run(SchedulingPolicy::Priority);
-        let fifo = run(SchedulingPolicy::Fifo);
+        // Priority (smallest chunk first) should finish the small
+        // late-issued collective no later than FIFO does.
+        let prio = small_after_big_done_at(SchedulingPolicy::Priority);
+        let fifo = small_after_big_done_at(SchedulingPolicy::Fifo);
         assert!(
             prio < fifo,
             "priority should front-run the small collective: prio {prio} vs fifo {fifo}"
@@ -283,18 +291,9 @@ mod core_behavior {
             &NetworkConfig::default(),
             BackendKind::Garnet,
         );
-        let id = s.issue_collective(CollectiveRequest::all_reduce(4096)).unwrap();
-        let mut done = 0;
-        while let Some(n) = s.run_until_notification().unwrap() {
-            if matches!(n, Notification::CollectiveDone { .. }) {
-                done += 1;
-                if done == 4 {
-                    break;
-                }
-            }
-        }
-        assert_eq!(done, 4);
-        s.run_until_idle().unwrap();
+        let id = s
+            .complete_collective(CollectiveRequest::all_reduce(4096))
+            .unwrap();
         assert!(s.report(id).is_some());
     }
 }

@@ -183,13 +183,7 @@ impl TrainingRunner {
                 }
             }
         }
-        self.sim.run_until_idle()?;
-        // A drained run leaves nothing behind: a leaked collective, parked
-        // send or in-flight message (a step deferred forever, say) is a
-        // protocol failure, not a silently short report.
-        self.sim
-            .audit_quiescent()
-            .map_err(|what| SystemError::Protocol { what })?;
+        self.sim.drain_and_audit()?;
         let events = self.sim.events_processed();
         Ok((self.assemble(), events))
     }

@@ -31,7 +31,7 @@ USAGE:
   astra-sim train      --topology <SHAPE> (--model <NAME> | --workload <FILE>)
                        [--passes <N>] [--minibatch <N>] [--scheduling <SCHED>]
                        [--json] [--faults <FILE>]
-  astra-sim export     --model <NAME> --out <FILE>
+  astra-sim export     --model <NAME> --out <FILE> [--minibatch <N>]
   astra-sim sweep      (--spec <FILE> | --topology <SHAPE,...>)
                        [--op <OP,...>] [--sizes <N,...>] [--algorithms <ALG,...>]
                        [--scheduling <SCHED,...>] [--faults <FILE>]
@@ -58,32 +58,92 @@ SWEEPS: `sweep` expands the cartesian grid of all axes (topologies x ops x
     ExitCode::from(2)
 }
 
-/// Minimal `--flag value` parser.
+/// One subcommand: its handler and the flags it accepts.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+    /// Flags that take no value (`--json`).
+    switches: &'static [&'static str],
+    /// Flags that take exactly one value (`--topology 2x4x4`).
+    values: &'static [&'static str],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "collective",
+        run: cmd_collective,
+        switches: &["enhanced", "json"],
+        values: &["topology", "op", "bytes", "scheduling", "faults", "trace"],
+    },
+    Command {
+        name: "train",
+        run: cmd_train,
+        switches: &["json"],
+        values: &[
+            "topology",
+            "model",
+            "workload",
+            "passes",
+            "minibatch",
+            "scheduling",
+            "faults",
+        ],
+    },
+    Command {
+        name: "export",
+        run: cmd_export,
+        switches: &[],
+        values: &["model", "out", "minibatch"],
+    },
+    Command {
+        name: "sweep",
+        run: cmd_sweep,
+        switches: &["json"],
+        values: &[
+            "spec",
+            "topology",
+            "op",
+            "sizes",
+            "algorithms",
+            "scheduling",
+            "faults",
+            "name",
+            "workers",
+            "cache-dir",
+            "out-dir",
+        ],
+    },
+];
+
+/// A subcommand's parsed `--flag value` pairs and `--switch`es.
 struct Args {
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Self {
+    /// Parses `argv` against `cmd`'s flag table, rejecting unknown flags,
+    /// value flags with no value, and positional arguments.
+    fn parse(argv: &[String], cmd: &Command) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    pairs.push((name.to_owned(), argv[i + 1].clone()));
-                    i += 2;
-                } else {
-                    flags.push(name.to_owned());
-                    i += 1;
-                }
+        let mut argv = argv.iter().peekable();
+        while let Some(arg) = argv.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument `{arg}`"));
+            };
+            if cmd.switches.contains(&name) {
+                flags.push(name.to_owned());
+            } else if cmd.values.contains(&name) {
+                let value = argv
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{name} needs a value"))?;
+                pairs.push((name.to_owned(), value.clone()));
             } else {
-                i += 1;
+                return Err(format!("unknown flag --{name} for `{}`", cmd.name));
             }
         }
-        Args { pairs, flags }
+        Ok(Args { pairs, flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -198,8 +258,8 @@ fn cmd_collective(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("trace") {
         let mut ssim = sim.system_sim().map_err(|e| e.to_string())?;
         ssim.enable_tracing();
-        ssim.issue_collective(req.clone()).map_err(|e| e.to_string())?;
-        ssim.run_until_idle().map_err(|e| e.to_string())?;
+        ssim.complete_collective(req.clone())
+            .map_err(|e| e.to_string())?;
         let json = astra_sim::output::chrome_trace(ssim.trace().unwrap_or(&[]));
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
@@ -408,14 +468,10 @@ fn main() -> ExitCode {
     let Some(cmd) = argv.first() else {
         return usage();
     };
-    let args = Args::parse(&argv[1..]);
-    let result = match cmd.as_str() {
-        "collective" => cmd_collective(&args),
-        "train" => cmd_train(&args),
-        "export" => cmd_export(&args),
-        "sweep" => cmd_sweep(&args),
-        _ => return usage(),
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd.as_str()) else {
+        return usage();
     };
+    let result = Args::parse(&argv[1..], command).and_then(|args| (command.run)(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

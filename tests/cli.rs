@@ -187,4 +187,23 @@ fn bad_arguments_fail_gracefully() {
     let (ok, _, stderr) = run(&["train", "--topology", "2x2x2"]);
     assert!(!ok);
     assert!(stderr.contains("--model"));
+    // Malformed command lines exit 1 naming the offending flag or argument:
+    // a value flag with no value (at the end, or before another flag), an
+    // unknown flag (also one that only another subcommand takes), and a
+    // stray positional argument.
+    for (line, named) in [
+        ("collective --topology 1x4x1 --faults", "--faults"),
+        ("collective --topology --bytes 1024", "--topology"),
+        ("collective --topolgy 1x4x1 --bytes 1024", "--topolgy"),
+        ("train --topology 2x2x1 --enhanced", "--enhanced"),
+        ("collective --topology 1x4x1 extra --bytes 1024", "extra"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+            .args(line.split(' '))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line}: {stderr}");
+        assert!(stderr.contains(named), "{line}: {stderr}");
+    }
 }
