@@ -1,11 +1,13 @@
 //! Golden-report pins for the refactor seam.
 //!
 //! Each golden point replays one grid cell of a figure bench (fig09, fig10,
-//! fig17) or the fault ablation through [`Simulator::run`] and compares the
-//! *complete* serialized [`RunReport`] — phase spans, per-NPU stats, fault
-//! counters and all — byte-for-byte against a JSON file captured before the
-//! system-layer scheduler refactor. Any change to event ordering, endpoint
-//! costing, retransmit backoff or report serialization trips these tests.
+//! fig17), the fault ablation or a small all-reduce on the flit-level
+//! garnet backend through [`Simulator::run`] and compares the *complete*
+//! serialized [`RunReport`] — phase spans, per-NPU stats, fault counters
+//! and all — byte-for-byte against a JSON file captured before a refactor
+//! of the code it runs. Any change to event ordering, endpoint costing,
+//! flit timing, retransmit backoff or report serialization trips these
+//! tests.
 //!
 //! Regenerate (only when a behavior change is *intended* and documented):
 //!
@@ -18,7 +20,7 @@ use astra_core::{
     Experiment, FaultKind, FaultPlan, LinkFault, LossSpec, SimConfig, Simulator,
 };
 use astra_des::Time;
-use astra_system::CollectiveRequest;
+use astra_system::{BackendKind, CollectiveRequest};
 use astra_topology::NodeId;
 use std::path::PathBuf;
 
@@ -109,6 +111,32 @@ fn ablation_heavy_plan() -> FaultPlan {
     p
 }
 
+/// A 2x2x2 torus all-reduce on the flit-level backend: one message per
+/// neighbour, so every flit arrives on its last hop.
+fn garnet_torus() -> SimConfig {
+    SimConfig::torus(2, 2, 2).with_backend(BackendKind::Garnet)
+}
+
+/// Link windows for the garnet fault golden: the 0 -> 1 links run at half
+/// bandwidth, and the 1 -> 0 links go down just after the start, so flits
+/// already queued there stall and later sends reroute.
+fn garnet_fault_plan() -> FaultPlan {
+    let window = |from, to, kind, start, end| LinkFault {
+        from: NodeId(from),
+        to: NodeId(to),
+        kind,
+        start: Time::from_cycles(start),
+        end: Time::from_cycles(end),
+    };
+    FaultPlan {
+        link_faults: vec![
+            window(0, 1, FaultKind::Degrade { factor: 0.5 }, 0, 5_000),
+            window(1, 0, FaultKind::Down, 50, 1_500),
+        ],
+        ..FaultPlan::default()
+    }
+}
+
 #[test]
 fn fig09_allreduce_1mib_on_torus() {
     golden(
@@ -169,5 +197,34 @@ fn ablation_faults_heaviest_cell() {
         "ablation_faults_heavy",
         ablation_cfg().with_faults(ablation_heavy_plan()),
         Experiment::all_reduce(1 << 20),
+    );
+}
+
+#[test]
+fn garnet_allreduce_64kib_on_2x2x2() {
+    golden(
+        "garnet_allreduce_64kib_2x2x2",
+        garnet_torus(),
+        Experiment::all_reduce(64 << 10),
+    );
+}
+
+#[test]
+fn garnet_allreduce_16kib_on_alltoall() {
+    // Switch routes are two hops, so flits also take the router-forward
+    // branch of the flit-level backend.
+    golden(
+        "garnet_allreduce_16kib_alltoall",
+        SimConfig::alltoall(1, 8, 7).with_backend(BackendKind::Garnet),
+        Experiment::all_reduce(16 << 10),
+    );
+}
+
+#[test]
+fn garnet_allreduce_under_link_faults() {
+    golden(
+        "garnet_allreduce_faults_2x2x2",
+        garnet_torus().with_faults(garnet_fault_plan()),
+        Experiment::all_reduce(64 << 10),
     );
 }

@@ -186,6 +186,27 @@ impl<T> Slab<T> {
     pub fn capacity_used(&self) -> usize {
         self.slots.len()
     }
+
+    /// Checks the live count against the occupied slots (an O(slots)
+    /// pass, for end-of-run audits).
+    ///
+    /// # Errors
+    ///
+    /// Both counts, when they differ.
+    pub fn audit(&self) -> Result<(), String> {
+        let occupied = self
+            .slots
+            .iter()
+            .filter(|s| matches!(s, Slot::Occupied(_)))
+            .count();
+        if occupied != self.len {
+            return Err(format!(
+                "slab live count {} but {occupied} occupied slots",
+                self.len
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +262,18 @@ mod tests {
         }
         assert_eq!(slab.capacity_used(), 9);
         assert_eq!(slab.len(), 8);
+    }
+
+    #[test]
+    fn audit_catches_a_wrong_live_count() {
+        let mut slab = Slab::new();
+        let k = slab.insert(1);
+        slab.insert(2);
+        slab.remove(k);
+        slab.audit().unwrap();
+        slab.len += 1;
+        let err = slab.audit().unwrap_err();
+        assert!(err.contains("live count 2 but 1 occupied"), "{err}");
     }
 
     #[test]

@@ -13,55 +13,19 @@
 //! determined by injection order.
 
 use crate::faults::{FaultPlan, LinkWindows};
+use crate::link_index::{LinkIndex, LinkPath};
 use crate::{
     Arrival, Backend, Message, MsgId, NetEvent, NetScheduler, NetStats, NetworkConfig,
     NetworkError,
 };
-use astra_des::hash::{IdMap, IdSet};
+use astra_des::hash::IdSet;
 use astra_des::Time;
-use astra_topology::{Channel, Hop, LinkClass, LogicalTopology, NodeId, Route};
-
-type LinkKey = (usize, usize, usize, usize); // (from, to, dim index, ring)
-
-fn key_of(from: NodeId, to: NodeId, ch: Channel) -> LinkKey {
-    (from.index(), to.index(), ch.dim.index(), ch.ring)
-}
+use astra_topology::{LinkClass, LogicalTopology, Route};
 
 #[derive(Debug)]
 struct LinkState {
     class: LinkClass,
     busy_until: Time,
-}
-
-/// Hops a [`LinkPath`] holds without a heap allocation.
-const INLINE_HOPS: usize = 4;
-
-/// Fills the unused slots of an inline [`LinkPath`]; never a link index.
-const NO_LINK: u32 = u32::MAX;
-
-/// Dense link indices of a route, in traversal order: inline for routes of
-/// up to [`INLINE_HOPS`] hops (every neighbour send of the paper's
-/// fabrics), on the heap only for longer software-routed relays.
-///
-/// `u32` indices and the `NO_LINK` filler keep the enum as small as the
-/// `Vec` alone: every in-flight message carries one, and the in-flight
-/// slots set the backend's peak memory.
-#[derive(Debug)]
-enum LinkPath {
-    Inline([u32; INLINE_HOPS]),
-    Spilled(Vec<u32>),
-}
-
-impl LinkPath {
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            LinkPath::Inline(links) => {
-                let len = links.iter().position(|&l| l == NO_LINK);
-                &links[..len.unwrap_or(INLINE_HOPS)]
-            }
-            LinkPath::Spilled(links) => links,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -82,7 +46,7 @@ struct MsgState {
 #[derive(Debug)]
 pub struct AnalyticalNet {
     links: Links,
-    index: IdMap<LinkKey, u32>,
+    index: LinkIndex,
     /// Ids of the messages in flight, for the duplicate check at `send`.
     inflight: IdSet<u64>,
     /// In-flight message states; a `HopArrive` names its message's slot.
@@ -119,24 +83,15 @@ impl AnalyticalNet {
         if let Err(e) = config.validate() {
             panic!("invalid network config: {e}");
         }
-        let mut links = Vec::new();
-        let mut index = IdMap::default();
-        for spec in topo.links() {
-            let k = key_of(spec.from, spec.to, spec.channel);
-            index.entry(k).or_insert_with(|| {
-                links.push(LinkState {
-                    class: spec.class,
-                    busy_until: Time::ZERO,
-                });
-                (links.len() - 1) as u32
-            });
-        }
-        // Every index above was below `NO_LINK`, so none was truncated.
-        assert!(
-            links.len() <= NO_LINK as usize,
-            "{} physical links exceed the u32 link index",
-            links.len()
-        );
+        let index = LinkIndex::new(topo);
+        let links: Vec<_> = index
+            .classes()
+            .iter()
+            .map(|&class| LinkState {
+                class,
+                busy_until: Time::ZERO,
+            })
+            .collect();
         let stats = NetStats::with_links(links.len());
         AnalyticalNet {
             links: Links {
@@ -155,32 +110,6 @@ impl AnalyticalNet {
     /// Number of distinct physical links.
     pub fn num_links(&self) -> usize {
         self.links.links.len()
-    }
-
-    fn resolve(&self, route: &Route) -> Result<LinkPath, NetworkError> {
-        let link = |h: &Hop| {
-            self.index
-                .get(&key_of(h.from, h.to, h.channel))
-                .copied()
-                .ok_or(NetworkError::UnknownLink {
-                    from: h.from,
-                    to: h.to,
-                    channel: h.channel,
-                })
-        };
-        let hops = route.hops();
-        if hops.len() > INLINE_HOPS {
-            return hops
-                .iter()
-                .map(link)
-                .collect::<Result<_, _>>()
-                .map(LinkPath::Spilled);
-        }
-        let mut links = [NO_LINK; INLINE_HOPS];
-        for (slot, h) in links.iter_mut().zip(hops) {
-            *slot = link(h)?;
-        }
-        Ok(LinkPath::Inline(links))
     }
 }
 
@@ -303,7 +232,7 @@ impl Backend for AnalyticalNet {
                 route_dst: route.dst(),
             });
         }
-        let path = self.resolve(&route)?;
+        let path = self.index.resolve(&route)?;
         if !self.inflight.insert(msg.id.0) {
             return Err(NetworkError::DuplicateMessage { id: msg.id.0 });
         }
@@ -380,21 +309,19 @@ impl Backend for AnalyticalNet {
                 self.inflight.len()
             ));
         }
+        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        if occupied > 0 || self.free.len() != self.slots.len() {
+            return Err(format!(
+                "analytical: {occupied} message slot(s) occupied and {} free of {}",
+                self.free.len(),
+                self.slots.len()
+            ));
+        }
         Ok(())
     }
 
     fn install_link_faults(&mut self, plan: &FaultPlan) {
-        if plan.link_faults.is_empty() {
-            self.links.fault_windows.clear();
-            return;
-        }
-        let mut windows = vec![LinkWindows::default(); self.links.links.len()];
-        // Each link's windows land in its own slot, so the map's arbitrary
-        // iteration order cannot show.
-        for (&(from, to, _dim, _ring), &idx) in &self.index {
-            windows[idx as usize] = plan.windows_for(NodeId(from), NodeId(to));
-        }
-        self.links.fault_windows = windows;
+        self.links.fault_windows = self.index.fault_windows(plan);
     }
 }
 
@@ -403,7 +330,7 @@ mod fault_tests {
     use super::*;
     use crate::faults::{FaultKind, LinkFault};
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn simple_ring() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
@@ -519,7 +446,7 @@ mod tests {
     use super::*;
     use crate::MsgId;
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     /// A 1x4x1 ring with easy numbers: 10 GB/s (10 B/cyc), zero-ish latency.
     fn simple_ring() -> (LogicalTopology, NetworkConfig) {
@@ -639,6 +566,14 @@ mod tests {
             Err(NetworkError::DuplicateMessage { id: 0 })
         ));
         assert_eq!(drain(&mut net, &mut q).len(), 1);
+        net.audit_quiescent().unwrap();
+        // A slot that is neither occupied nor free fails the audit.
+        net.free.pop();
+        let err = net.audit_quiescent().unwrap_err();
+        assert!(
+            err.contains("0 message slot(s) occupied and 1 free of 2"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -729,7 +664,7 @@ mod hardware_routing_tests {
     use super::*;
     use crate::{MsgId, RoutingMode};
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn ring(routing: RoutingMode) -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 1, 1).unwrap());
@@ -776,19 +711,10 @@ mod hardware_routing_tests {
     #[test]
     fn routes_longer_than_the_inline_path_keep_their_timing() {
         // Store-and-forward over 4 (inline) and 7 (heap) hops: 15 cyc each.
-        for hops in [INLINE_HOPS, 7] {
+        for hops in [crate::link_index::INLINE_HOPS, 7] {
             let sw = deliver_one(RoutingMode::Software, hops, 100);
             assert_eq!(sw.delivered, Time::from_cycles(15 * hops as u64));
         }
-    }
-
-    #[test]
-    fn inline_link_path_is_no_larger_than_a_vec() {
-        // Every in-flight message holds one, so it sets peak memory.
-        assert_eq!(
-            std::mem::size_of::<LinkPath>(),
-            std::mem::size_of::<Vec<u32>>()
-        );
     }
 
     #[test]

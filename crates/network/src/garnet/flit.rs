@@ -1,27 +1,26 @@
 //! Packet/flit decomposition (Table II's lower rungs).
 
-/// A flit waiting at a link transmitter.
+use astra_des::SlabKey;
+
+/// A flit waiting at a link transmitter: 8 bytes, because the source
+/// queues hold every flit of every message in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct QueuedFlit {
-    /// Backend packet id.
-    pub packet: u64,
-    /// Flit sequence within the packet.
-    pub seq: u64,
-    /// Where the flit currently occupies a downstream buffer: the credit for
-    /// `(link, vc)` returns when this flit is serialized onward (or
-    /// consumed). `None` for flits still in the source injection queue.
-    pub upstream: Option<(usize, usize)>,
+    /// Slot of the flit's packet.
+    pub packet: SlabKey,
+    /// The link whose downstream buffer the flit occupies: that link's
+    /// credit for the packet's VC returns when this flit is serialized
+    /// onward. `NO_LINK` for flits still in the source injection queue.
+    pub upstream: u32,
 }
 
 /// Per-packet bookkeeping.
 #[derive(Debug)]
 pub(crate) struct PacketState {
-    /// Owning message id.
-    pub msg: u64,
-    /// Dense link indices of the route.
-    pub path: Vec<usize>,
+    /// Slot of the owning message.
+    pub msg: SlabKey,
     /// Virtual channel the packet uses on every hop.
-    pub vc: usize,
+    pub vc: u32,
     /// Flits not yet consumed at the destination.
     pub flits_remaining: u64,
 }
@@ -95,6 +94,11 @@ mod tests {
     fn tiny_message() {
         let f = FlitsOf::new(1, 256, 128);
         assert_eq!(f.packets().collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn queued_flits_are_8_bytes() {
+        assert_eq!(std::mem::size_of::<QueuedFlit>(), 8);
     }
 
     #[test]

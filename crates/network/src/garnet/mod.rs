@@ -25,6 +25,13 @@
 //! is a fixed delay. Injection queues at the source NI are unbounded, as in
 //! Garnet standalone mode.
 //!
+//! **In-flight state** sits in reused slots, not maps: a packet's state is
+//! named by its slot, which [`NetEvent::FlitArrive`] carries, and the
+//! packet holds its message's slot. A message's link path is stored once,
+//! in the message state. Queued flits are 8 bytes (packet slot, upstream
+//! link): a packet keeps one VC end to end, so the upstream credit's VC is
+//! the packet's.
+//!
 //! **Deadlock note**: like real wormhole networks, cyclic routes plus
 //! exhausted buffers could deadlock; gem5's Garnet breaks such cycles with
 //! escape VCs / datelines, which this model does not implement. Table IV's
@@ -35,19 +42,15 @@
 mod flit;
 
 use crate::faults::{FaultPlan, LinkWindows};
+use crate::link_index::{LinkIndex, LinkPath, NO_LINK};
 use crate::{
     Arrival, Backend, Message, NetEvent, NetScheduler, NetStats, NetworkConfig, NetworkError,
 };
-use astra_des::Time;
-use astra_topology::{Channel, LinkClass, LogicalTopology, NodeId, Route};
+use astra_des::hash::IdSet;
+use astra_des::{Slab, SlabKey, Time};
+use astra_topology::{LinkClass, LogicalTopology, Route};
 use flit::{FlitsOf, PacketState, QueuedFlit};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-type LinkKey = (usize, usize, usize, usize);
-
-fn key_of(from: NodeId, to: NodeId, ch: Channel) -> LinkKey {
-    (from.index(), to.index(), ch.dim.index(), ch.ring)
-}
+use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct VcState {
@@ -58,6 +61,8 @@ struct VcState {
 #[derive(Debug)]
 struct GLink {
     class: LinkClass,
+    /// Serialization time of one flit at the nominal bandwidth.
+    flit_time: Time,
     busy: bool,
     rr_cursor: usize,
     vcs: Vec<VcState>,
@@ -70,6 +75,7 @@ struct GLink {
 #[derive(Debug)]
 struct GMsgState {
     msg: Message,
+    path: LinkPath,
     injected: Time,
     first_tx_start: Option<Time>,
     flits_remaining: u64,
@@ -81,9 +87,13 @@ struct GMsgState {
 pub struct GarnetNet {
     config: NetworkConfig,
     links: Vec<GLink>,
-    index: BTreeMap<LinkKey, usize>,
-    packets: HashMap<u64, PacketState>,
-    messages: HashMap<u64, GMsgState>,
+    index: LinkIndex,
+    /// Ids of the messages in flight, for the duplicate check at `send`.
+    inflight: IdSet<u64>,
+    messages: Slab<GMsgState>,
+    packets: Slab<PacketState>,
+    /// Packets ever injected; a packet's VC is its serial modulo the VC
+    /// count, so arbitration does not depend on slot reuse.
     next_packet_id: u64,
     stats: NetStats,
     /// Per-link fault windows, parallel to `links`; empty means no plan is
@@ -91,43 +101,52 @@ pub struct GarnetNet {
     fault_windows: Vec<LinkWindows>,
 }
 
+/// Serialization time of one flit on `class` links at `factor` × the
+/// nominal bandwidth (`factor` is 1.0 outside degradation windows).
+fn flit_ser_time(config: &NetworkConfig, class: LinkClass, factor: f64) -> Time {
+    let bpc = config
+        .clock
+        .bytes_per_cycle(config.link(class).gbps * factor);
+    Time::from_cycles(((config.flit_bytes as f64) / bpc).ceil().max(1.0) as u64)
+}
+
 impl GarnetNet {
     /// Builds the backend for a topology's physical links.
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation.
+    /// Panics if `config` fails validation, or if the topology has
+    /// `u32::MAX` or more physical links.
     pub fn new(topo: &LogicalTopology, config: &NetworkConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid network config: {e}");
         }
-        let mut links = Vec::new();
-        let mut index = BTreeMap::new();
-        for spec in topo.links() {
-            let k = key_of(spec.from, spec.to, spec.channel);
-            index.entry(k).or_insert_with(|| {
-                links.push(GLink {
-                    class: spec.class,
-                    busy: false,
-                    rr_cursor: 0,
-                    vcs: (0..config.vcs_per_vnet)
-                        .map(|_| VcState {
-                            queue: VecDeque::new(),
-                            credits: config.buffers_per_vc,
-                        })
-                        .collect(),
-                    stalled_until: Time::ZERO,
-                });
-                links.len() - 1
-            });
-        }
+        let index = LinkIndex::new(topo);
+        let links: Vec<_> = index
+            .classes()
+            .iter()
+            .map(|&class| GLink {
+                class,
+                flit_time: flit_ser_time(config, class, 1.0),
+                busy: false,
+                rr_cursor: 0,
+                vcs: (0..config.vcs_per_vnet)
+                    .map(|_| VcState {
+                        queue: VecDeque::new(),
+                        credits: config.buffers_per_vc,
+                    })
+                    .collect(),
+                stalled_until: Time::ZERO,
+            })
+            .collect();
         let stats = NetStats::with_links(links.len());
         GarnetNet {
             config: *config,
             links,
             index,
-            packets: HashMap::new(),
-            messages: HashMap::new(),
+            inflight: IdSet::default(),
+            messages: Slab::new(),
+            packets: Slab::new(),
             next_packet_id: 0,
             stats,
             fault_windows: Vec::new(),
@@ -139,119 +158,89 @@ impl GarnetNet {
         self.links.len()
     }
 
-    fn resolve(&self, route: &Route) -> Result<Vec<usize>, NetworkError> {
-        route
-            .hops()
-            .iter()
-            .map(|h| {
-                self.index
-                    .get(&key_of(h.from, h.to, h.channel))
-                    .copied()
-                    .ok_or(NetworkError::UnknownLink {
-                        from: h.from,
-                        to: h.to,
-                        channel: h.channel,
-                    })
-            })
-            .collect()
-    }
-
-    /// Serialization time of one flit on `class` links at `factor` × the
-    /// nominal bandwidth (`factor` is 1.0 outside degradation windows).
-    fn flit_ser_time(&self, class: LinkClass, factor: f64) -> Time {
-        let bpc = self
-            .config
-            .clock
-            .bytes_per_cycle(self.config.link(class).gbps * factor);
-        Time::from_cycles(((self.config.flit_bytes as f64) / bpc).ceil().max(1.0) as u64)
-    }
-
     /// Fault gate for a transmit attempt at `now`: inside a hard-down window
     /// the link transmits nothing — a retry probe is scheduled for the end
     /// of the outage (once; `stalled_until` deduplicates) — otherwise the
     /// active bandwidth factor is returned.
-    fn fault_gate(&mut self, q: &mut dyn NetScheduler, link_idx: usize) -> Option<f64> {
+    fn fault_gate(&mut self, q: &mut dyn NetScheduler, link: u32) -> Option<f64> {
         if self.fault_windows.is_empty() {
             return Some(1.0);
         }
-        let w = &self.fault_windows[link_idx];
+        let w = &self.fault_windows[link as usize];
         if w.is_empty() {
             return Some(1.0);
         }
         let now = q.now();
         let released = w.release_after(now);
         if released > now {
-            let has_work = self.links[link_idx]
+            let st = &mut self.links[link as usize];
+            let has_work = st
                 .vcs
                 .iter()
                 .any(|vc| !vc.queue.is_empty() && vc.credits > 0);
-            if has_work && self.links[link_idx].stalled_until < released {
-                self.links[link_idx].stalled_until = released;
+            if has_work && st.stalled_until < released {
+                st.stalled_until = released;
                 self.stats.fault_stall_cycles += (released - now).cycles();
-                q.schedule_at(released, NetEvent::LinkReady { link: link_idx });
+                q.schedule_at(released, NetEvent::LinkReady { link });
             }
             return None;
         }
         Some(w.factor_at(now))
     }
 
-    /// Attempts to put the next flit on the wire of `link_idx`.
-    fn try_transmit(&mut self, q: &mut dyn NetScheduler, link_idx: usize) {
-        if self.links[link_idx].busy {
+    /// Attempts to put the next flit on the wire of `link`.
+    fn try_transmit(&mut self, q: &mut dyn NetScheduler, link: u32) {
+        if self.links[link as usize].busy {
             return;
         }
-        let Some(factor) = self.fault_gate(q, link_idx) else {
+        let Some(factor) = self.fault_gate(q, link) else {
             return;
         };
-        let nvcs = self.links[link_idx].vcs.len();
-        let start = self.links[link_idx].rr_cursor;
-        let mut chosen = None;
-        for off in 0..nvcs {
-            let vc = (start + off) % nvcs;
-            let st = &self.links[link_idx].vcs[vc];
-            if !st.queue.is_empty() && st.credits > 0 {
-                chosen = Some(vc);
-                break;
-            }
-        }
-        let Some(vc) = chosen else { return };
-        let link = &mut self.links[link_idx];
-        link.rr_cursor = (vc + 1) % nvcs;
-        let flit = link.vcs[vc].queue.pop_front().expect("non-empty checked");
-        link.vcs[vc].credits -= 1;
-        link.busy = true;
-        let class = link.class;
-        let ser = self.flit_ser_time(class, factor);
-        let latency = self.config.link(class).latency;
+        let st = &mut self.links[link as usize];
+        let nvcs = st.vcs.len();
+        let start = st.rr_cursor;
+        let Some(vc) = (0..nvcs)
+            .map(|off| (start + off) % nvcs)
+            .find(|&vc| !st.vcs[vc].queue.is_empty() && st.vcs[vc].credits > 0)
+        else {
+            return;
+        };
+        st.rr_cursor = (vc + 1) % nvcs;
+        let flit = st.vcs[vc].queue.pop_front().expect("non-empty checked");
+        st.vcs[vc].credits -= 1;
+        st.busy = true;
+        let class = st.class;
+        let ser = if factor == 1.0 {
+            st.flit_time
+        } else {
+            flit_ser_time(&self.config, class, factor)
+        };
         self.stats
-            .record_hop(link_idx, class, self.config.flit_bytes, ser);
+            .record_hop(link as usize, class, self.config.flit_bytes, ser);
 
-        // Leaving the upstream buffer returns a credit upstream after one
-        // cycle of credit-wire delay.
-        if let Some((up_link, up_vc)) = flit.upstream {
+        if flit.upstream == NO_LINK {
+            // A message's first flit on the wire leaves its source queue.
+            let pkt = self.packets.get(flit.packet).expect("queued flit's packet");
+            let msg = self.messages.get_mut(pkt.msg).expect("packet's message");
+            msg.first_tx_start.get_or_insert(q.now());
+        } else {
+            // Leaving the upstream buffer returns a credit upstream after
+            // one cycle of credit-wire delay.
             q.schedule_in(
                 Time::from_cycles(1),
                 NetEvent::Credit {
-                    link: up_link,
-                    vc: up_vc,
+                    link: flit.upstream,
+                    // Below the VC count, which fits a `u32` (see `send`).
+                    vc: vc as u32,
                 },
             );
         }
 
-        // First flit of the message to hit the wire stamps first_tx_start.
-        let pkt = self.packets.get(&flit.packet).expect("packet exists");
-        let msg = self
-            .messages
-            .get_mut(&pkt.msg)
-            .expect("message exists for packet");
-        msg.first_tx_start.get_or_insert(q.now());
-
-        q.schedule_in(ser, NetEvent::LinkReady { link: link_idx });
+        q.schedule_in(ser, NetEvent::LinkReady { link });
         q.schedule_at(
-            q.now() + ser + latency,
+            q.now() + ser + self.config.link(class).latency,
             NetEvent::FlitArrive {
-                link: link_idx,
-                flit_seq: flit.seq,
+                link,
                 packet: flit.packet,
             },
         );
@@ -260,80 +249,63 @@ impl GarnetNet {
     fn on_flit_arrive(
         &mut self,
         q: &mut dyn NetScheduler,
-        link_idx: usize,
-        flit_seq: u64,
-        packet_id: u64,
+        link: u32,
+        packet: SlabKey,
         arrivals: &mut Vec<Arrival>,
     ) {
-        let pkt = self.packets.get(&packet_id).expect("packet exists");
-        let hop = pkt
-            .path
+        let pkt = self.packets.get(packet).expect("arriving flit's packet");
+        let (msg_slot, vc) = (pkt.msg, pkt.vc);
+        let msg = self.messages.get(msg_slot).expect("packet's message");
+        let path = msg.path.as_slice();
+        let hop = path
             .iter()
-            .position(|&l| l == link_idx)
+            .position(|&l| l == link)
             .expect("arrived on a link of its own path");
-        let last_hop = hop + 1 == pkt.path.len();
-        let vc = pkt.vc;
-        if last_hop {
-            // Consume at destination: buffer vacates after the ejection takes
-            // one cycle; credit returns upstream.
-            q.schedule_in(Time::from_cycles(1), NetEvent::Credit { link: link_idx, vc });
-            let msg_id = pkt.msg;
-            let msg = self.messages.get_mut(&msg_id).expect("message exists");
-            msg.flits_remaining -= 1;
-            if msg.flits_remaining == 0 {
-                let done = self.messages.remove(&msg_id).expect("just updated");
-                let delivered = q.now();
-                let first_tx = done.first_tx_start.unwrap_or(done.injected);
-                self.stats.record_delivery(
-                    done.msg.bytes,
-                    delivered - done.injected,
-                    first_tx - done.injected,
-                );
-                arrivals.push(Arrival {
-                    message: done.msg,
-                    injected: done.injected,
-                    first_tx_start: first_tx,
-                    delivered,
+        if let Some(&next) = path.get(hop + 1) {
+            // Forward onto the next link's queue at once; the router
+            // pipeline delays only the transmit attempt this triggers. The
+            // flit keeps occupying this link's downstream buffer until it
+            // is serialized onto the next link, which returns the credit.
+            self.links[next as usize].vcs[vc as usize]
+                .queue
+                .push_back(QueuedFlit {
+                    packet,
+                    upstream: link,
                 });
-            }
-            if self
-                .packets
-                .get_mut(&packet_id)
-                .map(|p| {
-                    p.flits_remaining -= 1;
-                    p.flits_remaining == 0
-                })
-                .unwrap_or(false)
-            {
-                self.packets.remove(&packet_id);
-            }
-        } else {
-            // Forward through the router pipeline onto the next link's queue.
-            let next_link = pkt.path[hop + 1];
             let delay = self.config.router_latency;
-            // We model the router traversal as a fixed delay before the flit
-            // becomes eligible at the next transmitter; the flit keeps
-            // occupying this link's downstream buffer until it is serialized
-            // onto the next link (upstream back-pointer carries the credit).
-            let flit = QueuedFlit {
-                packet: packet_id,
-                seq: flit_seq,
-                upstream: Some((link_idx, vc)),
-            };
-            // Router pipeline: enqueue after `delay`. We reuse FlitArrive
-            // scheduling by enqueueing directly here if delay is zero.
             if delay == Time::ZERO {
-                self.links[next_link].vcs[vc].queue.push_back(flit);
-                self.try_transmit(q, next_link);
+                self.try_transmit(q, next);
             } else {
-                // Encode the "enters next queue" moment as a LinkReady probe:
-                // enqueue now, but make it eligible only after the pipeline
-                // delay by scheduling the transmit attempt later. Since the
-                // queue is FIFO and the link may be busy anyway, adding the
-                // delay to eligibility via a delayed enqueue keeps ordering.
-                self.links[next_link].vcs[vc].queue.push_back(flit);
-                q.schedule_in(delay, NetEvent::LinkReady { link: next_link });
+                q.schedule_in(delay, NetEvent::LinkReady { link: next });
             }
+            return;
+        }
+        // Consume at destination: the buffer vacates after the ejection
+        // takes one cycle; the credit returns upstream.
+        q.schedule_in(Time::from_cycles(1), NetEvent::Credit { link, vc });
+        let pkt = self.packets.get_mut(packet).expect("checked above");
+        pkt.flits_remaining -= 1;
+        if pkt.flits_remaining == 0 {
+            self.packets.remove(packet);
+        }
+        let msg = self.messages.get_mut(msg_slot).expect("checked above");
+        msg.flits_remaining -= 1;
+        if msg.flits_remaining == 0 {
+            let done = self.messages.remove(msg_slot).expect("checked above");
+            self.inflight.remove(&done.msg.id.0);
+            let delivered = q.now();
+            let first_tx = done.first_tx_start.unwrap_or(done.injected);
+            self.stats.record_delivery(
+                done.msg.bytes,
+                delivered - done.injected,
+                first_tx - done.injected,
+            );
+            arrivals.push(Arrival {
+                message: done.msg,
+                injected: done.injected,
+                first_tx_start: first_tx,
+                delivered,
+            });
         }
     }
 }
@@ -356,48 +328,42 @@ impl Backend for GarnetNet {
                 route_dst: route.dst(),
             });
         }
-        let path = self.resolve(&route)?;
-        if self.messages.contains_key(&msg.id.0) {
+        let path = self.index.resolve(&route)?;
+        if !self.inflight.insert(msg.id.0) {
             return Err(NetworkError::DuplicateMessage { id: msg.id.0 });
         }
 
         // Packetize by the first hop's link class (messages are packetized
         // once, at injection).
-        let first_class = self.links[path[0]].class;
-        let packet_bytes = self.config.link(first_class).packet_bytes;
+        let first_link = path.as_slice()[0];
+        let class = self.links[first_link as usize].class;
+        let packet_bytes = self.config.link(class).packet_bytes;
         let flits = FlitsOf::new(msg.bytes, packet_bytes, self.config.flit_bytes);
-        self.messages.insert(
-            msg.id.0,
-            GMsgState {
-                msg,
-                injected: queue.now(),
-                first_tx_start: None,
-                flits_remaining: flits.total_flits(),
-            },
-        );
+        let msg_slot = self.messages.insert(GMsgState {
+            msg,
+            path,
+            injected: queue.now(),
+            first_tx_start: None,
+            flits_remaining: flits.total_flits(),
+        });
 
-        let nvcs = self.config.vcs_per_vnet;
-        let first_link = path[0];
+        let nvcs = self.config.vcs_per_vnet as u64;
         for pkt_flits in flits.packets() {
-            let packet_id = self.next_packet_id;
+            // Below the VC count, which fits a `u32`: every link allocates
+            // a queue per VC.
+            let vc = (self.next_packet_id % nvcs) as usize;
             self.next_packet_id += 1;
-            let vc = (packet_id as usize) % nvcs;
-            self.packets.insert(
-                packet_id,
-                PacketState {
-                    msg: msg.id.0,
-                    path: path.clone(),
-                    vc,
-                    flits_remaining: pkt_flits,
-                },
-            );
-            for seq in 0..pkt_flits {
-                self.links[first_link].vcs[vc].queue.push_back(QueuedFlit {
-                    packet: packet_id,
-                    seq,
-                    upstream: None,
-                });
-            }
+            let packet = self.packets.insert(PacketState {
+                msg: msg_slot,
+                vc: vc as u32,
+                flits_remaining: pkt_flits,
+            });
+            let flit = QueuedFlit {
+                packet,
+                upstream: NO_LINK,
+            };
+            let source = &mut self.links[first_link as usize].vcs[vc].queue;
+            source.extend(std::iter::repeat_n(flit, pkt_flits as usize));
         }
         self.try_transmit(queue, first_link);
         Ok(())
@@ -411,25 +377,22 @@ impl Backend for GarnetNet {
     ) {
         match event {
             NetEvent::LinkReady { link } => {
-                self.links[link].busy = false;
+                self.links[link as usize].busy = false;
                 self.try_transmit(queue, link);
             }
-            NetEvent::FlitArrive {
-                link,
-                flit_seq,
-                packet,
-            } => {
-                self.on_flit_arrive(queue, link, flit_seq, packet, arrivals);
+            NetEvent::FlitArrive { link, packet } => {
+                self.on_flit_arrive(queue, link, packet, arrivals);
             }
             NetEvent::Credit { link, vc } => {
+                let credits = &mut self.links[link as usize].vcs[vc as usize].credits;
                 #[cfg(feature = "conform-checks")]
                 assert!(
-                    self.links[link].vcs[vc].credits < self.config.buffers_per_vc,
+                    *credits < self.config.buffers_per_vc,
                     "conform-checks: credit overflow on link {link} vc {vc}: \
                      returning a credit would exceed buffers_per_vc={}",
                     self.config.buffers_per_vc
                 );
-                self.links[link].vcs[vc].credits += 1;
+                *credits += 1;
                 self.try_transmit(queue, link);
             }
             NetEvent::HopArrive { .. } => {
@@ -443,14 +406,14 @@ impl Backend for GarnetNet {
     }
 
     fn in_flight(&self) -> usize {
-        self.messages.len()
+        self.inflight.len()
     }
 
     fn audit_quiescent(&self) -> Result<(), String> {
-        if !self.messages.is_empty() {
+        if !self.inflight.is_empty() {
             return Err(format!(
                 "garnet: {} message(s) still in flight",
-                self.messages.len()
+                self.inflight.len()
             ));
         }
         if !self.packets.is_empty() {
@@ -459,6 +422,18 @@ impl Backend for GarnetNet {
                 self.packets.len()
             ));
         }
+        if !self.messages.is_empty() {
+            return Err(format!(
+                "garnet: {} message state(s) leaked with no id in flight",
+                self.messages.len()
+            ));
+        }
+        self.messages
+            .audit()
+            .map_err(|e| format!("garnet: message {e}"))?;
+        self.packets
+            .audit()
+            .map_err(|e| format!("garnet: packet {e}"))?;
         for (idx, link) in self.links.iter().enumerate() {
             if link.busy {
                 return Err(format!("garnet: link {idx} still busy at quiescence"));
@@ -482,15 +457,7 @@ impl Backend for GarnetNet {
     }
 
     fn install_link_faults(&mut self, plan: &FaultPlan) {
-        if plan.link_faults.is_empty() {
-            self.fault_windows.clear();
-            return;
-        }
-        let mut windows = vec![LinkWindows::default(); self.links.len()];
-        for (&(from, to, _dim, _ring), &idx) in &self.index {
-            windows[idx] = plan.windows_for(NodeId(from), NodeId(to));
-        }
-        self.fault_windows = windows;
+        self.fault_windows = self.index.fault_windows(plan);
     }
 }
 
@@ -499,7 +466,7 @@ mod fault_tests {
     use super::*;
     use crate::faults::{FaultKind, LinkFault};
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
@@ -586,7 +553,7 @@ mod fault_tests {
 mod tests {
     use super::*;
     use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, Torus3d};
+    use astra_topology::{Dim, NodeId, Torus3d};
 
     fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
@@ -725,6 +692,51 @@ mod tests {
         assert_eq!(arr.len(), 4);
         assert_eq!(net.in_flight(), 0);
         assert!(net.packets.is_empty(), "leaked packet state");
+    }
+
+    #[test]
+    fn delivered_messages_free_their_slots_for_reuse() {
+        let (topo, cfg) = ring_cfg();
+        let mut net = GarnetNet::new(&topo, &cfg);
+        let mut q = EventQueue::new();
+        let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 2).unwrap();
+        // 512 B in 256 B packets: two packets per message.
+        let msg = |id| Message::new(id, NodeId(0), NodeId(2), 512, 0);
+        for round in 0..3u64 {
+            for id in [2 * round, 2 * round + 1] {
+                net.send(&mut q, msg(id), route.clone()).unwrap();
+            }
+            assert_eq!(net.in_flight(), 2);
+            assert_eq!(drain(&mut net, &mut q).len(), 2);
+            net.audit_quiescent().unwrap();
+        }
+        // Six messages, never more than two in flight.
+        assert_eq!(net.messages.capacity_used(), 2);
+        assert_eq!(net.packets.capacity_used(), 4);
+    }
+
+    #[test]
+    fn audit_catches_message_state_with_no_id_in_flight() {
+        let (topo, cfg) = ring_cfg();
+        let mut net = GarnetNet::new(&topo, &cfg);
+        let mut q = EventQueue::new();
+        let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
+        net.send(&mut q, Message::new(0, NodeId(0), NodeId(1), 300, 0), route)
+            .unwrap();
+        drain(&mut net, &mut q);
+        net.audit_quiescent().unwrap();
+
+        let orphan = net.messages.insert(GMsgState {
+            msg: Message::new(1, NodeId(0), NodeId(1), 8, 0),
+            path: LinkPath::Spilled(Vec::new()),
+            injected: Time::ZERO,
+            first_tx_start: None,
+            flits_remaining: 1,
+        });
+        let err = net.audit_quiescent().unwrap_err();
+        assert!(err.contains("1 message state(s) leaked"), "{err}");
+        net.messages.remove(orphan);
+        net.audit_quiescent().unwrap();
     }
 
     #[test]

@@ -55,6 +55,7 @@ mod config;
 mod error;
 pub mod faults;
 pub mod garnet;
+mod link_index;
 mod message;
 mod stats;
 
@@ -66,7 +67,7 @@ pub use garnet::GarnetNet;
 pub use message::{Arrival, Message, MsgId};
 pub use stats::{LinkStats, NetStats};
 
-use astra_des::{EventQueue, Time};
+use astra_des::{EventQueue, SlabKey, Time};
 use astra_topology::Route;
 
 /// Scheduling surface a backend sees.
@@ -113,23 +114,21 @@ pub enum NetEvent {
     /// Garnet backend: a link is ready to put the next flit on the wire.
     LinkReady {
         /// Dense link index.
-        link: usize,
+        link: u32,
     },
     /// Garnet backend: a flit reached the downstream side of a link.
     FlitArrive {
         /// Dense link index.
-        link: usize,
-        /// Sequence of the flit within its packet.
-        flit_seq: u64,
-        /// Backend-internal packet index.
-        packet: u64,
+        link: u32,
+        /// Backend-internal slot of the flit's packet state.
+        packet: SlabKey,
     },
     /// Garnet backend: a credit came back to the upstream side of a link.
     Credit {
         /// Dense link index.
-        link: usize,
+        link: u32,
         /// Virtual channel the credit belongs to.
-        vc: usize,
+        vc: u32,
     },
 }
 

@@ -809,6 +809,14 @@ mod tests {
     }
 
     #[test]
+    fn sys_event_stays_24_bytes() {
+        // The DES queue stores one per pending event. Garnet's events
+        // carry `u32` link, VC and slot indices, so a `NetEvent` is 16
+        // bytes; a wider network event grows every queue entry.
+        assert_eq!(std::mem::size_of::<SysEvent>(), 24);
+    }
+
+    #[test]
     fn corrupted_bookkeeping_fails_the_invariants() {
         let mut s = sim();
         s.issue_collective(CollectiveRequest::all_reduce(1 << 16))

@@ -1,12 +1,14 @@
 //! The per-message path (`send` → hop arrival → endpoint → next `send`)
 //! makes no heap allocation: collectives sit in dense slots, routes are
 //! memoized shared slices, phase machines append to a reused send buffer,
-//! and the analytical backend keeps short link paths inline.
+//! and both backends keep short link paths inline. Garnet's per-flit path
+//! allocates nothing either: packet and message states sit in reused slots.
 //!
 //! A counting global allocator (this test binary only) checks that the
 //! allocations made while a simulation runs stay below 1% of the messages
-//! it delivers. What remains is per collective (its state and plan) and
-//! first-use growth of reused buffers and maps.
+//! it delivers (of the flit hops, on garnet). What remains is per
+//! collective (its state and plan) and first-use growth of reused buffers
+//! and maps.
 
 use astra_des::Time;
 use astra_network::{
@@ -171,7 +173,7 @@ fn all_reduce_event_loop_does_not_allocate_per_message() {
     // grows the reused buffers; the second runs on the warm simulator.
     for warm in [false, true] {
         let delivered = sim.net_stats().delivered;
-        sim.issue_collective(CollectiveRequest::all_reduce(1 << 20))
+        sim.issue_collective(CollectiveRequest::all_reduce(512 << 10))
             .unwrap();
         let before = allocations();
         sim.run_until_idle().unwrap();
@@ -183,6 +185,39 @@ fn all_reduce_event_loop_does_not_allocate_per_message() {
             assert!(
                 allocs * 100 < messages,
                 "{allocs} allocations while delivering {messages} messages"
+            );
+        }
+    }
+}
+
+/// Flits serialized onto links so far, summed over every hop.
+fn flit_hops(sim: &SystemSim) -> u64 {
+    sim.net_stats().links.iter().map(|l| l.traversals).sum()
+}
+
+#[test]
+fn garnet_all_reduce_does_not_allocate_per_flit() {
+    let mut sim = SystemSim::new(
+        torus(2, 2, 2),
+        SystemConfig::default(),
+        &NetworkConfig::default(),
+        BackendKind::Garnet,
+    );
+    // The second all-reduce runs on warm slots, queues and buffers.
+    for warm in [false, true] {
+        let hops = flit_hops(&sim);
+        sim.issue_collective(CollectiveRequest::all_reduce(512 << 10))
+            .unwrap();
+        let before = allocations();
+        sim.run_until_idle().unwrap();
+        let allocs = allocations() - before;
+        sim.audit_quiescent().unwrap();
+        let hops = flit_hops(&sim) - hops;
+        assert!(hops > 10_000, "only {hops} flit hops");
+        if warm {
+            assert!(
+                allocs * 100 < hops,
+                "{allocs} allocations while serializing {hops} flit hops"
             );
         }
     }
