@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the simulation engine itself: event-queue
-//! throughput, analytical-network message processing, and a full
+//! throughput (shallow, and 50K deep through the heap or FIFO lanes), analytical-network message processing, and a full
 //! ring-all-reduce system simulation. These track the simulator's own
 //! performance (events/second), not any paper figure.
 
@@ -26,6 +26,34 @@ fn bench_event_queue(c: &mut Criterion) {
             }
             black_box(acc)
         })
+    });
+    // A deep queue, as in a training run: 50K pending events, 100 on each
+    // of 500 FIFO lanes (per-lane times increase, lanes interleave). The
+    // same events go through the heap alone and through the lanes.
+    const LANES: u64 = 500;
+    const DEEP: u64 = 50_000;
+    let deep = |q: &mut EventQueue<u64>, on_lanes: bool| {
+        for i in 0..DEEP {
+            let lane = i % LANES;
+            let at = Time::from_cycles((i / LANES) * 64 + (lane * 7919) % 64);
+            if on_lanes {
+                q.schedule_on(lane as u32, at, i);
+            } else {
+                q.schedule_at(at, i);
+            }
+        }
+        let mut acc = 0u64;
+        while let Some((_, e)) = q.pop() {
+            acc = acc.wrapping_add(e);
+        }
+        acc
+    };
+    g.throughput(Throughput::Elements(DEEP));
+    g.bench_function("deep_50k_heap", |b| {
+        b.iter(|| black_box(deep(&mut EventQueue::new(), false)))
+    });
+    g.bench_function("deep_50k_on_500_lanes", |b| {
+        b.iter(|| black_box(deep(&mut EventQueue::new(), true)))
     });
     g.finish();
 }

@@ -19,7 +19,9 @@ use astra_bench::calibrated_resnet50;
 use astra_core::{
     Experiment, FaultKind, FaultPlan, LinkFault, LossSpec, SimConfig, Simulator,
 };
+use astra_core::{OverlayConfig, TopologyConfig};
 use astra_des::Time;
+use astra_network::{NetworkConfig, RoutingMode};
 use astra_system::{BackendKind, CollectiveRequest};
 use astra_topology::NodeId;
 use std::path::PathBuf;
@@ -115,6 +117,27 @@ fn ablation_heavy_plan() -> FaultPlan {
 /// neighbour, so every flit arrives on its last hop.
 fn garnet_torus() -> SimConfig {
     SimConfig::torus(2, 2, 2).with_backend(BackendKind::Garnet)
+}
+
+/// Logical 2x2x2 torus on a physical 1x8x1 ring with hardware
+/// (cut-through) routing: logical neighbours sit up to four ring hops
+/// apart, so links carry both head arrivals of intermediate hops and tail
+/// arrivals of final hops.
+fn cut_through_overlay() -> SimConfig {
+    let ring: TopologyConfig = SimConfig::torus(1, 8, 1)
+        .local_rings(1)
+        .horizontal_rings(2)
+        .vertical_rings(1)
+        .topology;
+    SimConfig::torus(2, 2, 2)
+        .with_network(NetworkConfig {
+            routing: RoutingMode::Hardware,
+            ..NetworkConfig::default()
+        })
+        .with_overlay(OverlayConfig {
+            physical: ring,
+            permutation: None,
+        })
 }
 
 /// Link windows for the garnet fault golden: the 0 -> 1 links run at half
@@ -226,5 +249,14 @@ fn garnet_allreduce_under_link_faults() {
         "garnet_allreduce_faults_2x2x2",
         garnet_torus().with_faults(garnet_fault_plan()),
         Experiment::all_reduce(64 << 10),
+    );
+}
+
+#[test]
+fn cut_through_allreduce_256kib_on_ring_overlay() {
+    golden(
+        "cut_through_allreduce_256kib_overlay",
+        cut_through_overlay(),
+        Experiment::all_reduce(256 << 10),
     );
 }

@@ -68,3 +68,51 @@ proptest! {
         prop_assert_eq!(q.events_processed(), popped);
     }
 }
+
+proptest! {
+    /// FIFO lanes never change the pop order: any interleaving of heap
+    /// pushes, in-order and out-of-order lane pushes and pops yields the
+    /// same `(time, payload)` sequence as a queue fed through
+    /// `schedule_at` alone, and `len`, `is_empty` and `peek_time` agree
+    /// with it after every operation.
+    #[test]
+    fn lanes_pop_like_the_heap_alone(
+        ops in proptest::collection::vec((0u8..4, 0u32..40, 0u64..6), 1..400)
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = EventQueue::new();
+        let mut lane_last = [0u64; 40];
+        for (i, &(kind, lane, delay)) in ops.iter().enumerate() {
+            let now = q.now().cycles();
+            match kind {
+                0 => {
+                    let at = Time::from_cycles(now + delay);
+                    q.schedule_at(at, i);
+                    reference.schedule_at(at, i);
+                }
+                // Lane pushes near `now`: same-time ties, and pushes before
+                // the lane's newest event that take the heap fallback.
+                1 | 2 => {
+                    let at = if kind == 1 {
+                        now + delay
+                    } else {
+                        now.max(lane_last[lane as usize]) + delay
+                    };
+                    lane_last[lane as usize] = lane_last[lane as usize].max(at);
+                    q.schedule_on(lane, Time::from_cycles(at), i);
+                    reference.schedule_at(Time::from_cycles(at), i);
+                }
+                _ => prop_assert_eq!(q.pop(), reference.pop()),
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.is_empty(), reference.is_empty());
+            prop_assert_eq!(q.peek_time(), reference.peek_time());
+            prop_assert!(q.audit().is_ok(), "{:?}", q.audit());
+        }
+        while let Some(popped) = reference.pop() {
+            prop_assert_eq!(q.pop(), Some(popped));
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.audit().is_ok(), "{:?}", q.audit());
+    }
+}

@@ -1,6 +1,7 @@
 //! System-layer error type.
 
 use astra_collectives::CollectiveError;
+use astra_des::Time;
 use astra_network::{FaultError, NetworkError};
 use astra_topology::{NodeId, TopologyError};
 use std::error::Error;
@@ -47,6 +48,13 @@ pub enum SystemError {
         /// The referenced collective id.
         coll: u64,
     },
+    /// A delay would move an event past the last representable cycle.
+    TimeOverflow {
+        /// The simulation time the delay was requested at.
+        now: Time,
+        /// The requested delay.
+        delay: Time,
+    },
     /// An internal protocol invariant was violated (a system-layer bug,
     /// surfaced as an error instead of a panic so callers can report it).
     Protocol {
@@ -76,6 +84,11 @@ impl fmt::Display for SystemError {
             SystemError::UnknownCollective { coll } => {
                 write!(f, "event references unknown collective coll{coll}")
             }
+            SystemError::TimeOverflow { now, delay } => write!(
+                f,
+                "simulation time overflow: a delay of {delay} at t={now} passes the last \
+                 representable cycle"
+            ),
             SystemError::Protocol { what } => write!(f, "system protocol violation: {what}"),
         }
     }
@@ -165,5 +178,18 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains('5') && s.contains("retransmission budget"), "got: {s}");
+    }
+
+    #[test]
+    fn time_overflow_names_the_time_and_the_delay() {
+        let e = SystemError::TimeOverflow {
+            now: Time::from_cycles(7),
+            delay: Time::from_cycles(u64::MAX),
+        };
+        let s = e.to_string();
+        assert!(
+            s.contains("t=7 cyc") && s.contains(&u64::MAX.to_string()),
+            "got: {s}"
+        );
     }
 }

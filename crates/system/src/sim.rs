@@ -63,6 +63,9 @@ impl NetScheduler for NetQ<'_> {
     fn schedule_at(&mut self, at: Time, event: NetEvent) {
         self.0.schedule_at(at, SysEvent::Net(event));
     }
+    fn schedule_on(&mut self, lane: u32, at: Time, event: NetEvent) {
+        self.0.schedule_on(lane, at, SysEvent::Net(event));
+    }
 }
 
 /// The system-layer simulator; see the crate documentation for the model.
@@ -259,7 +262,8 @@ impl SystemSim {
         self.reports.get(slot)?.as_ref()
     }
 
-    /// Audits that the whole stack is quiescent: no pending events, no
+    /// Audits that the whole stack is quiescent: consistent event-queue
+    /// lane bookkeeping ([`EventQueue::audit`]), no pending events, no
     /// in-flight collectives, an empty transport arena, and a backend whose
     /// conserved resources (credits, flits, in-flight maps) are restored.
     ///
@@ -270,6 +274,7 @@ impl SystemSim {
     ///
     /// A human-readable description of the first violation found.
     pub fn audit_quiescent(&self) -> Result<(), String> {
+        self.queue.audit()?;
         if !self.queue.is_empty() {
             return Err(format!(
                 "system: {} event(s) still queued at quiescence",
@@ -450,11 +455,20 @@ impl SystemSim {
 
     /// Schedules a workload callback `delay` from now; a
     /// [`Notification::Callback`] with the returned id fires then.
-    pub fn schedule_callback(&mut self, delay: Time) -> CallbackId {
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::TimeOverflow`] when `now + delay` does not fit the
+    /// cycle range; nothing is scheduled then.
+    pub fn schedule_callback(&mut self, delay: Time) -> Result<CallbackId, SystemError> {
+        let now = self.queue.now();
+        let at = now
+            .checked_add(delay)
+            .ok_or(SystemError::TimeOverflow { now, delay })?;
         let id = self.next_cb;
         self.next_cb += 1;
-        self.queue.schedule_in(delay, SysEvent::Callback(id));
-        CallbackId(id)
+        self.queue.schedule_at(at, SysEvent::Callback(id));
+        Ok(CallbackId(id))
     }
 
     /// Processes events until a notification is available (returning it) or

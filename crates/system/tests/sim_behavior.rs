@@ -156,8 +156,8 @@ mod core_behavior {
     #[test]
     fn callbacks_fire_in_order() {
         let mut s = sim(ring8());
-        let a = s.schedule_callback(Time::from_cycles(100));
-        let b = s.schedule_callback(Time::from_cycles(50));
+        let a = s.schedule_callback(Time::from_cycles(100)).unwrap();
+        let b = s.schedule_callback(Time::from_cycles(50)).unwrap();
         let first = s.run_until_notification().unwrap().unwrap();
         let second = s.run_until_notification().unwrap().unwrap();
         match (first, second) {

@@ -232,7 +232,12 @@ impl TrainingRunner {
         Ok(())
     }
 
-    fn schedule_compute(&mut self, npu: usize, delay: Time, next: NpuState) {
+    fn schedule_compute(
+        &mut self,
+        npu: usize,
+        delay: Time,
+        next: NpuState,
+    ) -> Result<(), SystemError> {
         // Straggler NPUs (fault plan) run every compute phase slower. The
         // scale is skipped entirely at 1.0 so fault-free runs stay
         // bit-identical to builds without the fault subsystem.
@@ -242,9 +247,10 @@ impl TrainingRunner {
         } else {
             delay
         };
-        let cb = self.sim.schedule_callback(delay);
+        let cb = self.sim.schedule_callback(delay)?;
         self.cb_map.insert(cb, npu);
         self.states[npu] = next;
+        Ok(())
     }
 
     /// Begins the forward pass of `layer` (or transitions to back-prop /
@@ -267,15 +273,13 @@ impl TrainingRunner {
             }
         }
         let delay = self.layer(layer).fwd_compute;
-        self.schedule_compute(npu, delay, NpuState::FwdComputing { iter, layer });
-        Ok(())
+        self.schedule_compute(npu, delay, NpuState::FwdComputing { iter, layer })
     }
 
     /// Begins back-propagation of `layer`: input-gradient compute first.
     fn start_bwd(&mut self, npu: usize, iter: u32, layer: u32) -> Result<(), SystemError> {
         let delay = self.layer(layer).ig_compute;
-        self.schedule_compute(npu, delay, NpuState::IgComputing { iter, layer });
-        Ok(())
+        self.schedule_compute(npu, delay, NpuState::IgComputing { iter, layer })
     }
 
     /// After back-prop of `layer` finishes, move to the previous layer or
@@ -382,8 +386,7 @@ impl TrainingRunner {
 
     fn start_wg_compute(&mut self, npu: usize, iter: u32, layer: u32) -> Result<(), SystemError> {
         let delay = self.layer(layer).wg_compute;
-        self.schedule_compute(npu, delay, NpuState::WgComputing { iter, layer });
-        Ok(())
+        self.schedule_compute(npu, delay, NpuState::WgComputing { iter, layer })
     }
 
     fn on_coll_done(&mut self, coll: CollId, npu: usize) -> Result<(), SystemError> {
@@ -446,8 +449,7 @@ impl TrainingRunner {
         match resume {
             NpuResume::Fwd { iter, layer } => {
                 let delay = self.layer(layer).fwd_compute;
-                self.schedule_compute(npu, delay, NpuState::FwdComputing { iter, layer });
-                Ok(())
+                self.schedule_compute(npu, delay, NpuState::FwdComputing { iter, layer })
             }
             NpuResume::AfterFwdComm { iter, layer } => self.start_fwd(npu, iter, layer + 1),
             NpuResume::Wg { iter, layer } => self.start_wg_compute(npu, iter, layer),

@@ -78,6 +78,36 @@ fn train_workload_file_command() {
 }
 
 #[test]
+fn huge_compute_time_in_workload_file_is_an_error_not_a_panic() {
+    // fc1's forward compute ends at the last representable cycle, so
+    // scheduling fc2's compute after it overflows the simulation clock.
+    let dir = std::env::temp_dir().join("astra_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("huge_compute.txt");
+    std::fs::write(
+        &file,
+        "DATA\n2\n\
+         fc1 18446744073709551615 NONE 0 42000 NONE 0 38000 ALLREDUCE 1048576 2\n\
+         fc2 18446744073709551000 NONE 0 1 NONE 0 1 ALLREDUCE 1048576 2\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+        .args(["train", "--topology", "2x2x2", "--workload"])
+        .arg(&file)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("simulation time overflow")
+            && stderr.contains("18446744073709551000 cyc")
+            && stderr.contains("t=18446744073709551615 cyc"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn export_roundtrips_through_train() {
     let dir = std::env::temp_dir().join("astra_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
