@@ -1,12 +1,13 @@
 //! Golden-report pins for the refactor seam.
 //!
 //! Each golden point replays one grid cell of a figure bench (fig09, fig10,
-//! fig17), the fault ablation or a small all-reduce on the flit-level
-//! garnet backend through [`Simulator::run`] and compares the *complete*
-//! serialized [`RunReport`] — phase spans, per-NPU stats, fault counters
-//! and all — byte-for-byte against a JSON file captured before a refactor
-//! of the code it runs. Any change to event ordering, endpoint costing,
-//! flit timing, retransmit backoff or report serialization trips these
+//! fig16, fig17), the fault ablation, a small all-reduce on the flit-level
+//! garnet backend or a small training run through [`Simulator::run`] and
+//! compares the *complete* serialized [`RunReport`] — phase spans, per-NPU
+//! stats, per-layer exposure, fault counters and all — byte-for-byte
+//! against a JSON file captured before a refactor of the code it runs. Any
+//! change to event ordering, endpoint costing, flit timing, retransmit
+//! backoff, training-loop dependencies or report serialization trips these
 //! tests.
 //!
 //! Regenerate (only when a behavior change is *intended* and documented):
@@ -21,9 +22,10 @@ use astra_core::{
 };
 use astra_core::{OverlayConfig, TopologyConfig};
 use astra_des::Time;
-use astra_network::{NetworkConfig, RoutingMode};
-use astra_system::{BackendKind, CollectiveRequest};
+use astra_network::{NetworkConfig, RoutingMode, Straggler};
+use astra_system::{BackendKind, CollectiveRequest, SchedulingPolicy};
 use astra_topology::NodeId;
+use astra_workload::{zoo, TrainingRunner};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -35,6 +37,11 @@ fn golden(name: &str, cfg: SimConfig, experiment: Experiment) {
     let sim = Simulator::new(cfg).expect("golden config is valid");
     let report = sim.run(experiment).expect("golden experiment completes");
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    check(name, json);
+}
+
+/// Either regenerates or checks the golden file `name` against `json`.
+fn check(name: &str, json: String) {
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(golden_dir()).expect("golden dir");
@@ -259,4 +266,93 @@ fn cut_through_allreduce_256kib_on_ring_overlay() {
         cut_through_overlay(),
         Experiment::all_reduce(256 << 10),
     );
+}
+
+/// Straggler plus link-degrade plan for the training fault golden: NPU 3
+/// computes 2.5x slower, and the 0 -> 1 links run at half bandwidth for the
+/// first 200K cycles.
+fn training_fault_plan() -> FaultPlan {
+    FaultPlan {
+        link_faults: vec![LinkFault {
+            from: NodeId(0),
+            to: NodeId(1),
+            kind: FaultKind::Degrade { factor: 0.5 },
+            start: Time::ZERO,
+            end: Time::from_cycles(200_000),
+        }],
+        stragglers: vec![Straggler {
+            npu: 3,
+            slowdown: 2.5,
+        }],
+        ..FaultPlan::default()
+    }
+}
+
+#[test]
+fn training_tiny_hybrid_on_2x2x2() {
+    // Hybrid parallelism: forward and input-gradient collectives block.
+    golden(
+        "training_tiny_hybrid_2x2x2",
+        SimConfig::torus(2, 2, 2),
+        Experiment::Training(zoo::tiny_hybrid()),
+    );
+}
+
+#[test]
+fn garnet_training_tiny_mlp_on_2x2x2() {
+    golden(
+        "garnet_training_tiny_mlp_2x2x2",
+        garnet_torus(),
+        Experiment::Training(zoo::tiny_mlp()),
+    );
+}
+
+#[test]
+fn training_tiny_hybrid_under_faults() {
+    golden(
+        "training_tiny_hybrid_faults_2x2x2",
+        SimConfig::torus(2, 2, 2).with_faults(training_fault_plan()),
+        Experiment::Training(zoo::tiny_hybrid()),
+    );
+}
+
+#[test]
+fn cut_through_training_tiny_mlp_on_ring_overlay() {
+    golden(
+        "cut_through_training_tiny_mlp_overlay",
+        cut_through_overlay(),
+        Experiment::Training(zoo::tiny_mlp()),
+    );
+}
+
+#[test]
+fn fig16_resnet50_fifo_three_passes_on_2x2x2() {
+    golden(
+        "fig16_resnet50_fifo_3pass_2x2x2",
+        SimConfig::torus(2, 2, 2)
+            .passes(3)
+            .scheduling(SchedulingPolicy::Fifo),
+        Experiment::Training(calibrated_resnet50()),
+    );
+}
+
+#[test]
+fn training_without_overlap_report_and_event_count() {
+    // Runner-level pin: no-overlap mode is not reachable through
+    // `Experiment`, and the event count is not part of any report.
+    let sim = Simulator::new(SimConfig::torus(2, 2, 2))
+        .expect("golden config is valid")
+        .system_sim()
+        .expect("golden sim builds");
+    let (report, events) = TrainingRunner::new(sim, zoo::tiny_hybrid(), 2)
+        .expect("golden workload is valid")
+        .without_overlap()
+        .run_instrumented()
+        .expect("golden training completes");
+    let json = serde_json::to_string_pretty(&serde_json::json!({
+        "events": events,
+        "report": report,
+    }))
+    .expect("report serializes");
+    check("training_tiny_hybrid_no_overlap_2x2x2", json);
 }

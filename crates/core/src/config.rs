@@ -338,13 +338,6 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the system-layer parameters wholesale.
-    #[must_use]
-    pub fn with_system(mut self, system: SystemConfig) -> Self {
-        self.system = system;
-        self
-    }
-
     /// Selects the network backend.
     #[must_use]
     pub fn with_backend(mut self, backend: BackendKind) -> Self {

@@ -43,11 +43,6 @@ impl Clock {
         Clock { freq_ghz }
     }
 
-    /// The clock frequency in GHz.
-    pub fn ghz(&self) -> f64 {
-        self.freq_ghz
-    }
-
     /// Converts a bandwidth in GB/s into bytes per cycle.
     ///
     /// GB here is 10^9 bytes (as in link datasheets), and 1 GHz is 10^9
@@ -70,17 +65,6 @@ impl Clock {
         let bpc = self.bytes_per_cycle(gbps);
         let cycles = (bytes as f64 / bpc).ceil() as u64;
         Time::from_cycles(cycles.max(1))
-    }
-
-    /// Converts a duration in nanoseconds to cycles (rounded up).
-    pub fn ns_to_cycles(&self, ns: f64) -> Time {
-        assert!(ns >= 0.0, "duration must be non-negative");
-        Time::from_cycles((ns * self.freq_ghz).ceil() as u64)
-    }
-
-    /// Converts a cycle count to nanoseconds.
-    pub fn cycles_to_ns(&self, t: Time) -> f64 {
-        t.cycles() as f64 / self.freq_ghz
     }
 }
 
@@ -117,14 +101,6 @@ mod tests {
     #[test]
     fn tiny_message_takes_at_least_one_cycle() {
         assert_eq!(Clock::GHZ1.serialization_time(1, 200.0).cycles(), 1);
-    }
-
-    #[test]
-    fn ns_roundtrip() {
-        let c = Clock::from_ghz(1.5);
-        let t = c.ns_to_cycles(100.0);
-        assert_eq!(t.cycles(), 150);
-        assert!((c.cycles_to_ns(t) - 100.0).abs() < 1e-9);
     }
 
     #[test]

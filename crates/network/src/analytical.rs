@@ -52,7 +52,9 @@ pub struct AnalyticalNet {
     /// In-flight message states; a `HopArrive` names its message's slot.
     /// Freed slots are reused, so the slab's resident memory follows the
     /// peak number of messages in flight rather than jumping with a hash
-    /// table's power-of-two capacity.
+    /// table's power-of-two capacity. This is not an `astra_des::Slab` on
+    /// purpose: a port onto `Slab` lowered `train_resnet50` events/s in
+    /// 10 of 10 alternating perfbench pairs (~10%); see DESIGN.md.
     slots: Vec<Option<MsgState>>,
     /// Empty slots of `slots`, reused last-freed first.
     free: Vec<usize>,

@@ -287,11 +287,6 @@ impl LinkWindows {
         }
         factor
     }
-
-    /// Cycles a hop starting at `t` would be stalled by down windows.
-    pub fn stall_from(&self, t: Time) -> Time {
-        self.release_after(t) - t
-    }
 }
 
 /// Why a [`FaultPlan`] was rejected.
@@ -517,7 +512,6 @@ mod tests {
         assert_eq!(w01.release_after(cyc(200)), cyc(200)); // end is exclusive
         assert_eq!(w01.factor_at(cyc(149)), 1.0);
         assert_eq!(w01.factor_at(cyc(150)), 0.25);
-        assert_eq!(w01.stall_from(cyc(120)), cyc(80));
         assert!(p.is_down_at(NodeId(0), NodeId(1), cyc(100)));
         assert!(!p.is_down_at(NodeId(0), NodeId(1), cyc(200)));
     }

@@ -200,15 +200,6 @@ fn accumulate_events(total: &mut u64, point_events: u64) {
     *total = total.saturating_add(point_events);
 }
 
-/// Convenience: runs `spec` with default workers and no cache.
-///
-/// # Errors
-///
-/// As [`SweepEngine::run`].
-pub fn run_sweep(spec: SweepSpec) -> Result<SweepRun, SweepError> {
-    SweepEngine::new(spec).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

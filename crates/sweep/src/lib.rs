@@ -50,7 +50,7 @@ mod report;
 mod spec;
 
 pub use cache::ResultCache;
-pub use engine::{run_sweep, SweepEngine, SweepRun};
+pub use engine::{SweepEngine, SweepRun};
 pub use report::{
     ExperimentKind, PointMetrics, PointOutcome, PointReport, SweepReport, SweepStats,
     SCHEMA_VERSION,

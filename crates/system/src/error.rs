@@ -21,6 +21,13 @@ pub enum SystemError {
     Fault(FaultError),
     /// A zero-byte collective was requested.
     EmptySet,
+    /// A training run was asked for zero passes.
+    ZeroPasses,
+    /// A training workload failed validation.
+    InvalidWorkload {
+        /// The workload's own validation message.
+        what: String,
+    },
     /// A logical→physical overlay was inconsistent.
     InvalidOverlay {
         /// Human-readable description.
@@ -71,6 +78,8 @@ impl fmt::Display for SystemError {
             SystemError::Topology(e) => write!(f, "route synthesis failed: {e}"),
             SystemError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             SystemError::EmptySet => write!(f, "collective set size must be positive"),
+            SystemError::ZeroPasses => write!(f, "training needs passes >= 1, got passes = 0"),
+            SystemError::InvalidWorkload { what } => write!(f, "invalid workload: {what}"),
             SystemError::InvalidOverlay { what } => write!(f, "invalid overlay: {what}"),
             SystemError::Unreachable { from, to } => write!(
                 f,

@@ -131,11 +131,6 @@ impl LogicalTopology {
         }
     }
 
-    /// Looks up the spec for one dimension, if it is active (size > 1).
-    pub fn dim_spec(&self, dim: Dim) -> Option<DimSpec> {
-        self.dims().into_iter().find(|d| d.dim == dim)
-    }
-
     /// The ring of `ring_idx` (< concurrency of that dim) through `node` in
     /// `dim`. For the alltoall package dimension this is the *group* of
     /// same-local-index NPUs (used by direct algorithms); it is returned as a

@@ -1,6 +1,6 @@
 //! Logical → physical node mapping.
 
-use crate::{Hop, LinkSpec, NodeId, Route, TopologyError};
+use crate::{Hop, NodeId, Route, TopologyError};
 use serde::{Deserialize, Serialize};
 
 /// A permutation mapping logical NPU ids to physical NPU ids.
@@ -71,14 +71,6 @@ impl Mapping {
         self.logical_to_physical.is_empty()
     }
 
-    /// Whether this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.logical_to_physical
-            .iter()
-            .enumerate()
-            .all(|(i, &p)| i == p)
-    }
-
     /// Maps a logical node to its physical id (switches pass through).
     pub fn apply(&self, node: NodeId) -> NodeId {
         match self.logical_to_physical.get(node.index()) {
@@ -101,15 +93,6 @@ impl Mapping {
                 .collect(),
         )
     }
-
-    /// Maps a link's endpoints.
-    pub fn map_link(&self, link: LinkSpec) -> LinkSpec {
-        LinkSpec {
-            from: self.apply(link.from),
-            to: self.apply(link.to),
-            ..link
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +103,6 @@ mod tests {
     #[test]
     fn identity_is_identity() {
         let m = Mapping::identity(4);
-        assert!(m.is_identity());
         assert_eq!(m.len(), 4);
         for i in 0..4 {
             assert_eq!(m.apply(NodeId(i)), NodeId(i));

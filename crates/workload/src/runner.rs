@@ -1,4 +1,4 @@
-//! The training-loop driver: per-NPU state machines over the system layer.
+//! The training-loop driver: per-NPU programs over the system layer.
 //!
 //! Every NPU runs the same program (synchronous training, §II): forward
 //! pass layer by layer, then back-propagation from the last layer to the
@@ -15,54 +15,62 @@
 //! its issue point (the semantics of a synchronous collective call); each
 //! NPU then independently waits for its own completion notification where
 //! the dependency rules require it.
+//!
+//! Each NPU is always in one of three states: computing one phase of one
+//! layer, waiting for one collective, or done. After the last pass an NPU
+//! runs the forward pass of iteration `passes` without compute: it only
+//! waits for the final weight-gradient collectives, layer by layer.
 
 use crate::{CommSpec, LayerReport, TrainingReport, Workload};
-use astra_des::hash::{IdMap, IdSet};
+use astra_des::hash::IdMap;
 use astra_des::Time;
-use astra_system::{
-    CallbackId, CollId, CollectiveRequest, Notification, SystemError, SystemSim,
-};
+use astra_system::{CallbackId, CollId, CollectiveRequest, Notification, SystemError, SystemSim};
 
-/// Which training phase a collective belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which training phase a compute step or collective belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CommKind {
     Fwd,
     Ig,
     Wg,
 }
 
-/// Identity of one collective instance: (iteration, layer, phase).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CollKey {
+/// Phases per layer: the stride of [`TrainingRunner::gate`].
+const KINDS: usize = 3;
+
+/// One phase of one layer in one iteration. It names both a point in an
+/// NPU's program (the start of that phase) and the collective the phase
+/// issues when its compute ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
     iter: u32,
     layer: u32,
     kind: CommKind,
 }
 
+impl Step {
+    fn new(iter: u32, layer: u32, kind: CommKind) -> Self {
+        Step { iter, layer, kind }
+    }
+}
+
 /// Program counter of one NPU's training loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NpuState {
-    /// Stalled at the top of layer `layer`'s forward pass, waiting for its
-    /// previous-iteration weight-gradient collective.
-    FwdWaitWg { iter: u32, layer: u32 },
-    /// Forward compute callback in flight.
-    FwdComputing { iter: u32, layer: u32 },
-    /// Blocked on the layer's forward (activation) collective.
-    FwdCommWaiting { iter: u32, layer: u32 },
-    /// Input-gradient compute callback in flight.
-    IgComputing { iter: u32, layer: u32 },
-    /// Blocked on the layer's input-gradient collective.
-    IgCommWaiting { iter: u32, layer: u32 },
-    /// Weight-gradient compute callback in flight.
-    WgComputing { iter: u32, layer: u32 },
-    /// Blocked on the layer's weight-gradient collective (only in
-    /// no-overlap mode, Fig 1's "overlap vs no overlap" knob).
-    WgCommWaiting { iter: u32, layer: u32 },
-    /// After the last pass: waiting for layer `layer`'s final
-    /// weight-gradient collective.
-    FinalDraining { layer: u32 },
+    /// The step's compute callback is in flight.
+    Computing(Step),
+    /// Stalled until the collective `on` completes on this NPU; the
+    /// program then resumes at `then`.
+    Waiting { on: Step, then: Step },
     /// All passes finished on this NPU.
     Done,
+}
+
+/// Issue gate of one collective.
+#[derive(Debug, Clone, Copy, Default)]
+struct Gate {
+    /// NPUs that have reached the issue point; at `n` it is issued.
+    arrived: usize,
+    issued: Option<CollId>,
 }
 
 /// Drives a [`SystemSim`] through a full training run; see the module
@@ -77,16 +85,16 @@ pub struct TrainingRunner {
     // Per-event lookups keyed by simulator-minted ids: `IdHasher` maps.
     // Nothing iterates them, so their order never reaches the report.
     cb_map: IdMap<CallbackId, usize>,
-    /// Issue gates: how many NPUs have reached each collective's issue
-    /// point; at `n` the collective is issued.
-    gates: IdMap<CollKey, usize>,
-    issued: IdMap<CollKey, CollId>,
-    keys: IdMap<CollId, CollKey>,
-    completed: IdSet<(u64, usize)>,
+    gate_of: IdMap<CollId, usize>,
+    /// Issue gates indexed by [`TrainingRunner::gate`], grown one
+    /// iteration at a time.
+    gates: Vec<Gate>,
+    /// `done[gate * n + npu]`: the gate's collective completed on `npu`.
+    done: Vec<bool>,
     /// Per-NPU compute-slowdown factor from the sim's fault plan
     /// (1.0 everywhere without stragglers).
     slowdowns: Vec<f64>,
-    /// Per-NPU stall start time while in a waiting state.
+    /// Per-NPU stall start time while waiting.
     stall_start: Vec<Time>,
     /// exposed[npu][layer], accumulated across iterations.
     exposed: Vec<Vec<Time>>,
@@ -102,14 +110,20 @@ impl TrainingRunner {
     ///
     /// # Errors
     ///
-    /// Fails if the workload is malformed or `passes == 0`.
+    /// Fails with [`SystemError::InvalidWorkload`] if the workload is
+    /// malformed, and with [`SystemError::ZeroPasses`] if `passes == 0`.
     pub fn new(sim: SystemSim, workload: Workload, passes: u32) -> Result<Self, SystemError> {
-        if workload.validate().is_err() || passes == 0 {
-            return Err(SystemError::EmptySet);
+        workload
+            .validate()
+            .map_err(|what| SystemError::InvalidWorkload { what })?;
+        if passes == 0 {
+            return Err(SystemError::ZeroPasses);
         }
         let n = sim.topology().num_npus();
         let layers = workload.layers.len();
-        let slowdowns = (0..n).map(|npu| sim.faults().compute_slowdown(npu)).collect();
+        let slowdowns = (0..n)
+            .map(|npu| sim.faults().compute_slowdown(npu))
+            .collect();
         Ok(TrainingRunner {
             sim,
             workload,
@@ -117,10 +131,9 @@ impl TrainingRunner {
             n,
             states: vec![NpuState::Done; n], // overwritten in run()
             cb_map: IdMap::default(),
-            gates: IdMap::default(),
-            issued: IdMap::default(),
-            keys: IdMap::default(),
-            completed: IdSet::default(),
+            gate_of: IdMap::default(),
+            gates: Vec::new(),
+            done: Vec::new(),
             slowdowns,
             stall_start: vec![Time::ZERO; n],
             exposed: vec![vec![Time::ZERO; layers]; n],
@@ -159,7 +172,7 @@ impl TrainingRunner {
     /// quiescent (see [`SystemSim::audit_quiescent`]).
     pub fn run_instrumented(mut self) -> Result<(TrainingReport, u64), SystemError> {
         for npu in 0..self.n {
-            self.start_fwd(npu, 0, 0)?;
+            self.advance(npu, Step::new(0, 0, CommKind::Fwd))?;
         }
         while self.done_count < self.n {
             let Some(note) = self.sim.run_until_notification()? else {
@@ -172,13 +185,15 @@ impl TrainingRunner {
             };
             match note {
                 Notification::Callback { id, .. } => {
-                    let npu = self.cb_map.remove(&id).ok_or_else(|| SystemError::Protocol {
-                        what: format!("callback {id:?} does not belong to any NPU"),
-                    })?;
+                    let npu = self
+                        .cb_map
+                        .remove(&id)
+                        .ok_or_else(|| SystemError::Protocol {
+                            what: format!("callback {id:?} does not belong to any NPU"),
+                        })?;
                     self.on_compute_done(npu)?;
                 }
                 Notification::CollectiveDone { coll, npu, .. } => {
-                    self.completed.insert((coll.0, npu.index()));
                     self.on_coll_done(coll, npu.index())?;
                 }
             }
@@ -194,25 +209,30 @@ impl TrainingRunner {
         &self.workload.layers[layer as usize]
     }
 
-    fn num_layers(&self) -> u32 {
-        self.workload.layers.len() as u32
+    /// Index of `key`'s collective in the gate table.
+    fn gate(&self, key: Step) -> usize {
+        (key.iter as usize * self.workload.layers.len() + key.layer as usize) * KINDS
+            + key.kind as usize
     }
 
     /// Is `key`'s collective issued *and* complete on `npu`?
-    fn coll_done_for(&self, key: CollKey, npu: usize) -> bool {
-        match self.issued.get(&key) {
-            Some(id) => self.completed.contains(&(id.0, npu)),
-            None => false,
-        }
+    fn is_done(&self, key: Step, npu: usize) -> bool {
+        self.done.get(self.gate(key) * self.n + npu) == Some(&true)
     }
 
-    /// Registers `npu` at a collective's issue point; issues it when the
-    /// last NPU arrives.
-    fn register(&mut self, key: CollKey, spec: CommSpec, layer: u32) -> Result<(), SystemError> {
-        let count = self.gates.entry(key).or_insert(0);
-        *count += 1;
-        debug_assert!(*count <= self.n, "over-registered collective {key:?}");
-        if *count == self.n {
+    /// Registers an NPU at `key`'s issue point; issues the collective when
+    /// the last NPU arrives.
+    fn register(&mut self, key: Step, spec: CommSpec) -> Result<(), SystemError> {
+        let g = self.gate(key);
+        if g >= self.gates.len() {
+            let len = (key.iter as usize + 1) * self.workload.layers.len() * KINDS;
+            self.gates.resize(len, Gate::default());
+            self.done.resize(len * self.n, false);
+        }
+        let gate = &mut self.gates[g];
+        gate.arrived += 1;
+        debug_assert!(gate.arrived <= self.n, "over-registered collective {key:?}");
+        if gate.arrived == self.n {
             let dims = match key.kind {
                 CommKind::Wg => self.workload.parallelism.weight_grad_dims(),
                 CommKind::Fwd | CommKind::Ig => self.workload.parallelism.activation_dims(),
@@ -223,21 +243,62 @@ impl TrainingRunner {
                 bytes: spec.bytes,
                 dims,
                 algorithm: None,
-                local_update_per_kb: Some(self.layer(layer).local_update_per_kb),
+                local_update_per_kb: Some(self.layer(key.layer).local_update_per_kb),
             };
             let id = self.sim.issue_collective(req)?;
-            self.issued.insert(key, id);
-            self.keys.insert(id, key);
+            self.gates[g].issued = Some(id);
+            self.gate_of.insert(id, g);
         }
         Ok(())
     }
 
-    fn schedule_compute(
-        &mut self,
-        npu: usize,
-        delay: Time,
-        next: NpuState,
-    ) -> Result<(), SystemError> {
+    /// Runs `npu`'s program from `next` until it schedules compute, waits
+    /// for a collective or finishes.
+    fn advance(&mut self, npu: usize, mut next: Step) -> Result<(), SystemError> {
+        let layers = self.workload.layers.len() as u32;
+        loop {
+            let Step { iter, layer, kind } = next;
+            if kind != CommKind::Fwd {
+                return self.compute(npu, next);
+            }
+            if layer == layers {
+                if iter == self.passes {
+                    self.states[npu] = NpuState::Done;
+                    self.finish[npu] = self.sim.now();
+                    self.done_count += 1;
+                    return Ok(());
+                }
+                // Forward pass done: back-propagate from the last layer.
+                return self.compute(npu, Step::new(iter, layers - 1, CommKind::Ig));
+            }
+            if iter > 0 && self.layer(layer).wg_comm.is_some() {
+                let wg = Step::new(iter - 1, layer, CommKind::Wg);
+                if !self.is_done(wg, npu) {
+                    return self.wait_for(npu, wg, next);
+                }
+            }
+            if iter < self.passes {
+                return self.compute(npu, next);
+            }
+            next.layer += 1;
+        }
+    }
+
+    /// Stalls `npu` until `on`'s collective completes on it, then resumes
+    /// at `then`. The only place a stall starts.
+    fn wait_for(&mut self, npu: usize, on: Step, then: Step) -> Result<(), SystemError> {
+        self.states[npu] = NpuState::Waiting { on, then };
+        self.stall_start[npu] = self.sim.now();
+        Ok(())
+    }
+
+    fn compute(&mut self, npu: usize, step: Step) -> Result<(), SystemError> {
+        let l = self.layer(step.layer);
+        let delay = match step.kind {
+            CommKind::Fwd => l.fwd_compute,
+            CommKind::Ig => l.ig_compute,
+            CommKind::Wg => l.wg_compute,
+        };
         // Straggler NPUs (fault plan) run every compute phase slower. The
         // scale is skipped entirely at 1.0 so fault-free runs stay
         // bit-identical to builds without the fault subsystem.
@@ -249,220 +310,60 @@ impl TrainingRunner {
         };
         let cb = self.sim.schedule_callback(delay)?;
         self.cb_map.insert(cb, npu);
-        self.states[npu] = next;
-        Ok(())
-    }
-
-    /// Begins the forward pass of `layer` (or transitions to back-prop /
-    /// next iteration when past the last layer).
-    fn start_fwd(&mut self, npu: usize, iter: u32, layer: u32) -> Result<(), SystemError> {
-        if layer == self.num_layers() {
-            // Forward pass done: back-propagate from the last layer.
-            return self.start_bwd(npu, iter, self.num_layers() - 1);
-        }
-        if iter > 0 && self.layer(layer).wg_comm.is_some() {
-            let key = CollKey {
-                iter: iter - 1,
-                layer,
-                kind: CommKind::Wg,
-            };
-            if !self.coll_done_for(key, npu) {
-                self.states[npu] = NpuState::FwdWaitWg { iter, layer };
-                self.stall_start[npu] = self.sim.now();
-                return Ok(());
-            }
-        }
-        let delay = self.layer(layer).fwd_compute;
-        self.schedule_compute(npu, delay, NpuState::FwdComputing { iter, layer })
-    }
-
-    /// Begins back-propagation of `layer`: input-gradient compute first.
-    fn start_bwd(&mut self, npu: usize, iter: u32, layer: u32) -> Result<(), SystemError> {
-        let delay = self.layer(layer).ig_compute;
-        self.schedule_compute(npu, delay, NpuState::IgComputing { iter, layer })
-    }
-
-    /// After back-prop of `layer` finishes, move to the previous layer or
-    /// wrap up the iteration.
-    fn after_bwd_layer(&mut self, npu: usize, iter: u32, layer: u32) -> Result<(), SystemError> {
-        if layer > 0 {
-            self.start_bwd(npu, iter, layer - 1)
-        } else if iter + 1 < self.passes {
-            self.start_fwd(npu, iter + 1, 0)
-        } else {
-            self.final_drain(npu, 0)
-        }
-    }
-
-    /// After the last pass: wait for every outstanding weight-gradient
-    /// collective, layer by layer.
-    fn final_drain(&mut self, npu: usize, from_layer: u32) -> Result<(), SystemError> {
-        for layer in from_layer..self.num_layers() {
-            if self.layer(layer).wg_comm.is_some() {
-                let key = CollKey {
-                    iter: self.passes - 1,
-                    layer,
-                    kind: CommKind::Wg,
-                };
-                if !self.coll_done_for(key, npu) {
-                    self.states[npu] = NpuState::FinalDraining { layer };
-                    self.stall_start[npu] = self.sim.now();
-                    return Ok(());
-                }
-            }
-        }
-        self.states[npu] = NpuState::Done;
-        self.finish[npu] = self.sim.now();
-        self.done_count += 1;
+        self.states[npu] = NpuState::Computing(step);
         Ok(())
     }
 
     fn on_compute_done(&mut self, npu: usize) -> Result<(), SystemError> {
-        match self.states[npu] {
-            NpuState::FwdComputing { iter, layer } => {
-                if let Some(spec) = self.layer(layer).fwd_comm {
-                    let key = CollKey {
-                        iter,
-                        layer,
-                        kind: CommKind::Fwd,
-                    };
-                    self.register(key, spec, layer)?;
-                    if self.coll_done_for(key, npu) {
-                        self.start_fwd(npu, iter, layer + 1)
-                    } else {
-                        self.states[npu] = NpuState::FwdCommWaiting { iter, layer };
-                        self.stall_start[npu] = self.sim.now();
-                        Ok(())
-                    }
-                } else {
-                    self.start_fwd(npu, iter, layer + 1)
-                }
+        let NpuState::Computing(step) = self.states[npu] else {
+            return Err(SystemError::Protocol {
+                what: format!(
+                    "compute callback fired for NPU {npu} in non-compute state {:?}",
+                    self.states[npu]
+                ),
+            });
+        };
+        let Step { iter, layer, kind } = step;
+        let l = self.layer(layer);
+        let (comm, then) = match kind {
+            CommKind::Fwd => (l.fwd_comm, Step::new(iter, layer + 1, kind)),
+            CommKind::Ig => (l.ig_comm, Step::new(iter, layer, CommKind::Wg)),
+            CommKind::Wg if layer > 0 => (l.wg_comm, Step::new(iter, layer - 1, CommKind::Ig)),
+            CommKind::Wg => (l.wg_comm, Step::new(iter + 1, 0, CommKind::Fwd)),
+        };
+        if let Some(spec) = comm {
+            self.register(step, spec)?;
+            // Weight gradients block only in no-overlap mode.
+            let blocks = kind != CommKind::Wg || !self.overlap;
+            if blocks && !self.is_done(step, npu) {
+                return self.wait_for(npu, step, then);
             }
-            NpuState::IgComputing { iter, layer } => {
-                if let Some(spec) = self.layer(layer).ig_comm {
-                    let key = CollKey {
-                        iter,
-                        layer,
-                        kind: CommKind::Ig,
-                    };
-                    self.register(key, spec, layer)?;
-                    if self.coll_done_for(key, npu) {
-                        self.start_wg_compute(npu, iter, layer)
-                    } else {
-                        self.states[npu] = NpuState::IgCommWaiting { iter, layer };
-                        self.stall_start[npu] = self.sim.now();
-                        Ok(())
-                    }
-                } else {
-                    self.start_wg_compute(npu, iter, layer)
-                }
-            }
-            NpuState::WgComputing { iter, layer } => {
-                if let Some(spec) = self.layer(layer).wg_comm {
-                    let key = CollKey {
-                        iter,
-                        layer,
-                        kind: CommKind::Wg,
-                    };
-                    self.register(key, spec, layer)?;
-                    if !self.overlap {
-                        // No-overlap mode: block until this layer's
-                        // all-reduce completes.
-                        if self.coll_done_for(key, npu) {
-                            return self.after_bwd_layer(npu, iter, layer);
-                        }
-                        self.states[npu] = NpuState::WgCommWaiting { iter, layer };
-                        self.stall_start[npu] = self.sim.now();
-                        return Ok(());
-                    }
-                }
-                self.after_bwd_layer(npu, iter, layer)
-            }
-            other => Err(SystemError::Protocol {
-                what: format!("compute callback fired for NPU {npu} in non-compute state {other:?}"),
-            }),
         }
-    }
-
-    fn start_wg_compute(&mut self, npu: usize, iter: u32, layer: u32) -> Result<(), SystemError> {
-        let delay = self.layer(layer).wg_compute;
-        self.schedule_compute(npu, delay, NpuState::WgComputing { iter, layer })
+        self.advance(npu, then)
     }
 
     fn on_coll_done(&mut self, coll: CollId, npu: usize) -> Result<(), SystemError> {
-        let key = *self.keys.get(&coll).ok_or_else(|| SystemError::Protocol {
-            what: format!("completion for collective {coll:?} the runner never issued"),
-        })?;
-        let resume = match self.states[npu] {
-            NpuState::FwdWaitWg { iter, layer } => {
-                (key
-                    == CollKey {
-                        iter: iter - 1,
-                        layer,
-                        kind: CommKind::Wg,
-                    })
-                .then_some((layer, NpuResume::Fwd { iter, layer }))
-            }
-            NpuState::FwdCommWaiting { iter, layer } => {
-                (key
-                    == CollKey {
-                        iter,
-                        layer,
-                        kind: CommKind::Fwd,
-                    })
-                .then_some((layer, NpuResume::AfterFwdComm { iter, layer }))
-            }
-            NpuState::IgCommWaiting { iter, layer } => {
-                (key
-                    == CollKey {
-                        iter,
-                        layer,
-                        kind: CommKind::Ig,
-                    })
-                .then_some((layer, NpuResume::Wg { iter, layer }))
-            }
-            NpuState::WgCommWaiting { iter, layer } => {
-                (key
-                    == CollKey {
-                        iter,
-                        layer,
-                        kind: CommKind::Wg,
-                    })
-                .then_some((layer, NpuResume::AfterBwd { iter, layer }))
-            }
-            NpuState::FinalDraining { layer } => {
-                (key
-                    == CollKey {
-                        iter: self.passes - 1,
-                        layer,
-                        kind: CommKind::Wg,
-                    })
-                .then_some((layer, NpuResume::Drain { layer }))
-            }
-            _ => None,
-        };
-        let Some((layer, resume)) = resume else {
+        let gate = *self
+            .gate_of
+            .get(&coll)
+            .ok_or_else(|| SystemError::Protocol {
+                what: format!("completion for collective {coll:?} the runner never issued"),
+            })?;
+        self.done[gate * self.n + npu] = true;
+        let NpuState::Waiting { on, then } = self.states[npu] else {
             return Ok(()); // overlapped completion, nobody stalled
         };
-        let stall = self.sim.now() - self.stall_start[npu];
-        self.exposed[npu][layer as usize] += stall;
-        match resume {
-            NpuResume::Fwd { iter, layer } => {
-                let delay = self.layer(layer).fwd_compute;
-                self.schedule_compute(npu, delay, NpuState::FwdComputing { iter, layer })
-            }
-            NpuResume::AfterFwdComm { iter, layer } => self.start_fwd(npu, iter, layer + 1),
-            NpuResume::Wg { iter, layer } => self.start_wg_compute(npu, iter, layer),
-            NpuResume::AfterBwd { iter, layer } => self.after_bwd_layer(npu, iter, layer),
-            NpuResume::Drain { layer } => self.final_drain(npu, layer + 1),
+        if self.gate(on) != gate {
+            return Ok(());
         }
+        self.exposed[npu][on.layer as usize] += self.sim.now() - self.stall_start[npu];
+        self.advance(npu, then)
     }
 
     // ---- reporting ----------------------------------------------------
 
     fn assemble(self) -> TrainingReport {
-        let faults =
-            crate::FaultImpact::from_stats(self.sim.stats(), self.sim.net_stats());
+        let faults = crate::FaultImpact::from_stats(self.sim.stats(), self.sim.net_stats());
         let layers = self
             .workload
             .layers
@@ -481,23 +382,18 @@ impl TrainingRunner {
                         (CommKind::Ig, &mut ig),
                         (CommKind::Wg, &mut wg),
                     ] {
-                        let key = CollKey {
-                            iter,
-                            layer: i as u32,
-                            kind,
-                        };
-                        if let Some(id) = self.issued.get(&key) {
-                            if let Some(r) = self.sim.report(*id) {
-                                *slot += r.duration();
-                                ready.merge(&r.ready_delay);
-                                for (p, s) in r.phase_queue.iter().enumerate() {
-                                    if p >= queue.len() {
-                                        queue.resize_with(p + 1, Default::default);
-                                        network.resize_with(p + 1, Default::default);
-                                    }
-                                    queue[p].merge(s);
-                                    network[p].merge(&r.phase_network[p]);
+                        let gate = self.gates.get(self.gate(Step::new(iter, i as u32, kind)));
+                        let issued = gate.and_then(|g| g.issued);
+                        if let Some(r) = issued.and_then(|id| self.sim.report(id)) {
+                            *slot += r.duration();
+                            ready.merge(&r.ready_delay);
+                            for (p, s) in r.phase_queue.iter().enumerate() {
+                                if p >= queue.len() {
+                                    queue.resize_with(p + 1, Default::default);
+                                    network.resize_with(p + 1, Default::default);
                                 }
+                                queue[p].merge(s);
+                                network[p].merge(&r.phase_network[p]);
                             }
                         }
                     }
@@ -544,17 +440,6 @@ impl TrainingRunner {
         }
     }
 }
-
-/// What to do after a stall clears.
-#[derive(Debug, Clone, Copy)]
-enum NpuResume {
-    Fwd { iter: u32, layer: u32 },
-    AfterFwdComm { iter: u32, layer: u32 },
-    Wg { iter: u32, layer: u32 },
-    AfterBwd { iter: u32, layer: u32 },
-    Drain { layer: u32 },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,7 +563,17 @@ mod tests {
 
     #[test]
     fn zero_passes_rejected() {
-        assert!(TrainingRunner::new(sim(2, 1, 1), zoo::tiny_mlp(), 0).is_err());
+        let err = TrainingRunner::new(sim(2, 1, 1), zoo::tiny_mlp(), 0).unwrap_err();
+        assert!(matches!(err, SystemError::ZeroPasses), "{err:?}");
+        assert!(err.to_string().contains("passes"), "{err}");
+    }
+
+    #[test]
+    fn malformed_workload_error_keeps_its_message() {
+        let mut wl = zoo::tiny_mlp();
+        wl.layers.clear();
+        let err = TrainingRunner::new(sim(2, 1, 1), wl, 1).unwrap_err();
+        assert_eq!(err.to_string(), "invalid workload: workload has no layers");
     }
 
     #[test]

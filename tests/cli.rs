@@ -108,6 +108,17 @@ fn huge_compute_time_in_workload_file_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn zero_passes_is_an_error_naming_passes() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+        .args(["train", "--topology", "2x2x2", "--model", "tiny_mlp", "--passes", "0"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("passes"), "{stderr}");
+}
+
+#[test]
 fn export_roundtrips_through_train() {
     let dir = std::env::temp_dir().join("astra_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
