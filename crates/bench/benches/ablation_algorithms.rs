@@ -13,13 +13,13 @@
 //! * on the torus, ring beats halving-doubling at large sizes: XOR
 //!   partners average n/2 software-routed hops, ring neighbors one.
 
-use astra_bench::{alltoall_cfg, check, emit, header, table_iv, torus_cfg, SIZE_SWEEP};
+use astra_bench::{check, emit, header, SIZE_SWEEP};
 use astra_collectives::IntraAlgo;
 use astra_core::output::{fmt_bytes, Table};
-use astra_core::Simulator;
+use astra_core::{SimConfig, Simulator};
 use astra_system::CollectiveRequest;
 
-fn run(cfg: &astra_core::SimConfig, intra: IntraAlgo, bytes: u64) -> (u64, u64) {
+fn run(cfg: &SimConfig, intra: IntraAlgo, bytes: u64) -> (u64, u64) {
     let mut cfg = cfg.clone();
     cfg.system.intra_algo = intra;
     let out = Simulator::new(cfg)
@@ -34,8 +34,11 @@ fn main() {
         "Ablation",
         "intra-dimension algorithm: direct vs halving-doubling (1x8@7) and ring vs HD (1x8x1)",
     );
-    let switch_fabric = alltoall_cfg(1, 8, 1, 7, table_iv());
-    let torus = torus_cfg(1, 8, 1, 1, 4, 1, table_iv());
+    let switch_fabric = SimConfig::alltoall(1, 8, 7).local_rings(1);
+    let torus = SimConfig::torus(1, 8, 1)
+        .local_rings(1)
+        .horizontal_rings(4)
+        .vertical_rings(1);
 
     let mut t = Table::new(
         ["size", "switch_direct", "switch_hd", "torus_ring", "torus_hd"]

@@ -12,9 +12,10 @@
 //! * multiple chunks beat a single monolithic chunk;
 //! * returns diminish: going 16 -> 64 chunks changes little.
 
-use astra_bench::{check, collective_cycles, emit, header, table_iv, torus_cfg};
+use astra_bench::{check, collective_cycles, emit, header};
 use astra_collectives::Algorithm;
 use astra_core::output::Table;
+use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 
 fn main() {
@@ -23,8 +24,7 @@ fn main() {
     let mut t = Table::new(["set_splits", "cycles"].map(String::from).to_vec());
     let mut series = Vec::new();
     for splits in [1u32, 2, 4, 8, 16, 32, 64] {
-        let mut cfg = torus_cfg(4, 4, 4, 2, 2, 2, table_iv());
-        cfg.system.algorithm = Algorithm::Enhanced;
+        let mut cfg = SimConfig::torus(4, 4, 4).algorithm(Algorithm::Enhanced);
         cfg.system.set_splits = splits;
         let cycles = collective_cycles(&cfg, CollectiveRequest::all_reduce(bytes));
         t.row(vec![splits.to_string(), cycles.to_string()]);

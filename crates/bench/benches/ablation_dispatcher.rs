@@ -11,9 +11,10 @@
 //!   large margin (the threshold exists to bound resource use, not to gain
 //!   speed).
 
-use astra_bench::{check, collective_cycles, emit, header, table_iv, torus_cfg};
+use astra_bench::{check, collective_cycles, emit, header};
 use astra_collectives::Algorithm;
 use astra_core::output::Table;
+use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 
 fn main() {
@@ -22,8 +23,7 @@ fn main() {
     let mut t = Table::new(["T", "P", "cycles"].map(String::from).to_vec());
     let mut results = Vec::new();
     for (threshold, batch) in [(1usize, 1usize), (2, 4), (4, 8), (8, 16), (16, 32), (64, 64)] {
-        let mut cfg = torus_cfg(4, 4, 4, 2, 2, 2, table_iv());
-        cfg.system.algorithm = Algorithm::Enhanced;
+        let mut cfg = SimConfig::torus(4, 4, 4).algorithm(Algorithm::Enhanced);
         cfg.system.set_splits = 64;
         cfg.system.dispatcher_threshold = threshold;
         cfg.system.dispatcher_batch = batch;

@@ -11,9 +11,9 @@
 //!   overlap window;
 //! * overlap on/off: turning overlap off exposes every all-reduce fully.
 
-use astra_bench::{calibrated_resnet50, check, emit, header, table_iv, torus_cfg};
+use astra_bench::{calibrated_resnet50, check, emit, header};
 use astra_core::output::Table;
-use astra_core::Simulator;
+use astra_core::{SimConfig, Simulator};
 use astra_workload::{transform, TrainingRunner};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         "Ablation",
         "gradient fusion (bucket sweep) + overlap on/off, ResNet-50 on 2x4x4",
     );
-    let cfg = torus_cfg(2, 4, 4, 2, 2, 2, table_iv());
+    let cfg = SimConfig::torus(2, 4, 4);
     let base = calibrated_resnet50();
 
     let mut t = Table::new(

@@ -23,9 +23,9 @@
 //!
 //! [`SweepStats`]: astra_sweep::SweepStats
 
-use astra_bench::{calibrated_resnet50, check, emit, header, run_grid_stats, table_iv, torus_cfg};
+use astra_bench::{calibrated_resnet50, check, emit, header, run_grid_stats};
 use astra_core::output::Table;
-use astra_core::Experiment;
+use astra_core::{Experiment, SimConfig};
 use astra_sweep::{Axis, SweepEngine, SweepSpec};
 use astra_system::SchedulingPolicy;
 
@@ -38,7 +38,7 @@ const POLICIES: [SchedulingPolicy; 3] = [
 fn spec(name: &str, policies: Vec<SchedulingPolicy>) -> SweepSpec {
     SweepSpec::new(
         name,
-        torus_cfg(2, 4, 2, 2, 2, 2, table_iv()),
+        SimConfig::torus(2, 4, 2),
         Experiment::Training(calibrated_resnet50()),
     )
     .axis(Axis::Scheduling(policies))

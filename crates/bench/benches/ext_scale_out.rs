@@ -15,31 +15,18 @@
 //! * scale-out bytes grow with pod count while intra-pod bytes per NPU
 //!   stay fixed.
 
-use astra_bench::{check, emit, header, table_iv};
+use astra_bench::{check, emit, header};
 use astra_collectives::Algorithm;
 use astra_core::output::{fmt_bytes, Table};
-use astra_core::{SimConfig, Simulator, TopologyConfig};
+use astra_core::{SimConfig, Simulator};
 use astra_system::CollectiveRequest;
 
 fn pods_cfg(pods: usize, switches: usize, algorithm: Algorithm) -> SimConfig {
-    let mut cfg = SimConfig {
-        topology: TopologyConfig::Pods {
-            pod: Box::new(TopologyConfig::Torus {
-                local: 2,
-                horizontal: 2,
-                vertical: 2,
-                local_rings: 2,
-                horizontal_rings: 1,
-                vertical_rings: 1,
-            }),
-            pods,
-            switches,
-        },
-        ..SimConfig::torus(2, 2, 2)
-    };
-    cfg.network = table_iv();
-    cfg.system.algorithm = algorithm;
-    cfg
+    SimConfig::torus(2, 2, 2)
+        .horizontal_rings(1)
+        .vertical_rings(1)
+        .pods(pods, switches)
+        .algorithm(algorithm)
 }
 
 fn main() {
@@ -91,9 +78,7 @@ fn main() {
 
     // Ethernet-dominance check: 16 NPUs as 2 pods of 8 vs the same 16 NPUs
     // as one scale-up 2x4x2 torus.
-    let mut scale_up_16 = SimConfig::torus(2, 4, 2);
-    scale_up_16.network = table_iv();
-    let t_scale_up = Simulator::new(scale_up_16)
+    let t_scale_up = Simulator::new(SimConfig::torus(2, 4, 2))
         .expect("valid config")
         .run_collective(CollectiveRequest::all_reduce(bytes))
         .expect("completes")

@@ -11,11 +11,10 @@
 //! * the 4-phase (enhanced) algorithm further improves the asymmetric
 //!   all-reduce by cutting inter-package volume 4×.
 
-use astra_bench::{
-    check, collective_cycles, emit, header, symmetric_net, table_iv, torus_cfg, SIZE_SWEEP,
-};
+use astra_bench::{check, collective_cycles, emit, header, SIZE_SWEEP};
 use astra_collectives::Algorithm;
 use astra_core::output::{fmt_bytes, Table};
+use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 
 fn main() {
@@ -23,8 +22,8 @@ fn main() {
         "Fig 11",
         "64 modules (4 NAM/NAP x 16 NAP, 4x4x4): symmetric vs asymmetric vs 4-phase",
     );
-    let sym = torus_cfg(4, 4, 4, 2, 2, 2, symmetric_net());
-    let asym = torus_cfg(4, 4, 4, 2, 2, 2, table_iv());
+    let sym = SimConfig::torus(4, 4, 4).symmetric_links();
+    let asym = SimConfig::torus(4, 4, 4);
     let mut asym_enh = asym.clone();
     asym_enh.system.algorithm = Algorithm::Enhanced;
 

@@ -19,10 +19,10 @@
 //!   phase) dominating the queueing delays — checked at the
 //!   bandwidth-bound size where queueing is substantial.
 
-use astra_bench::{check, emit, header, table_iv, torus_cfg};
+use astra_bench::{check, emit, header};
 use astra_collectives::Algorithm;
 use astra_core::output::{fmt_bytes, Table};
-use astra_core::Simulator;
+use astra_core::{SimConfig, Simulator};
 use astra_system::CollectiveRequest;
 
 const SHAPES: [(&str, usize, usize, usize); 4] = [
@@ -45,8 +45,7 @@ fn sweep(bytes: u64) -> (Vec<u64>, bool) {
         .to_vec(),
     );
     for (name, m, n, k) in SHAPES {
-        let mut cfg = torus_cfg(m, n, k, 2, 2, 2, table_iv());
-        cfg.system.algorithm = Algorithm::Enhanced;
+        let cfg = SimConfig::torus(m, n, k).algorithm(Algorithm::Enhanced);
         let out = Simulator::new(cfg)
             .expect("valid config")
             .run_collective(CollectiveRequest::all_reduce(bytes))

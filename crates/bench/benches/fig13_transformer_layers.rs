@@ -11,9 +11,10 @@
 //! * layers can lack some communications entirely depending on type (the
 //!   embedding layer here only all-reduces weight gradients).
 
-use astra_bench::{check, emit, header, table_iv, torus_cfg, training};
+use astra_bench::{check, emit, header, training};
 use astra_compute::ComputeModel;
 use astra_core::output::Table;
+use astra_core::SimConfig;
 use astra_des::Time;
 use astra_workload::zoo;
 
@@ -22,7 +23,7 @@ fn main() {
         "Fig 13",
         "Transformer, 2x2x2 torus, hybrid parallel, LIFO, minibatch 32, 2 passes",
     );
-    let cfg = torus_cfg(2, 2, 2, 2, 2, 2, table_iv());
+    let cfg = SimConfig::torus(2, 2, 2);
     let report = training(&cfg, zoo::transformer(&ComputeModel::tpu_like_256(), 32, 64));
 
     let mut t = Table::new(

@@ -11,8 +11,9 @@
 //! * unlike the hybrid-parallel Transformer, layer comm times are *not*
 //!   uniform — they follow parameter counts.
 
-use astra_bench::{calibrated_resnet50, check, emit, header, table_iv, torus_cfg, training};
+use astra_bench::{calibrated_resnet50, check, emit, header, training};
 use astra_core::output::Table;
+use astra_core::SimConfig;
 use astra_des::Time;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
         "Fig 14",
         "ResNet-50, 2x4x4 torus, data parallel, LIFO, minibatch 32, 2 passes",
     );
-    let cfg = torus_cfg(2, 4, 4, 2, 2, 2, table_iv());
+    let cfg = SimConfig::torus(2, 4, 4);
     let workload = calibrated_resnet50();
     let grad_bytes: Vec<u64> = workload.layers.iter().map(|l| l.comm_bytes()).collect();
     let report = training(&cfg, workload);

@@ -11,8 +11,9 @@
 //!   all-reduces are issued last during back-propagation but needed first
 //!   in the next forward pass (§III-E).
 
-use astra_bench::{calibrated_resnet50, check, emit, header, table_iv, torus_cfg, training};
+use astra_bench::{calibrated_resnet50, check, emit, header, training};
 use astra_core::output::Table;
+use astra_core::SimConfig;
 use astra_des::Time;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
         "Fig 15",
         "ResNet-50 layer-wise compute / comm / exposed comm (2x4x4, data parallel)",
     );
-    let cfg = torus_cfg(2, 4, 4, 2, 2, 2, table_iv());
+    let cfg = SimConfig::torus(2, 4, 4);
     let report = training(&cfg, calibrated_resnet50());
 
     let mut t = Table::new(

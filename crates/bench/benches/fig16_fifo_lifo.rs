@@ -12,16 +12,16 @@
 //! * among the queue delays P1..P3 of the (baseline, 3-phase) all-reduce,
 //!   P2 — the first inter-package phase — dominates.
 
-use astra_bench::{calibrated_resnet50, check, emit, header, table_iv, torus_cfg, training};
+use astra_bench::{calibrated_resnet50, check, emit, header, training};
 use astra_core::output::Table;
+use astra_core::SimConfig;
 use astra_system::SchedulingPolicy;
 
 fn main() {
     header("Fig 16", "ResNet-50 breakdown under FIFO vs LIFO (2x4x4)");
     let mut reports = Vec::new();
     for policy in [SchedulingPolicy::Lifo, SchedulingPolicy::Fifo] {
-        let mut cfg = torus_cfg(2, 4, 4, 2, 2, 2, table_iv());
-        cfg.system.scheduling = policy;
+        let cfg = SimConfig::torus(2, 4, 4).scheduling(policy);
         reports.push(training(&cfg, calibrated_resnet50()));
     }
     let (lifo, fifo) = (&reports[0], &reports[1]);

@@ -11,8 +11,9 @@
 //! * the 0.5× system hides almost everything (<5%);
 //! * at 4× communication dominates (>40% of end-to-end latency).
 
-use astra_bench::{calibrated_resnet50, check, emit, header, scale_compute_power, table_iv, torus_cfg, training};
+use astra_bench::{calibrated_resnet50, check, emit, header, scale_compute_power, training};
 use astra_core::output::Table;
+use astra_core::SimConfig;
 
 fn main() {
     header(
@@ -20,7 +21,7 @@ fn main() {
         "ResNet-50 exposed-communication ratio vs compute power (0.5x .. 4x, 2x4x4)",
     );
     let base = calibrated_resnet50();
-    let cfg = torus_cfg(2, 4, 4, 2, 2, 2, table_iv());
+    let cfg = SimConfig::torus(2, 4, 4);
 
     let mut t = Table::new(
         ["compute_power", "compute", "exposed", "exposed_ratio_pct"]

@@ -8,10 +8,9 @@
 //! expected to match the authors' Garnet build — shapes are.
 
 use astra_core::output::Table;
-use astra_core::{SimConfig, Simulator, TopologyConfig};
-use astra_network::NetworkConfig;
+use astra_core::{SimConfig, Simulator};
 use astra_sweep::{SweepEngine, SweepReport, SweepRun, SweepSpec};
-use astra_system::{BackendKind, CollectiveRequest, SystemConfig};
+use astra_system::CollectiveRequest;
 use astra_workload::{TrainingReport, Workload};
 use std::path::PathBuf;
 
@@ -24,72 +23,6 @@ pub const SIZE_SWEEP: [u64; 6] = [
     16 << 20,
     64 << 20,
 ];
-
-/// Table IV network parameters (the crate defaults reproduce them).
-pub fn table_iv() -> NetworkConfig {
-    NetworkConfig::default()
-}
-
-/// Table IV with *symmetric* links: intra-package links get the
-/// inter-package technology (Fig 10's "links with same BW" and Fig 11's
-/// symmetric baseline).
-pub fn symmetric_net() -> NetworkConfig {
-    let mut net = NetworkConfig::default();
-    net.local = net.package;
-    net
-}
-
-/// A torus `SimConfig` with explicit ring counts.
-pub fn torus_cfg(
-    local: usize,
-    horizontal: usize,
-    vertical: usize,
-    local_rings: usize,
-    h_bi_rings: usize,
-    v_bi_rings: usize,
-    net: NetworkConfig,
-) -> SimConfig {
-    SimConfig {
-        topology: TopologyConfig::Torus {
-            local,
-            horizontal,
-            vertical,
-            local_rings,
-            horizontal_rings: h_bi_rings,
-            vertical_rings: v_bi_rings,
-        },
-        system: SystemConfig::default(),
-        network: net,
-        backend: BackendKind::Analytical,
-        passes: 2,
-        overlay: None,
-        faults: None,
-    }
-}
-
-/// A hierarchical-alltoall `SimConfig`.
-pub fn alltoall_cfg(
-    local: usize,
-    packages: usize,
-    local_rings: usize,
-    switches: usize,
-    net: NetworkConfig,
-) -> SimConfig {
-    SimConfig {
-        topology: TopologyConfig::AllToAll {
-            local,
-            packages,
-            local_rings,
-            switches,
-        },
-        system: SystemConfig::default(),
-        network: net,
-        backend: BackendKind::Analytical,
-        passes: 2,
-        overlay: None,
-        faults: None,
-    }
-}
 
 /// Completion time (cycles) of one collective on `cfg`.
 ///
@@ -229,15 +162,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn symmetric_net_equalizes_classes() {
-        let net = symmetric_net();
-        assert_eq!(net.local.gbps, net.package.gbps);
-        assert_eq!(net.local.latency, net.package.latency);
-    }
-
-    #[test]
     fn collective_cycles_smoke() {
-        let cfg = torus_cfg(1, 4, 1, 1, 1, 1, table_iv());
+        let cfg = SimConfig::torus(1, 4, 1).local_rings(1).horizontal_rings(1);
         let t = collective_cycles(&cfg, CollectiveRequest::all_reduce(1 << 16));
         assert!(t > 0);
     }

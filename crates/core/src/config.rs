@@ -5,6 +5,7 @@ use astra_network::{FaultPlan, NetworkConfig};
 use astra_system::{BackendKind, SchedulingPolicy, SystemConfig};
 use astra_topology::{HierAllToAll, LogicalTopology, PodFabric, Torus3d, TopologyError};
 use serde::{Deserialize, Serialize};
+use std::str::FromStr;
 
 /// The logical topology rows of Table III (`topology`, `num-npus`,
 /// `num-packages`, `package-rows`, ring/switch counts) in structured form.
@@ -101,9 +102,8 @@ impl TopologyConfig {
     }
 
     /// The shape in the CLI's notation: `MxNxK` (torus), `MxN@S`
-    /// (hierarchical alltoall), `MxNxK*P@S` (pods). The inverse of the
-    /// `astra-sim` binary's `--topology` parser, and the form sweep-point
-    /// labels use.
+    /// (hierarchical alltoall), `MxNxK*P@S` (pods). The inverse of
+    /// [`TopologyConfig::from_str`], and the form sweep-point labels use.
     pub fn shape(&self) -> String {
         match *self {
             TopologyConfig::Torus {
@@ -139,6 +139,49 @@ impl TopologyConfig {
                 local, packages, ..
             } => local * packages,
             TopologyConfig::Pods { ref pod, pods, .. } => pod.num_npus() * pods,
+        }
+    }
+}
+
+/// Parses the CLI's shape notation (see [`TopologyConfig::shape`]). Ring
+/// counts take the [`SimConfig::torus`] / [`SimConfig::alltoall`]
+/// defaults; errors name the malformed part.
+impl FromStr for TopologyConfig {
+    type Err = String;
+
+    fn from_str(shape: &str) -> Result<Self, String> {
+        if let Some((pod, scale_out)) = shape.split_once('*') {
+            let (pods, switches) = scale_out
+                .split_once('@')
+                .ok_or_else(|| format!("pods shape must be MxNxK*P@S, got '{shape}'"))?;
+            let scale_up: TopologyConfig = pod.parse()?;
+            let TopologyConfig::Torus { .. } = scale_up else {
+                return Err(format!("pods must be built from a torus pod, got '{pod}'"));
+            };
+            return Ok(TopologyConfig::Pods {
+                pod: Box::new(scale_up),
+                pods: pods.parse().map_err(|_| "bad pod count")?,
+                switches: switches.parse().map_err(|_| "bad scale-out switch count")?,
+            });
+        }
+        if let Some((dims, switches)) = shape.split_once('@') {
+            let parts: Vec<&str> = dims.split('x').collect();
+            if parts.len() != 2 {
+                return Err(format!("alltoall shape must be MxN@S, got '{shape}'"));
+            }
+            let m: usize = parts[0].parse().map_err(|_| "bad local size")?;
+            let n: usize = parts[1].parse().map_err(|_| "bad package count")?;
+            let s: usize = switches.parse().map_err(|_| "bad switch count")?;
+            Ok(SimConfig::alltoall(m, n, s).topology)
+        } else {
+            let parts: Vec<&str> = shape.split('x').collect();
+            if parts.len() != 3 {
+                return Err(format!("torus shape must be MxNxK, got '{shape}'"));
+            }
+            let m: usize = parts[0].parse().map_err(|_| "bad local size")?;
+            let n: usize = parts[1].parse().map_err(|_| "bad horizontal size")?;
+            let k: usize = parts[2].parse().map_err(|_| "bad vertical size")?;
+            Ok(SimConfig::torus(m, n, k).topology)
         }
     }
 }
@@ -179,19 +222,11 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A torus fabric with the paper's Table IV ring counts (2 local
-    /// unidirectional, 2 bidirectional per inter-package dimension) and
-    /// default system/network parameters.
-    pub fn torus(local: usize, horizontal: usize, vertical: usize) -> Self {
+    /// `topology` with default system and network (Table IV) parameters,
+    /// the analytical backend and 2 training passes.
+    pub fn new(topology: TopologyConfig) -> Self {
         SimConfig {
-            topology: TopologyConfig::Torus {
-                local,
-                horizontal,
-                vertical,
-                local_rings: 2,
-                horizontal_rings: 2,
-                vertical_rings: 2,
-            },
+            topology,
             system: SystemConfig::default(),
             network: NetworkConfig::default(),
             backend: BackendKind::Analytical,
@@ -201,22 +236,28 @@ impl SimConfig {
         }
     }
 
-    /// A hierarchical alltoall fabric with defaults.
+    /// A torus fabric with the paper's Table IV ring counts (2 local
+    /// unidirectional, 2 bidirectional per inter-package dimension) and
+    /// default system/network parameters.
+    pub fn torus(local: usize, horizontal: usize, vertical: usize) -> Self {
+        SimConfig::new(TopologyConfig::Torus {
+            local,
+            horizontal,
+            vertical,
+            local_rings: 2,
+            horizontal_rings: 2,
+            vertical_rings: 2,
+        })
+    }
+
+    /// A hierarchical alltoall fabric with 2 local rings and defaults.
     pub fn alltoall(local: usize, packages: usize, switches: usize) -> Self {
-        SimConfig {
-            topology: TopologyConfig::AllToAll {
-                local,
-                packages,
-                local_rings: 2,
-                switches,
-            },
-            system: SystemConfig::default(),
-            network: NetworkConfig::default(),
-            backend: BackendKind::Analytical,
-            passes: 2,
-            overlay: None,
-            faults: None,
-        }
+        SimConfig::new(TopologyConfig::AllToAll {
+            local,
+            packages,
+            local_rings: 2,
+            switches,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -493,6 +534,27 @@ mod tests {
     fn shapes_round_trip_cli_notation() {
         assert_eq!(SimConfig::torus(2, 4, 4).topology.shape(), "2x4x4");
         assert_eq!(SimConfig::alltoall(4, 16, 4).topology.shape(), "4x16@4");
+        for shape in ["2x4x4", "4x16@4", "1x4x1*2@1"] {
+            let parsed: TopologyConfig = shape.parse().unwrap();
+            assert_eq!(parsed.shape(), shape);
+        }
+        let pods: TopologyConfig = "1x4x1*2@1".parse().unwrap();
+        assert_eq!(pods, SimConfig::torus(1, 4, 1).pods(2, 1).topology);
+        assert_eq!("4x16@4".parse(), Ok(SimConfig::alltoall(4, 16, 4).topology));
+    }
+
+    #[test]
+    fn bad_shapes_name_the_malformed_part() {
+        for (shape, err) in [
+            ("2x2", "torus shape must be MxNxK, got '2x2'"),
+            ("2xbx2", "bad horizontal size"),
+            ("2x2x2*2", "pods shape must be MxNxK*P@S, got '2x2x2*2'"),
+            ("2x2@1*2@1", "pods must be built from a torus pod, got '2x2@1'"),
+            ("1x2x3*x@1", "bad pod count"),
+            ("1x8@", "bad switch count"),
+        ] {
+            assert_eq!(shape.parse::<TopologyConfig>().unwrap_err(), err, "{shape}");
+        }
     }
 
     #[test]

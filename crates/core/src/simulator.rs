@@ -3,7 +3,7 @@
 use crate::{CoreError, SimConfig};
 use astra_des::Time;
 use astra_network::NetStats;
-use astra_system::{CollReport, CollectiveRequest, SystemSim, SystemStats};
+use astra_system::{CollId, CollReport, CollectiveRequest, SystemSim, SystemStats};
 use astra_workload::{TrainingReport, TrainingRunner, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -21,6 +21,23 @@ pub struct CollectiveRunReport {
 }
 
 impl CollectiveRunReport {
+    /// The report of collective `id` on a simulation that has completed it
+    /// (see [`SystemSim::complete_collective`]), with the run's aggregate
+    /// system and network stats.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::MissingReport`] if `sim` has no report for `id`.
+    pub fn from_sim(sim: &SystemSim, id: CollId) -> Result<Self, CoreError> {
+        let coll = sim.report(id).ok_or(CoreError::MissingReport(id.0))?.clone();
+        Ok(CollectiveRunReport {
+            duration: coll.duration(),
+            coll,
+            system: sim.stats().clone(),
+            network: sim.net_stats().clone(),
+        })
+    }
+
     /// The run's fault-recovery counters (all zero without a fault plan).
     pub fn fault_impact(&self) -> astra_workload::FaultImpact {
         astra_workload::FaultImpact::from_stats(&self.system, &self.network)
@@ -80,22 +97,6 @@ impl RunReport {
         match self {
             RunReport::Collective(r) => r.fault_impact(),
             RunReport::Training(r) => r.faults,
-        }
-    }
-
-    /// The collective report, when this was a bandwidth test.
-    pub fn as_collective(&self) -> Option<&CollectiveRunReport> {
-        match self {
-            RunReport::Collective(r) => Some(r),
-            RunReport::Training(_) => None,
-        }
-    }
-
-    /// The training report, when this was a training run.
-    pub fn as_training(&self) -> Option<&TrainingReport> {
-        match self {
-            RunReport::Training(r) => Some(r),
-            RunReport::Collective(_) => None,
         }
     }
 }
@@ -197,17 +198,8 @@ impl Simulator {
             Experiment::Collective(req) => {
                 let mut sim = self.system_sim()?;
                 let id = sim.complete_collective(req)?;
-                let coll = sim
-                    .report(id)
-                    .ok_or(CoreError::MissingReport(id.0))?
-                    .clone();
-                let report = RunReport::Collective(Box::new(CollectiveRunReport {
-                    duration: coll.duration(),
-                    coll,
-                    system: sim.stats().clone(),
-                    network: sim.net_stats().clone(),
-                }));
-                Ok((report, sim.events_processed()))
+                let report = CollectiveRunReport::from_sim(&sim, id)?;
+                Ok((RunReport::Collective(Box::new(report)), sim.events_processed()))
             }
             Experiment::Training(workload) => {
                 workload.validate().map_err(CoreError::Workload)?;
@@ -323,16 +315,21 @@ mod tests {
         let via_old = sim
             .run_collective(CollectiveRequest::all_reduce(1 << 16))
             .unwrap();
-        assert_eq!(via_run.as_collective(), Some(&via_old));
         assert_eq!(via_run.duration(), via_old.duration);
+        match &via_run {
+            RunReport::Collective(r) => assert_eq!(**r, via_old),
+            RunReport::Training(_) => panic!("collective experiment gave a training report"),
+        }
         assert!(via_run.fault_impact().is_clean());
 
         let sim = Simulator::new(SimConfig::torus(2, 2, 1)).unwrap();
         let via_run = sim.run(Experiment::Training(zoo::tiny_mlp())).unwrap();
         let via_old = sim.run_training(zoo::tiny_mlp()).unwrap();
-        assert_eq!(via_run.as_training(), Some(&via_old));
         assert_eq!(via_run.duration(), via_old.total_time);
-        assert!(via_run.as_collective().is_none());
+        match &via_run {
+            RunReport::Training(r) => assert_eq!(*r, via_old),
+            RunReport::Collective(_) => panic!("training experiment gave a collective report"),
+        }
     }
 
     #[test]

@@ -38,17 +38,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// A uniform value in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        // Multiply-shift range reduction; bias is negligible for u64.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
     /// A uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -76,14 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn next_below_in_range() {
-        let mut r = SplitMix64::new(99);
-        for _ in 0..1000 {
-            assert!(r.next_below(10) < 10);
-        }
-    }
-
-    #[test]
     fn next_f64_in_unit_interval() {
         let mut r = SplitMix64::new(3);
         for _ in 0..1000 {
@@ -93,17 +74,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn next_below_zero_panics() {
-        SplitMix64::new(1).next_below(0);
-    }
-
-    #[test]
     fn rough_uniformity() {
         let mut r = SplitMix64::new(1234);
         let mut buckets = [0u32; 10];
         for _ in 0..10_000 {
-            buckets[r.next_below(10) as usize] += 1;
+            buckets[(r.next_f64() * 10.0) as usize] += 1;
         }
         for &b in &buckets {
             assert!((700..1300).contains(&b), "bucket count {b} far from 1000");

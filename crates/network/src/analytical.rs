@@ -108,11 +108,6 @@ impl AnalyticalNet {
             free: Vec::new(),
         }
     }
-
-    /// Number of distinct physical links.
-    pub fn num_links(&self) -> usize {
-        self.links.links.len()
-    }
 }
 
 impl Links {

@@ -160,13 +160,15 @@ impl FaultPlan {
     }
 
     /// [`validate`](Self::validate) plus node-range checks against a concrete
-    /// platform of `num_nodes` NPUs.
+    /// platform of `num_npus` NPUs and `num_nodes` network nodes (NPUs
+    /// followed by switches).
     ///
     /// # Errors
     ///
     /// Everything [`validate`](Self::validate) rejects, plus any fault
-    /// endpoint or straggler index `≥ num_nodes`.
-    pub fn validate_for(&self, num_nodes: usize) -> Result<(), FaultError> {
+    /// endpoint `≥ num_nodes` and any straggler `≥ num_npus`: link faults
+    /// may name switches, stragglers only NPUs.
+    pub fn validate_for(&self, num_npus: usize, num_nodes: usize) -> Result<(), FaultError> {
         self.validate()?;
         for f in &self.link_faults {
             for (what, node) in [("link fault source", f.from), ("link fault target", f.to)] {
@@ -180,11 +182,11 @@ impl FaultPlan {
             }
         }
         for s in &self.stragglers {
-            if s.npu >= num_nodes {
+            if s.npu >= num_npus {
                 return Err(FaultError::NodeOutOfRange {
                     what: "straggler",
                     node: s.npu,
-                    num_nodes,
+                    num_nodes: num_npus,
                 });
             }
         }
@@ -230,14 +232,6 @@ impl FaultPlan {
         pairs.sort_unstable();
         pairs.dedup();
         pairs
-    }
-
-    /// Whether the pair `from → to` is inside a hard-down window at `t`.
-    pub fn is_down_at(&self, from: NodeId, to: NodeId, t: Time) -> bool {
-        self.link_faults.iter().any(|f| {
-            f.from == from && f.to == to && matches!(f.kind, FaultKind::Down) && f.start <= t
-                && t < f.end
-        })
     }
 }
 
@@ -406,7 +400,7 @@ mod tests {
         let p = FaultPlan::default();
         assert!(p.is_empty());
         assert!(p.validate().is_ok());
-        assert!(p.validate_for(1).is_ok());
+        assert!(p.validate_for(1, 1).is_ok());
         assert_eq!(p.compute_slowdown(0), 1.0);
         assert!(p.windows_for(NodeId(0), NodeId(1)).is_empty());
     }
@@ -478,12 +472,27 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(p.validate().is_ok());
-        let err = p.validate_for(4).unwrap_err();
+        let err = p.validate_for(4, 4).unwrap_err();
         assert!(matches!(
             err,
             FaultError::NodeOutOfRange { node: 7, .. }
         ));
         assert!(err.to_string().contains("only 4 npus"));
+        // Link faults may name switches; stragglers only NPUs.
+        assert!(p.validate_for(4, 8).is_ok());
+        let p = FaultPlan {
+            stragglers: vec![Straggler {
+                npu: 5,
+                slowdown: 2.0,
+            }],
+            ..FaultPlan::default()
+        };
+        assert!(p.validate_for(6, 8).is_ok());
+        let err = p.validate_for(4, 8).unwrap_err();
+        assert!(matches!(
+            err,
+            FaultError::NodeOutOfRange { what: "straggler", node: 5, num_nodes: 4 }
+        ));
     }
 
     #[test]
@@ -512,8 +521,6 @@ mod tests {
         assert_eq!(w01.release_after(cyc(200)), cyc(200)); // end is exclusive
         assert_eq!(w01.factor_at(cyc(149)), 1.0);
         assert_eq!(w01.factor_at(cyc(150)), 0.25);
-        assert!(p.is_down_at(NodeId(0), NodeId(1), cyc(100)));
-        assert!(!p.is_down_at(NodeId(0), NodeId(1), cyc(200)));
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl GarnetNet {
         }
     }
 
-    /// Number of distinct physical links.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Fault gate for a transmit attempt at `now`: inside a hard-down window
     /// the link transmits nothing — a retry probe is scheduled for the end
     /// of the outage (once; `stalled_until` deduplicates) — otherwise the

@@ -81,11 +81,6 @@ impl NetStats {
         self.latency.record_time(latency);
         self.source_queueing.record_time(queueing);
     }
-
-    /// Peak per-link busy-cycle count (the bottleneck link's occupancy).
-    pub fn max_link_busy(&self) -> u64 {
-        self.links.iter().map(|l| l.busy_cycles).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(s.package_link_bytes, 100);
         assert_eq!(s.delivered, 1);
         assert_eq!(s.latency.mean(), 50.0);
-        assert_eq!(s.max_link_busy(), 10);
     }
 
     #[test]

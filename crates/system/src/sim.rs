@@ -23,7 +23,7 @@ use astra_collectives::{plan_with_intra, PhaseMachine, SendCmd};
 use astra_des::hash::IdMap;
 use astra_des::{EventQueue, SlabKey, Time};
 use astra_network::{
-    AnalyticalNet, Arrival, Backend, FaultError, FaultPlan, GarnetNet, NetEvent, NetScheduler,
+    AnalyticalNet, Arrival, Backend, FaultPlan, GarnetNet, NetEvent, NetScheduler,
     NetworkConfig,
 };
 use astra_topology::{LogicalTopology, NodeId, Route};
@@ -195,19 +195,7 @@ impl SystemSim {
             .as_ref()
             .map(|o| &o.physical)
             .unwrap_or(&self.topo);
-        plan.validate_for(physical.num_network_nodes())?;
-        // Link faults may name switches; stragglers are NPUs only.
-        let num_npus = self.topo.num_npus();
-        for s in &plan.stragglers {
-            if s.npu >= num_npus {
-                return Err(FaultError::NodeOutOfRange {
-                    what: "straggler",
-                    node: s.npu,
-                    num_nodes: num_npus,
-                }
-                .into());
-            }
-        }
+        plan.validate_for(self.topo.num_npus(), physical.num_network_nodes())?;
         self.net.install_link_faults(plan);
         self.transport.install(plan);
         Ok(())

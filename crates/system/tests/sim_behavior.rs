@@ -301,7 +301,7 @@ mod core_behavior {
 mod fault_behavior {
     use super::*;
     use astra_network::{FaultKind, FaultPlan, LinkFault, LossSpec};
-    use astra_topology::PodFabric;
+    use astra_topology::{HierAllToAll, PodFabric};
 
     /// Two pods of 4 NPUs behind one scale-out switch.
     fn pods8() -> LogicalTopology {
@@ -476,6 +476,24 @@ mod fault_behavior {
         let err = s.install_faults(&plan).unwrap_err();
         assert!(matches!(err, SystemError::Fault(_)), "got: {err}");
         // Plan rejected atomically: nothing installed.
+        assert!(s.faults().is_empty());
+    }
+
+    #[test]
+    fn straggler_on_a_switch_id_is_rejected() {
+        // 1x8@7: network nodes 8..15 are global switches, which compute
+        // nothing and so cannot straggle.
+        let topo = LogicalTopology::alltoall(HierAllToAll::new(1, 8, 1, 7).unwrap());
+        let mut s = sim(topo);
+        let plan = FaultPlan {
+            stragglers: vec![astra_network::Straggler {
+                npu: 9,
+                slowdown: 2.0,
+            }],
+            ..FaultPlan::default()
+        };
+        let err = s.install_faults(&plan).unwrap_err().to_string();
+        assert!(err.contains("straggler") && err.contains("npu 9"), "got: {err}");
         assert!(s.faults().is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! The hierarchical alltoall fabric (Fig 3b).
 
-use crate::{Channel, Dim, DimSpec, Hop, LinkClass, LinkSpec, NodeId, Ring, Route, TopologyError};
-use serde::{Deserialize, Serialize};
+use crate::switched::Switched;
+use crate::{Dim, LinkClass, LinkSpec, NodeId, TopologyError, Torus3d};
 
 /// A hierarchical `M × N` alltoall fabric.
 ///
@@ -16,22 +16,17 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use astra_topology::{Dim, HierAllToAll, NodeId};
+/// use astra_topology::{Dim, HierAllToAll, LogicalTopology, NodeId};
 /// // Fig 3b: local size 2, 3 packages, 2 global switches.
 /// let a = HierAllToAll::new(2, 3, 1, 2)?;
 /// assert_eq!(a.num_npus(), 6);
 /// // NPUs with the same local index work together on the package dimension.
-/// let group = a.ring(Dim::Package, 0, NodeId(0))?;
+/// let group = LogicalTopology::alltoall(a).ring(Dim::Package, 0, NodeId(0))?;
 /// assert_eq!(group.members(), &[NodeId(0), NodeId(2), NodeId(4)]);
 /// # Ok::<(), astra_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HierAllToAll {
-    local: usize,
-    packages: usize,
-    local_rings: usize,
-    switches: usize,
-}
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HierAllToAll(pub(crate) Switched);
 
 impl HierAllToAll {
     /// Creates a hierarchical alltoall fabric.
@@ -62,32 +57,35 @@ impl HierAllToAll {
                 what: "active package dimension needs at least one switch",
             });
         }
-        Ok(HierAllToAll {
-            local,
-            packages,
-            local_rings,
+        // A package is a 1-D torus of unidirectional local rings.
+        let package = Torus3d::new(local, 1, 1, local_rings, 0, 0)?;
+        Ok(HierAllToAll(Switched {
+            block: package,
+            groups: packages,
             switches,
-        })
+            dim: Dim::Package,
+            class: LinkClass::Package,
+        }))
     }
 
     /// NPUs per package `M`.
     pub fn local(&self) -> usize {
-        self.local
+        self.0.block.local()
     }
 
     /// Number of packages `N`.
     pub fn packages(&self) -> usize {
-        self.packages
+        self.0.groups
     }
 
     /// Number of global switches.
     pub fn switches(&self) -> usize {
-        self.switches
+        self.0.switches
     }
 
     /// Total NPUs (`M*N`).
     pub fn num_npus(&self) -> usize {
-        self.local * self.packages
+        self.0.num_npus()
     }
 
     /// Network id of global switch `s`.
@@ -96,8 +94,7 @@ impl HierAllToAll {
     ///
     /// Panics if `s >= switches`.
     pub fn switch_id(&self, s: usize) -> NodeId {
-        assert!(s < self.switches, "switch {s} out of range");
-        NodeId(self.num_npus() + s)
+        self.0.switch_id(s)
     }
 
     /// `(local index, package)` of an NPU.
@@ -106,183 +103,25 @@ impl HierAllToAll {
     ///
     /// Fails if `node` is out of range.
     pub fn split(&self, node: NodeId) -> Result<(usize, usize), TopologyError> {
-        if node.index() >= self.num_npus() {
-            return Err(TopologyError::NodeOutOfRange {
-                node,
-                num_npus: self.num_npus(),
-            });
-        }
-        Ok((node.index() % self.local, node.index() / self.local))
+        self.0.split(node)
     }
 
-    /// Active dimensions: local (ring) then package (direct/switch-based).
-    pub fn dims(&self) -> Vec<DimSpec> {
-        let mut out = Vec::new();
-        if self.local > 1 {
-            out.push(DimSpec {
-                dim: Dim::Local,
-                size: self.local,
-                concurrency: self.local_rings,
-                class: LinkClass::Local,
-                is_ring: true,
-            });
-        }
-        if self.packages > 1 {
-            out.push(DimSpec {
-                dim: Dim::Package,
-                size: self.packages,
-                concurrency: self.switches,
-                class: LinkClass::Package,
-                is_ring: false,
-            });
-        }
-        out
-    }
-
-    /// The ring/group through `node` on `dim`.
-    ///
-    /// For `Dim::Local` this is the intra-package ring; for `Dim::Package`
-    /// it is the group of same-local-index NPUs across packages (ordered by
-    /// package), whose channel names the global switch `ring_idx`.
-    ///
-    /// # Errors
-    ///
-    /// Fails for inactive dimensions or out-of-range indices.
-    pub fn ring(&self, dim: Dim, ring_idx: usize, node: NodeId) -> Result<Ring, TopologyError> {
-        let (l, p) = self.split(node)?;
-        match dim {
-            Dim::Local => {
-                if self.local <= 1 {
-                    return Err(TopologyError::InactiveDim { dim });
-                }
-                if ring_idx >= self.local_rings {
-                    return Err(TopologyError::ChannelOutOfRange {
-                        dim,
-                        requested: ring_idx,
-                        available: self.local_rings,
-                    });
-                }
-                let members = (0..self.local)
-                    .map(|i| NodeId(i + self.local * p))
-                    .collect();
-                Ring::new(
-                    Channel {
-                        dim,
-                        ring: ring_idx,
-                    },
-                    members,
-                )
-            }
-            Dim::Package => {
-                if self.packages <= 1 {
-                    return Err(TopologyError::InactiveDim { dim });
-                }
-                if ring_idx >= self.switches {
-                    return Err(TopologyError::ChannelOutOfRange {
-                        dim,
-                        requested: ring_idx,
-                        available: self.switches,
-                    });
-                }
-                let members = (0..self.packages)
-                    .map(|q| NodeId(l + self.local * q))
-                    .collect();
-                Ring::new(
-                    Channel {
-                        dim,
-                        ring: ring_idx,
-                    },
-                    members,
-                )
-            }
-            _ => Err(TopologyError::InactiveDim { dim }),
-        }
-    }
-
-    /// The 2-hop route `src → switch → dst` through global switch
-    /// `switch_idx`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the indices are out of range or `src == dst`.
-    pub fn switch_route(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        switch_idx: usize,
-    ) -> Result<Route, TopologyError> {
-        self.split(src)?;
-        self.split(dst)?;
-        if switch_idx >= self.switches {
-            return Err(TopologyError::ChannelOutOfRange {
-                dim: Dim::Package,
-                requested: switch_idx,
-                available: self.switches,
-            });
-        }
-        if src == dst {
-            return Err(TopologyError::BadDistance {
-                steps: 0,
-                ring_size: self.packages,
-            });
-        }
-        let sw = self.switch_id(switch_idx);
-        let channel = Channel {
-            dim: Dim::Package,
-            ring: switch_idx,
-        };
-        Ok(Route::new(vec![
-            Hop {
-                from: src,
-                to: sw,
-                channel,
-            },
-            Hop {
-                from: sw,
-                to: dst,
-                channel,
-            },
-        ]))
-    }
-
-    /// Enumerates all physical links: local ring links plus, for every
-    /// switch, an up-link and a down-link per NPU.
+    /// Enumerates all physical links ring by ring — local ring 0 of every
+    /// package, then ring 1, … — then, switch by switch, an up-link and a
+    /// down-link per NPU.
     pub fn links(&self) -> Vec<LinkSpec> {
+        let s = &self.0;
         let mut out = Vec::new();
-        if self.local > 1 {
-            for ring_idx in 0..self.local_rings {
-                for p in 0..self.packages {
-                    let anchor = NodeId(self.local * p);
-                    let ring = self
-                        .ring(Dim::Local, ring_idx, anchor)
-                        .expect("anchor valid");
-                    out.extend(ring.links(LinkClass::Local));
+        for spec in s.block.dims() {
+            for ring_idx in 0..spec.concurrency {
+                let ring = s.block.ring(spec.dim, ring_idx, NodeId(0));
+                let links = ring.expect("package ring").links(spec.class);
+                for p in 0..s.groups {
+                    out.extend(s.offset_links(&links, p));
                 }
             }
         }
-        if self.packages > 1 {
-            for s in 0..self.switches {
-                let sw = self.switch_id(s);
-                let channel = Channel {
-                    dim: Dim::Package,
-                    ring: s,
-                };
-                for n in 0..self.num_npus() {
-                    out.push(LinkSpec {
-                        from: NodeId(n),
-                        to: sw,
-                        channel,
-                        class: LinkClass::Package,
-                    });
-                    out.push(LinkSpec {
-                        from: sw,
-                        to: NodeId(n),
-                        channel,
-                        class: LinkClass::Package,
-                    });
-                }
-            }
-        }
+        s.push_switch_links(&mut out);
         out
     }
 }
@@ -290,25 +129,26 @@ impl HierAllToAll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogicalTopology;
 
-    fn fig3b() -> HierAllToAll {
-        HierAllToAll::new(2, 3, 1, 2).unwrap()
+    fn fig3b() -> LogicalTopology {
+        LogicalTopology::alltoall(HierAllToAll::new(2, 3, 1, 2).unwrap())
     }
 
     #[test]
     fn split_roundtrip() {
-        let a = fig3b();
+        let a = HierAllToAll::new(2, 3, 1, 2).unwrap();
         for id in 0..a.num_npus() {
             let (l, p) = a.split(NodeId(id)).unwrap();
             assert_eq!(l + a.local() * p, id);
         }
         assert!(a.split(NodeId(6)).is_err());
+        assert_eq!(a.switch_id(1), NodeId(7));
     }
 
     #[test]
     fn dims_local_then_package() {
-        let a = fig3b();
-        let dims = a.dims();
+        let dims = fig3b().dims();
         assert_eq!(dims.len(), 2);
         assert_eq!((dims[0].dim, dims[0].size, dims[0].concurrency), (Dim::Local, 2, 1));
         assert_eq!(
@@ -321,7 +161,7 @@ mod tests {
     #[test]
     fn one_nam_per_nap_has_only_package_dim() {
         // Fig 9's 1x8 alltoall.
-        let a = HierAllToAll::new(1, 8, 0, 7).unwrap();
+        let a = LogicalTopology::alltoall(HierAllToAll::new(1, 8, 0, 7).unwrap());
         let dims = a.dims();
         assert_eq!(dims.len(), 1);
         assert_eq!(dims[0].dim, Dim::Package);
@@ -330,10 +170,17 @@ mod tests {
 
     #[test]
     fn package_group_members() {
-        let a = fig3b();
-        let g = a.ring(Dim::Package, 1, NodeId(3)).unwrap();
+        let g = fig3b().ring(Dim::Package, 1, NodeId(3)).unwrap();
         // Node 3 has local index 1; group = {1, 3, 5}.
         assert_eq!(g.members(), &[NodeId(1), NodeId(3), NodeId(5)]);
+    }
+
+    #[test]
+    fn local_ring_stays_in_package() {
+        let r = fig3b().ring(Dim::Local, 0, NodeId(5)).unwrap();
+        assert_eq!(r.members(), &[NodeId(4), NodeId(5)]);
+        assert!(fig3b().ring(Dim::Local, 1, NodeId(0)).is_err());
+        assert!(fig3b().ring(Dim::Horizontal, 0, NodeId(0)).is_err());
     }
 
     #[test]
@@ -343,17 +190,16 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.src(), NodeId(0));
         assert_eq!(r.dst(), NodeId(4));
-        assert_eq!(r.hops()[0].to, a.switch_id(1));
+        assert_eq!(r.hops()[0].to, NodeId(7));
         assert!(a.switch_route(NodeId(0), NodeId(0), 0).is_err());
         assert!(a.switch_route(NodeId(0), NodeId(1), 5).is_err());
     }
 
     #[test]
     fn link_enumeration_counts() {
-        let a = fig3b();
         // local: 1 ring * 3 packages * 2 links = 6
         // package: 2 switches * 6 npus * 2 directions = 24
-        assert_eq!(a.links().len(), 30);
+        assert_eq!(fig3b().links().len(), 30);
     }
 
     #[test]
@@ -368,6 +214,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn switch_id_out_of_range_panics() {
-        fig3b().switch_id(2);
+        HierAllToAll::new(2, 3, 1, 2).unwrap().switch_id(2);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Logical and physical topology machinery for the ASTRA-sim reproduction.
 //!
-//! The paper (§III-C) studies two families of hierarchical scale-up fabrics:
+//! The paper (§III-C) studies two families of hierarchical scale-up fabrics,
+//! and this crate adds the scale-out extension the paper leaves to future
+//! work (§VII):
 //!
 //! * a **hierarchical 3D torus** `M × N × K` (Fig 3a) with a *local*
 //!   dimension of `M` NPUs inside a package connected by fast unidirectional
@@ -10,14 +12,20 @@
 //!   bidirectional inter-package rings;
 //! * a **hierarchical alltoall** `M × N` (Fig 3b) with the same local rings
 //!   inside each of `N` packages and global switches providing alltoall
-//!   connectivity between packages.
+//!   connectivity between packages;
+//! * **pods**: `P` copies of a torus joined by scale-out switches.
+//!
+//! The alltoall and the pods share one switch tier: copies of a torus block
+//! (a package's local rings, or a whole pod) whose same-slot NPUs meet
+//! through switches. Its id layout, groups, routes and switch links are
+//! written once, in a crate-private module.
 //!
 //! This crate provides:
 //!
 //! * [`NodeId`] / [`Coord`] — node identity and 3-D coordinates;
 //! * [`Dim`] — the named dimensions collectives iterate over;
-//! * [`Torus3d`] and [`HierAllToAll`] — the two fabrics, unified under
-//!   [`LogicalTopology`];
+//! * [`Torus3d`], [`HierAllToAll`] and [`PodFabric`] — the three fabrics,
+//!   unified under [`LogicalTopology`];
 //! * ring enumeration ([`LogicalTopology::ring`]) and route computation
 //!   ([`LogicalTopology::ring_route`], [`LogicalTopology::switch_route`]) for
 //!   the network backends;
@@ -51,6 +59,7 @@ mod node;
 mod pathfind;
 mod pods;
 mod route;
+mod switched;
 mod torus;
 
 pub use alltoall::HierAllToAll;
@@ -63,8 +72,6 @@ pub use pods::PodFabric;
 pub use route::{Channel, Hop, LinkClass, LinkSpec, Ring, Route};
 pub use torus::Torus3d;
 
-use serde::{Deserialize, Serialize};
-
 /// A logical topology: the fabric shape the collective algorithms are
 /// synthesized against.
 ///
@@ -72,7 +79,7 @@ use serde::{Deserialize, Serialize};
 /// completely different from the actual physical network topology" (§IV-B).
 /// In the default configuration there is a one-to-one mapping between the
 /// two; see [`Mapping`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogicalTopology {
     /// Hierarchical 3D torus (`M × N × K`, Fig 3a).
     Torus3d(Torus3d),
@@ -86,36 +93,34 @@ pub enum LogicalTopology {
 impl LogicalTopology {
     /// Wraps a torus. Convenience alias for `LogicalTopology::Torus3d(t)`.
     pub fn torus(t: Torus3d) -> Self {
-        LogicalTopology::Torus3d(t)
+        Self::Torus3d(t)
     }
 
     /// Wraps a hierarchical alltoall.
     pub fn alltoall(a: HierAllToAll) -> Self {
-        LogicalTopology::AllToAll(a)
+        Self::AllToAll(a)
     }
 
     /// Wraps a pod (scale-out) fabric.
     pub fn pods(f: PodFabric) -> Self {
-        LogicalTopology::Pods(f)
+        Self::Pods(f)
     }
 
     /// Total number of NPUs (excludes switches).
     pub fn num_npus(&self) -> usize {
         match self {
-            LogicalTopology::Torus3d(t) => t.num_npus(),
-            LogicalTopology::AllToAll(a) => a.num_npus(),
-            LogicalTopology::Pods(f) => f.num_npus(),
+            Self::Torus3d(t) => t.num_npus(),
+            Self::AllToAll(HierAllToAll(s)) | Self::Pods(PodFabric(s)) => s.num_npus(),
         }
     }
 
-    /// Total number of network endpoints: NPUs plus (for the alltoall
-    /// fabric) global switches. Switch node ids start at
+    /// Total number of network endpoints: NPUs plus (for the alltoall and
+    /// pod fabrics) switches. Switch node ids start at
     /// [`LogicalTopology::num_npus`].
     pub fn num_network_nodes(&self) -> usize {
         match self {
-            LogicalTopology::Torus3d(t) => t.num_npus(),
-            LogicalTopology::AllToAll(a) => a.num_npus() + a.switches(),
-            LogicalTopology::Pods(f) => f.num_npus() + f.switches(),
+            Self::Torus3d(t) => t.num_npus(),
+            Self::AllToAll(HierAllToAll(s)) | Self::Pods(PodFabric(s)) => s.num_npus() + s.switches,
         }
     }
 
@@ -125,9 +130,8 @@ impl LogicalTopology {
     /// to talk to.
     pub fn dims(&self) -> Vec<DimSpec> {
         match self {
-            LogicalTopology::Torus3d(t) => t.dims(),
-            LogicalTopology::AllToAll(a) => a.dims(),
-            LogicalTopology::Pods(f) => f.dims(),
+            Self::Torus3d(t) => t.dims(),
+            Self::AllToAll(HierAllToAll(s)) | Self::Pods(PodFabric(s)) => s.dims(),
         }
     }
 
@@ -142,9 +146,10 @@ impl LogicalTopology {
     /// `ring_idx` is out of range.
     pub fn ring(&self, dim: Dim, ring_idx: usize, node: NodeId) -> Result<Ring, TopologyError> {
         match self {
-            LogicalTopology::Torus3d(t) => t.ring(dim, ring_idx, node),
-            LogicalTopology::AllToAll(a) => a.ring(dim, ring_idx, node),
-            LogicalTopology::Pods(f) => f.ring(dim, ring_idx, node),
+            Self::Torus3d(t) => t.ring(dim, ring_idx, node),
+            Self::AllToAll(HierAllToAll(s)) | Self::Pods(PodFabric(s)) => {
+                s.ring(dim, ring_idx, node)
+            }
         }
     }
 
@@ -168,8 +173,8 @@ impl LogicalTopology {
         ring.route_from(src, steps)
     }
 
-    /// The 2-hop route `src → switch → dst` through global switch
-    /// `switch_idx` (alltoall fabric only).
+    /// The 2-hop route `src → switch → dst` through switch `switch_idx`
+    /// (alltoall and pod fabrics only).
     ///
     /// # Errors
     ///
@@ -181,9 +186,10 @@ impl LogicalTopology {
         switch_idx: usize,
     ) -> Result<Route, TopologyError> {
         match self {
-            LogicalTopology::Torus3d(_) => Err(TopologyError::NoSwitches),
-            LogicalTopology::AllToAll(a) => a.switch_route(src, dst, switch_idx),
-            LogicalTopology::Pods(f) => f.switch_route(src, dst, switch_idx),
+            Self::Torus3d(_) => Err(TopologyError::NoSwitches),
+            Self::AllToAll(HierAllToAll(s)) | Self::Pods(PodFabric(s)) => {
+                s.switch_route(src, dst, switch_idx)
+            }
         }
     }
 
@@ -191,22 +197,22 @@ impl LogicalTopology {
     /// backends build their link tables from this.
     pub fn links(&self) -> Vec<LinkSpec> {
         match self {
-            LogicalTopology::Torus3d(t) => t.links(),
-            LogicalTopology::AllToAll(a) => a.links(),
-            LogicalTopology::Pods(f) => f.links(),
+            Self::Torus3d(t) => t.links(),
+            Self::AllToAll(a) => a.links(),
+            Self::Pods(f) => f.links(),
         }
     }
 
     /// Human-readable shape, e.g. `"2x4x4 torus"` or `"4x16 alltoall"`.
     pub fn shape_string(&self) -> String {
         match self {
-            LogicalTopology::Torus3d(t) => {
+            Self::Torus3d(t) => {
                 format!("{}x{}x{} torus", t.local(), t.horizontal(), t.vertical())
             }
-            LogicalTopology::AllToAll(a) => {
+            Self::AllToAll(a) => {
                 format!("{}x{} alltoall", a.local(), a.packages())
             }
-            LogicalTopology::Pods(f) => format!(
+            Self::Pods(f) => format!(
                 "{}x{}x{} torus x {} pods",
                 f.pod().local(),
                 f.pod().horizontal(),

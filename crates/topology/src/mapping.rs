@@ -1,6 +1,6 @@
 //! Logical → physical node mapping.
 
-use crate::{Hop, NodeId, Route, TopologyError};
+use crate::{NodeId, TopologyError};
 use serde::{Deserialize, Serialize};
 
 /// A permutation mapping logical NPU ids to physical NPU ids.
@@ -78,27 +78,11 @@ impl Mapping {
             None => node,
         }
     }
-
-    /// Maps every endpoint of a route.
-    pub fn map_route(&self, route: &Route) -> Route {
-        Route::new(
-            route
-                .hops()
-                .iter()
-                .map(|h| Hop {
-                    from: self.apply(h.from),
-                    to: self.apply(h.to),
-                    channel: h.channel,
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Channel, Dim};
 
     #[test]
     fn identity_is_identity() {
@@ -114,29 +98,5 @@ mod tests {
         assert!(Mapping::from_permutation(vec![0, 0]).is_err());
         assert!(Mapping::from_permutation(vec![0, 2]).is_err());
         assert!(Mapping::from_permutation(vec![1, 0]).is_ok());
-    }
-
-    #[test]
-    fn maps_route_endpoints() {
-        let m = Mapping::from_permutation(vec![1, 2, 0]).unwrap();
-        let ch = Channel {
-            dim: Dim::Local,
-            ring: 0,
-        };
-        let route = Route::new(vec![
-            Hop {
-                from: NodeId(0),
-                to: NodeId(1),
-                channel: ch,
-            },
-            Hop {
-                from: NodeId(1),
-                to: NodeId(2),
-                channel: ch,
-            },
-        ]);
-        let mapped = m.map_route(&route);
-        assert_eq!(mapped.src(), NodeId(1));
-        assert_eq!(mapped.dst(), NodeId(0));
     }
 }

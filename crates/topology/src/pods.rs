@@ -11,10 +11,8 @@
 //! becomes reduce-scatter on local, all-reduce over the inter-package and
 //! scale-out dimensions on the shard, all-gather on local.
 
-use crate::{
-    Channel, Dim, DimSpec, Hop, LinkClass, LinkSpec, NodeId, Ring, Route, TopologyError, Torus3d,
-};
-use serde::{Deserialize, Serialize};
+use crate::switched::Switched;
+use crate::{Dim, LinkClass, LinkSpec, NodeId, TopologyError, Torus3d};
 
 /// `pods` copies of a scale-up torus, joined by scale-out switches.
 ///
@@ -24,21 +22,17 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use astra_topology::{Dim, NodeId, PodFabric, Torus3d};
+/// use astra_topology::{Dim, LogicalTopology, NodeId, PodFabric, Torus3d};
 /// // Four 2x2x2 pods behind 2 scale-out switches: 32 NPUs.
 /// let f = PodFabric::new(Torus3d::new(2, 2, 2, 2, 1, 1)?, 4, 2)?;
 /// assert_eq!(f.num_npus(), 32);
 /// // NPU 0's scale-out group: same intra-pod slot in every pod.
-/// let group = f.ring(Dim::ScaleOut, 0, NodeId(0))?;
+/// let group = LogicalTopology::pods(f).ring(Dim::ScaleOut, 0, NodeId(0))?;
 /// assert_eq!(group.members(), &[NodeId(0), NodeId(8), NodeId(16), NodeId(24)]);
 /// # Ok::<(), astra_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PodFabric {
-    pod: Torus3d,
-    pods: usize,
-    switches: usize,
-}
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PodFabric(pub(crate) Switched);
 
 impl PodFabric {
     /// Creates a pod fabric.
@@ -58,41 +52,33 @@ impl PodFabric {
                 what: "multiple pods need at least one scale-out switch",
             });
         }
-        Ok(PodFabric {
-            pod,
-            pods,
+        Ok(PodFabric(Switched {
+            block: pod,
+            groups: pods,
             switches,
-        })
+            dim: Dim::ScaleOut,
+            class: LinkClass::ScaleOut,
+        }))
     }
 
     /// The scale-up pod template.
     pub fn pod(&self) -> &Torus3d {
-        &self.pod
+        &self.0.block
     }
 
     /// Number of pods.
     pub fn pods(&self) -> usize {
-        self.pods
+        self.0.groups
     }
 
     /// Number of scale-out switches.
     pub fn switches(&self) -> usize {
-        self.switches
+        self.0.switches
     }
 
     /// Total NPUs across all pods.
     pub fn num_npus(&self) -> usize {
-        self.pod.num_npus() * self.pods
-    }
-
-    /// Network id of scale-out switch `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= switches`.
-    pub fn switch_id(&self, s: usize) -> NodeId {
-        assert!(s < self.switches, "scale-out switch {s} out of range");
-        NodeId(self.num_npus() + s)
+        self.0.num_npus()
     }
 
     /// `(intra-pod id, pod index)` of an NPU.
@@ -101,158 +87,20 @@ impl PodFabric {
     ///
     /// Fails if `node` is out of range.
     pub fn split(&self, node: NodeId) -> Result<(usize, usize), TopologyError> {
-        if node.index() >= self.num_npus() {
-            return Err(TopologyError::NodeOutOfRange {
-                node,
-                num_npus: self.num_npus(),
-            });
-        }
-        let pod_size = self.pod.num_npus();
-        Ok((node.index() % pod_size, node.index() / pod_size))
+        self.0.split(node)
     }
 
-    /// Active dimensions: the pod's dimensions followed by scale-out.
-    pub fn dims(&self) -> Vec<DimSpec> {
-        let mut out = self.pod.dims();
-        if self.pods > 1 {
-            out.push(DimSpec {
-                dim: Dim::ScaleOut,
-                size: self.pods,
-                concurrency: self.switches,
-                class: LinkClass::ScaleOut,
-                is_ring: false,
-            });
-        }
-        out
-    }
-
-    /// The ring/group through `node` on `dim`: pod dimensions delegate to
-    /// the pod torus (with ids offset into the right pod); the scale-out
-    /// dimension groups same-slot NPUs across pods.
-    ///
-    /// # Errors
-    ///
-    /// Fails for inactive dimensions or out-of-range indices.
-    pub fn ring(&self, dim: Dim, ring_idx: usize, node: NodeId) -> Result<Ring, TopologyError> {
-        let (intra, pod_idx) = self.split(node)?;
-        let pod_size = self.pod.num_npus();
-        if dim == Dim::ScaleOut {
-            if self.pods <= 1 {
-                return Err(TopologyError::InactiveDim { dim });
-            }
-            if ring_idx >= self.switches {
-                return Err(TopologyError::ChannelOutOfRange {
-                    dim,
-                    requested: ring_idx,
-                    available: self.switches,
-                });
-            }
-            let members = (0..self.pods)
-                .map(|p| NodeId(intra + pod_size * p))
-                .collect();
-            return Ring::new(
-                Channel {
-                    dim,
-                    ring: ring_idx,
-                },
-                members,
-            );
-        }
-        let inner = self.pod.ring(dim, ring_idx, NodeId(intra))?;
-        let offset = pod_size * pod_idx;
-        Ring::new(
-            inner.channel(),
-            inner
-                .members()
-                .iter()
-                .map(|m| NodeId(m.index() + offset))
-                .collect(),
-        )
-    }
-
-    /// The 2-hop route `src → scale-out switch → dst`.
-    ///
-    /// # Errors
-    ///
-    /// Fails for out-of-range indices or `src == dst`.
-    pub fn switch_route(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        switch_idx: usize,
-    ) -> Result<Route, TopologyError> {
-        self.split(src)?;
-        self.split(dst)?;
-        if switch_idx >= self.switches {
-            return Err(TopologyError::ChannelOutOfRange {
-                dim: Dim::ScaleOut,
-                requested: switch_idx,
-                available: self.switches,
-            });
-        }
-        if src == dst {
-            return Err(TopologyError::BadDistance {
-                steps: 0,
-                ring_size: self.pods,
-            });
-        }
-        let sw = self.switch_id(switch_idx);
-        let channel = Channel {
-            dim: Dim::ScaleOut,
-            ring: switch_idx,
-        };
-        Ok(Route::new(vec![
-            Hop {
-                from: src,
-                to: sw,
-                channel,
-            },
-            Hop {
-                from: sw,
-                to: dst,
-                channel,
-            },
-        ]))
-    }
-
-    /// Every physical link: pod links replicated per pod, plus scale-out
-    /// up/down links for every NPU and switch.
+    /// Every physical link pod by pod — all of pod 0's links in the torus's
+    /// own order, then pod 1's, … — then, switch by switch, a scale-out
+    /// up-link and down-link per NPU.
     pub fn links(&self) -> Vec<LinkSpec> {
+        let s = &self.0;
+        let pod_links = s.block.links();
         let mut out = Vec::new();
-        let pod_size = self.pod.num_npus();
-        for pod_idx in 0..self.pods {
-            let offset = pod_size * pod_idx;
-            for l in self.pod.links() {
-                out.push(LinkSpec {
-                    from: NodeId(l.from.index() + offset),
-                    to: NodeId(l.to.index() + offset),
-                    ..l
-                });
-            }
+        for pod_idx in 0..s.groups {
+            out.extend(s.offset_links(&pod_links, pod_idx));
         }
-        if self.pods > 1 {
-            for s in 0..self.switches {
-                let sw = self.switch_id(s);
-                let channel = Channel {
-                    dim: Dim::ScaleOut,
-                    ring: s,
-                };
-                for n in 0..self.num_npus() {
-                    out.push(LinkSpec {
-                        from: NodeId(n),
-                        to: sw,
-                        channel,
-                        class: LinkClass::ScaleOut,
-                    });
-                    out.push(LinkSpec {
-                        from: sw,
-                        to: NodeId(n),
-                        channel,
-                        class: LinkClass::ScaleOut,
-                    });
-                }
-            }
-        }
+        s.push_switch_links(&mut out);
         out
     }
 }
@@ -260,9 +108,14 @@ impl PodFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogicalTopology;
 
     fn fabric() -> PodFabric {
         PodFabric::new(Torus3d::new(2, 2, 1, 1, 1, 1).unwrap(), 3, 2).unwrap()
+    }
+
+    fn topo() -> LogicalTopology {
+        LogicalTopology::pods(fabric())
     }
 
     #[test]
@@ -272,13 +125,14 @@ mod tests {
         assert_eq!(f.split(NodeId(5)).unwrap(), (1, 1));
         assert_eq!(f.split(NodeId(11)).unwrap(), (3, 2));
         assert!(f.split(NodeId(12)).is_err());
-        assert_eq!(f.switch_id(1), NodeId(13));
+        assert_eq!(topo().num_network_nodes(), 14);
+        let r = topo().switch_route(NodeId(0), NodeId(4), 1).unwrap();
+        assert_eq!(r.hops()[0].to, NodeId(13));
     }
 
     #[test]
     fn dims_append_scale_out() {
-        let f = fabric();
-        let dims = f.dims();
+        let dims = topo().dims();
         let last = dims.last().unwrap();
         assert_eq!(last.dim, Dim::ScaleOut);
         assert_eq!(last.size, 3);
@@ -291,49 +145,45 @@ mod tests {
 
     #[test]
     fn pod_rings_are_offset_into_pods() {
-        let f = fabric();
-        // NPU 6 is intra 2 of pod 1; its local ring is {6, 7}... intra 2
-        // has coords (l=0, h=1): local ring = {intra 2, intra 3} + offset 4.
-        let r = f.ring(Dim::Local, 0, NodeId(6)).unwrap();
+        let t = topo();
+        // NPU 6 is intra 2 of pod 1; intra 2 has coords (l=0, h=1), so its
+        // local ring is {intra 2, intra 3} + offset 4.
+        let r = t.ring(Dim::Local, 0, NodeId(6)).unwrap();
         assert_eq!(r.members(), &[NodeId(6), NodeId(7)]);
-        let r = f.ring(Dim::Horizontal, 0, NodeId(5)).unwrap();
+        let r = t.ring(Dim::Horizontal, 0, NodeId(5)).unwrap();
         assert_eq!(r.members(), &[NodeId(5), NodeId(7)]);
     }
 
     #[test]
     fn scale_out_group_spans_pods() {
-        let f = fabric();
-        let g = f.ring(Dim::ScaleOut, 1, NodeId(7)).unwrap();
+        let g = topo().ring(Dim::ScaleOut, 1, NodeId(7)).unwrap();
         assert_eq!(g.members(), &[NodeId(3), NodeId(7), NodeId(11)]);
     }
 
     #[test]
     fn switch_routes_cross_pods() {
-        let f = fabric();
-        let r = f.switch_route(NodeId(0), NodeId(8), 0).unwrap();
+        let t = topo();
+        let r = t.switch_route(NodeId(0), NodeId(8), 0).unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.hops()[0].to, f.switch_id(0));
-        assert!(f.switch_route(NodeId(0), NodeId(0), 0).is_err());
-        assert!(f.switch_route(NodeId(0), NodeId(1), 5).is_err());
+        assert_eq!(r.hops()[0].to, NodeId(12));
+        assert!(t.switch_route(NodeId(0), NodeId(0), 0).is_err());
+        assert!(t.switch_route(NodeId(0), NodeId(1), 5).is_err());
     }
 
     #[test]
     fn links_count() {
-        let f = fabric();
-        // Pod links: 2x2x1 torus with 1 local uni ring + 1 bi horizontal:
-        // local 2 rings? local_rings=1 -> 2 packages? pod = 2x2x1: local
-        // dim 2 (1 ring x 2 anchors x 2 links = 4), horizontal dim 2
-        // (2 uni rings x 2 anchors... anchors for h: l-coord any with h=0:
-        // 2 anchors x 2 rings x 2 = 8). Per pod 12 links, x3 pods = 36.
+        // Per 2x2x1 pod: local 1 ring x 2 packages x 2 links = 4, horizontal
+        // 2 uni rings x 2 anchors x 2 links = 8; 12 x 3 pods = 36.
         // Scale-out: 2 switches x 12 NPUs x 2 dirs = 48.
-        assert_eq!(f.links().len(), 36 + 48);
+        assert_eq!(fabric().links().len(), 36 + 48);
     }
 
     #[test]
     fn single_pod_has_no_scale_out() {
         let f = PodFabric::new(Torus3d::new(2, 2, 1, 1, 1, 1).unwrap(), 1, 0).unwrap();
-        assert!(f.dims().iter().all(|d| d.dim != Dim::ScaleOut));
-        assert!(f.ring(Dim::ScaleOut, 0, NodeId(0)).is_err());
+        let t = LogicalTopology::pods(f);
+        assert!(t.dims().iter().all(|d| d.dim != Dim::ScaleOut));
+        assert!(t.ring(Dim::ScaleOut, 0, NodeId(0)).is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The hierarchical 3D torus fabric (Fig 3a).
 
 use crate::{Channel, Coord, Dim, DimSpec, LinkClass, LinkSpec, NodeId, Ring, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// A hierarchical `M × N × K` torus.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ring.members(), &[NodeId(0), NodeId(1)]);
 /// # Ok::<(), astra_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Torus3d {
     local: usize,
     horizontal: usize,

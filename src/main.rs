@@ -7,9 +7,10 @@
 //! astra-sim export --model transformer --out /tmp/transformer.txt
 //! ```
 //!
-//! Topologies are `MxNxK` (torus) or `MxN@S` (hierarchical alltoall with
-//! `S` global switches). All other parameters use Table III/IV defaults;
-//! use the library API for full control.
+//! Topologies are `MxNxK` (torus), `MxN@S` (hierarchical alltoall with
+//! `S` global switches) or `MxNxK*P@S` (`P` torus pods over `S` scale-out
+//! switches), parsed by `TopologyConfig`'s `FromStr`. All other parameters
+//! use Table III/IV defaults; use the library API for full control.
 
 use astra_sim::compute::ComputeModel;
 use astra_sim::collectives::{Algorithm, CollectiveOp};
@@ -17,7 +18,9 @@ use astra_sim::output::{fault_table, fmt_time, training_table};
 use astra_sim::sweep::{Axis, SweepEngine, SweepSpec};
 use astra_sim::system::{CollectiveRequest, SchedulingPolicy};
 use astra_sim::workload::{parser, zoo, Workload};
-use astra_sim::{Experiment, FaultPlan, SimConfig, Simulator, TopologyConfig};
+use astra_sim::{
+    CollectiveRunReport, Experiment, FaultPlan, SimConfig, Simulator, TopologyConfig,
+};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -158,43 +161,6 @@ impl Args {
     }
 }
 
-fn parse_topology(shape: &str) -> Result<SimConfig, String> {
-    if let Some((pod, scale_out)) = shape.split_once('*') {
-        let (pods, switches) = scale_out
-            .split_once('@')
-            .ok_or_else(|| format!("pods shape must be MxNxK*P@S, got '{shape}'"))?;
-        let mut cfg = parse_topology(pod)?;
-        let TopologyConfig::Torus { .. } = cfg.topology else {
-            return Err(format!("pods must be built from a torus pod, got '{pod}'"));
-        };
-        cfg.topology = TopologyConfig::Pods {
-            pod: Box::new(cfg.topology),
-            pods: pods.parse().map_err(|_| "bad pod count")?,
-            switches: switches.parse().map_err(|_| "bad scale-out switch count")?,
-        };
-        return Ok(cfg);
-    }
-    if let Some((dims, switches)) = shape.split_once('@') {
-        let parts: Vec<&str> = dims.split('x').collect();
-        if parts.len() != 2 {
-            return Err(format!("alltoall shape must be MxN@S, got '{shape}'"));
-        }
-        let m: usize = parts[0].parse().map_err(|_| "bad local size")?;
-        let n: usize = parts[1].parse().map_err(|_| "bad package count")?;
-        let s: usize = switches.parse().map_err(|_| "bad switch count")?;
-        Ok(SimConfig::alltoall(m, n, s))
-    } else {
-        let parts: Vec<&str> = shape.split('x').collect();
-        if parts.len() != 3 {
-            return Err(format!("torus shape must be MxNxK, got '{shape}'"));
-        }
-        let m: usize = parts[0].parse().map_err(|_| "bad local size")?;
-        let n: usize = parts[1].parse().map_err(|_| "bad horizontal size")?;
-        let k: usize = parts[2].parse().map_err(|_| "bad vertical size")?;
-        Ok(SimConfig::torus(m, n, k))
-    }
-}
-
 /// Loads and pre-validates a JSON fault plan, naming the file in every
 /// error so a bad plan is actionable from the shell.
 fn load_faults(path: &str) -> Result<FaultPlan, String> {
@@ -229,7 +195,7 @@ fn load_model(name: &str, minibatch: u64) -> Result<Workload, String> {
 }
 
 fn cmd_collective(args: &Args) -> Result<(), String> {
-    let mut cfg = parse_topology(args.get("topology").ok_or("--topology required")?)?;
+    let mut cfg = SimConfig::new(args.get("topology").ok_or("--topology required")?.parse()?);
     let op = parse_op(args.get("op").unwrap_or("all-reduce"))?;
     let bytes: u64 = args
         .get("bytes")
@@ -253,18 +219,20 @@ fn cmd_collective(args: &Args) -> Result<(), String> {
         algorithm: None,
         local_update_per_kb: None,
     };
-    // With --trace FILE, run through a traced system sim and export a
-    // Chrome trace-viewer JSON alongside the summary.
-    if let Some(path) = args.get("trace") {
-        let mut ssim = sim.system_sim().map_err(|e| e.to_string())?;
-        ssim.enable_tracing();
-        ssim.complete_collective(req.clone())
-            .map_err(|e| e.to_string())?;
-        let json = astra_sim::output::chrome_trace(ssim.trace().unwrap_or(&[]));
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
-    }
-    let out = sim.run_collective(req).map_err(|e| e.to_string())?;
+    // With --trace FILE, the report comes from a traced system sim, which
+    // also exports a Chrome trace-viewer JSON.
+    let out = match args.get("trace") {
+        Some(path) => {
+            let mut ssim = sim.system_sim().map_err(|e| e.to_string())?;
+            ssim.enable_tracing();
+            let id = ssim.complete_collective(req).map_err(|e| e.to_string())?;
+            let json = astra_sim::output::chrome_trace(ssim.trace().unwrap_or(&[]));
+            std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+            println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
+            CollectiveRunReport::from_sim(&ssim, id).map_err(|e| e.to_string())?
+        }
+        None => sim.run_collective(req).map_err(|e| e.to_string())?,
+    };
     if args.has("json") {
         println!(
             "{}",
@@ -294,7 +262,7 @@ fn cmd_collective(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
-    let mut cfg = parse_topology(args.get("topology").ok_or("--topology required")?)?;
+    let mut cfg = SimConfig::new(args.get("topology").ok_or("--topology required")?.parse()?);
     if let Some(p) = args.get("passes") {
         cfg.passes = p.parse().map_err(|_| "--passes must be an integer")?;
     }
@@ -352,14 +320,11 @@ fn inline_spec(args: &Args) -> Result<SweepSpec, String> {
     let shapes = args
         .get("topology")
         .ok_or("--spec or --topology required")?;
-    let mut topologies = Vec::new();
-    for shape in shapes.split(',') {
-        topologies.push(parse_topology(shape)?.topology);
-    }
-    let base = parse_topology(shapes.split(',').next().unwrap_or_default())?;
+    let topologies: Vec<TopologyConfig> =
+        shapes.split(',').map(str::parse).collect::<Result<_, _>>()?;
     let mut spec = SweepSpec::new(
         args.get("name").unwrap_or("cli"),
-        base,
+        SimConfig::new(topologies[0].clone()),
         Experiment::all_reduce(1 << 20),
     )
     .axis(Axis::Topologies(topologies));

@@ -48,6 +48,31 @@ fn collective_json_output_parses() {
 }
 
 #[test]
+fn traced_collective_reports_what_an_untraced_one_does() {
+    let dir = std::env::temp_dir().join(format!("astra_cli_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let args = [
+        "collective", "--topology", "2x2x1*2@1", "--op", "all-reduce", "--bytes", "65536",
+        "--json",
+    ];
+    let (ok, plain, stderr) = run(&args);
+    assert!(ok, "{stderr}");
+    let mut traced_args = args.to_vec();
+    traced_args.extend(["--trace", trace.to_str().unwrap()]);
+    let (ok, traced, stderr) = run(&traced_args);
+    assert!(ok, "{stderr}");
+    // The first line announces the trace file; the JSON report follows.
+    let (note, report) = traced.split_once('\n').expect("two parts");
+    assert!(note.starts_with("wrote Chrome trace"), "{note}");
+    assert_eq!(report, plain);
+    let v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).expect("valid JSON");
+    assert!(!v["traceEvents"].as_array().expect("traceEvents array").is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn enhanced_flag_changes_result() {
     let base = run(&[
         "collective", "--topology", "4x4x4", "--op", "all-reduce", "--bytes", "4194304",
