@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the simulation engine itself: event-queue
-//! throughput (shallow, and 50K deep through the heap or FIFO lanes), analytical-network message processing, and a full
-//! ring-all-reduce system simulation. These track the simulator's own
+//! throughput (shallow, 50K deep, and a garnet-shaped steady state),
+//! analytical-network message processing, and a full ring-all-reduce
+//! system simulation. These track the simulator's own
 //! performance (events/second), not any paper figure.
 
 use astra_des::{EventQueue, Time};
@@ -28,32 +29,47 @@ fn bench_event_queue(c: &mut Criterion) {
         })
     });
     // A deep queue, as in a training run: 50K pending events, 100 on each
-    // of 500 FIFO lanes (per-lane times increase, lanes interleave). The
-    // same events go through the heap alone and through the lanes.
-    const LANES: u64 = 500;
+    // of 500 interleaved producers whose own times increase.
+    const PRODUCERS: u64 = 500;
     const DEEP: u64 = 50_000;
-    let deep = |q: &mut EventQueue<u64>, on_lanes: bool| {
-        for i in 0..DEEP {
-            let lane = i % LANES;
-            let at = Time::from_cycles((i / LANES) * 64 + (lane * 7919) % 64);
-            if on_lanes {
-                q.schedule_on(lane as u32, at, i);
-            } else {
+    g.throughput(Throughput::Elements(DEEP));
+    g.bench_function("deep_50k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..DEEP {
+                let p = i % PRODUCERS;
+                let at = Time::from_cycles((i / PRODUCERS) * 64 + (p * 7919) % 64);
                 q.schedule_at(at, i);
             }
-        }
-        let mut acc = 0u64;
-        while let Some((_, e)) = q.pop() {
-            acc = acc.wrapping_add(e);
-        }
-        acc
-    };
-    g.throughput(Throughput::Elements(DEEP));
-    g.bench_function("deep_50k_heap", |b| {
-        b.iter(|| black_box(deep(&mut EventQueue::new(), false)))
+            let mut acc = 0u64;
+            while let Some((_, e)) = q.pop() {
+                acc = acc.wrapping_add(e);
+            }
+            black_box(acc)
+        })
     });
-    g.bench_function("deep_50k_on_500_lanes", |b| {
-        b.iter(|| black_box(deep(&mut EventQueue::new(), true)))
+    // A garnet-shaped steady state: 300 pending events, each popped one
+    // rescheduled at `now` plus one of four constant delays (a credit's
+    // cycle, a flit's serialization, a router pipeline, a link latency).
+    const PENDING: u64 = 300;
+    const STEPS: u64 = 100_000;
+    const DELAYS: [u64; 4] = [1, 4, 6, 500];
+    g.throughput(Throughput::Elements(STEPS));
+    g.bench_function("garnet_shaped_300", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..PENDING {
+                q.schedule_at(Time::from_cycles(i % 7), i);
+            }
+            let mut acc = 0u64;
+            for _ in 0..STEPS {
+                let (t, e) = q.pop().expect("every pop is rescheduled");
+                acc = acc.wrapping_add(t.cycles() ^ e);
+                let delay = DELAYS[(e % 4) as usize];
+                q.schedule_in(Time::from_cycles(delay), e + 1);
+            }
+            black_box(acc)
+        })
     });
     g.finish();
 }

@@ -1,8 +1,7 @@
 //! The central event queue.
 
-use crate::{Slab, SlabKey, Time};
-use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use crate::Time;
+use std::collections::VecDeque;
 use std::fmt;
 
 struct Entry<E> {
@@ -11,48 +10,37 @@ struct Entry<E> {
     payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
+/// Entry slots per block: a bucket's chain grows a block at a time.
+const BLOCK: u32 = 32;
+/// Entry slots per arena chunk (32 blocks).
+const CHUNK: usize = 1024;
+/// "No block": the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One of buckets 1..=64: a chain of blocks from `head`, linked through
+/// `EventQueue::links`, whose entries fill every slot from the head
+/// block's first one up to slot `end` (exclusive) in the last block.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    end: u32,
+    /// The earliest entry's time (`Time::MAX` when empty).
+    min: Time,
 }
 
-/// An event stored on a FIFO lane, linked to the lane's next (later)
-/// event.
-struct LaneNode<E> {
-    time: Time,
-    seq: u64,
-    next: Option<SlabKey>,
-    payload: E,
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        end: 0,
+        min: Time::MAX,
+    };
 }
 
-/// The slab keys of a lane's oldest and newest events (both `None` when
-/// the lane is empty) and the newest event's time.
-#[derive(Debug, Clone, Copy, Default)]
-struct Lane {
-    head: Option<SlabKey>,
-    tail: Option<SlabKey>,
-    last: Time,
-}
-
-/// The key of a non-empty lane in the lane-head heap: its oldest event's
-/// `(time, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct LaneHead {
-    time: Time,
-    seq: u64,
-    lane: u32,
+/// The bucket an event at `t` belongs in while the clock reads `now`: 0
+/// for `t == now`, else one more than the highest bit in which `t` and
+/// `now` differ.
+fn bucket_of(t: Time, now: Time) -> usize {
+    64 - (t.cycles() ^ now.cycles()).leading_zeros() as usize
 }
 
 /// A deterministic future-event list.
@@ -62,13 +50,13 @@ struct LaneHead {
 /// simulation time [`EventQueue::now`], which advances monotonically as
 /// events are popped.
 ///
-/// Besides the heap every [`EventQueue::schedule_at`] goes to, the queue
-/// has FIFO *lanes* ([`EventQueue::schedule_on`]) for producers whose
-/// events come in nondecreasing time order, such as a FIFO link server's
-/// arrivals. A lane is a linked list, and only its oldest event sits in a
-/// second, small heap, so a deep backlog of lane events costs no heap
-/// depth. Both paths share one sequence counter, so the pop order is the
-/// same `(time, seq)` order whichever path an event took.
+/// It is a radix queue: since the clock never runs backwards, an event is
+/// filed by the highest bit in which its time differs from `now`. Bucket 0
+/// holds the events at `now`, in scheduling order, and pops from the
+/// front. When it runs dry, the lowest non-empty bucket's earliest time
+/// becomes `now` and that bucket's events are re-filed, in order, into
+/// lower buckets. No push or pop compares two events, and an event moves
+/// at most 64 times.
 ///
 /// # Example
 ///
@@ -78,19 +66,29 @@ struct LaneHead {
 /// let mut q = EventQueue::new();
 /// q.schedule_in(Time::from_cycles(3), 1u32);
 /// q.schedule_in(Time::ZERO, 2u32); // fires "now"
-/// q.schedule_on(0, Time::from_cycles(3), 3u32); // lane 0, after event 1
+/// q.schedule_at(Time::from_cycles(3), 3u32); // same time, after event 1
 /// assert_eq!(q.pop(), Some((Time::ZERO, 2)));
 /// assert_eq!(q.pop(), Some((Time::from_cycles(3), 1)));
 /// assert_eq!(q.pop(), Some((Time::from_cycles(3), 3)));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// One entry per non-empty lane, keyed by the lane's oldest event.
-    lane_heads: BinaryHeap<Reverse<LaneHead>>,
-    lanes: Vec<Lane>,
-    /// Every lane's events, each linked to the next one of its lane.
-    lane_events: Slab<LaneNode<E>>,
+    /// Bucket 0: the events at exactly `now`.
+    current: VecDeque<Entry<E>>,
+    /// Buckets 1..=64; bucket `b` is `far[b - 1]`.
+    far: [Chain; 64],
+    /// Bit `b - 1` is set when bucket `b` is non-empty.
+    occupied: u64,
+    /// The entry slots: slot `s` is `chunks[s / CHUNK][s % CHUNK]`, and
+    /// block `k` is slots `k * BLOCK..(k + 1) * BLOCK`. A chunk is
+    /// allocated whole and never reallocated, so the arena follows the
+    /// peak number of pending events.
+    chunks: Vec<Box<[Option<Entry<E>>; CHUNK]>>,
+    /// Per block: the next block of its chain or of the free list.
+    links: Vec<u32>,
+    /// Head of the free-block list.
+    free: u32,
+    len: usize,
     seq: u64,
     now: Time,
     popped: u64,
@@ -104,10 +102,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            lane_heads: BinaryHeap::new(),
-            lanes: Vec::new(),
-            lane_events: Slab::new(),
+            current: VecDeque::new(),
+            far: [Chain::EMPTY; 64],
+            occupied: 0,
+            chunks: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+            len: 0,
             seq: 0,
             now: Time::ZERO,
             popped: 0,
@@ -137,67 +138,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
+        self.len += 1;
+        self.place(Entry {
             time: at,
             seq,
-            payload,
-        }));
-    }
-
-    /// Schedules `payload` to fire at absolute time `at`, appended to FIFO
-    /// lane `lane`. The event pops exactly when [`EventQueue::schedule_at`]
-    /// would have popped it; the lane only makes it cheaper when the
-    /// lane's events arrive in nondecreasing time order. An event earlier
-    /// than the lane's newest one goes to the heap instead, so the order
-    /// never depends on the caller keeping that promise.
-    ///
-    /// Lanes are dense indices: the queue keeps a small record for every
-    /// lane up to the highest one used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, as [`EventQueue::schedule_at`] does.
-    pub fn schedule_on(&mut self, lane: u32, at: Time, payload: E) {
-        let idx = lane as usize;
-        if idx >= self.lanes.len() {
-            self.lanes.resize(idx + 1, Lane::default());
-        }
-        if self.lanes[idx].tail.is_some() && at < self.lanes[idx].last {
-            return self.schedule_at(at, payload);
-        }
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: now={}, at={}",
-            self.now,
-            at
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        let ends = &mut self.lanes[idx];
-        let key = self.lane_events.insert(LaneNode {
-            time: at,
-            seq,
-            next: None,
             payload,
         });
-        match ends.tail {
-            Some(tail) => {
-                self.lane_events
-                    .get_mut(tail)
-                    .expect("a lane's tail is a stored event")
-                    .next = Some(key);
-            }
-            None => {
-                ends.head = Some(key);
-                self.lane_heads.push(Reverse(LaneHead {
-                    time: at,
-                    seq,
-                    lane,
-                }));
-            }
-        }
-        ends.tail = Some(key);
-        ends.last = at;
     }
 
     /// Schedules `payload` to fire `delay` after the current time.
@@ -212,17 +158,14 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing [`EventQueue::now`]
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let lane_first = self.lane_heads.peek().is_some_and(|Reverse(l)| {
-            let direct = self.heap.peek();
-            direct.is_none_or(|Reverse(d)| (l.time, l.seq) < (d.time, d.seq))
-        });
-        let popped = if lane_first {
-            self.pop_lane()
-        } else {
-            self.heap.pop()
-        };
-        let Reverse(entry) = popped?;
-        debug_assert!(entry.time >= self.now, "event queue yielded a past event");
+        if self.current.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let entry = self.current.pop_front()?;
+        debug_assert_eq!(entry.time, self.now, "bucket 0 holds a stray event");
         #[cfg(feature = "conform-checks")]
         {
             if let Some((last_time, last_seq)) = self.last_pop {
@@ -238,70 +181,110 @@ impl<E> EventQueue<E> {
             }
             self.last_pop = Some((entry.time, entry.seq));
         }
-        self.now = entry.time;
+        self.len -= 1;
         self.popped += 1;
         Some((entry.time, entry.payload))
     }
 
-    /// Unlinks the oldest event of the lane on top of the lane-head heap
-    /// and re-keys that lane by its next event (one sift), or drops it from
-    /// the heap when it empties. It answers in the heap's own `pop` type,
-    /// and stays out of line, so that both paths of [`EventQueue::pop`]
-    /// fill one result slot: a merged copy of the result measurably slowed
-    /// queues that never use a lane.
-    #[inline(never)]
-    fn pop_lane(&mut self) -> Option<Reverse<Entry<E>>> {
-        let mut top = self
-            .lane_heads
-            .peek_mut()
-            .expect("pop_lane is called with a lane pending");
-        let lane = top.0.lane;
-        let ends = &mut self.lanes[lane as usize];
-        let key = ends.head.expect("a lane in the head heap is non-empty");
-        let node = self
-            .lane_events
-            .remove(key)
-            .expect("a lane's head is a stored event");
-        ends.head = node.next;
-        match node.next {
-            Some(next) => {
-                let next = self
-                    .lane_events
-                    .get(next)
-                    .expect("a lane's chain links stored events");
-                top.0 = LaneHead {
-                    time: next.time,
-                    seq: next.seq,
-                    lane,
-                };
+    /// Advances `now` to the lowest non-empty bucket's earliest time and
+    /// re-files that bucket's events, in order, into lower buckets. Those
+    /// are all empty, so each stays in scheduling order, and the earliest
+    /// events land in bucket 0.
+    fn refill(&mut self) {
+        let k = self.occupied.trailing_zeros() as usize;
+        self.occupied &= self.occupied - 1;
+        let Chain { head, end, min } = std::mem::replace(&mut self.far[k], Chain::EMPTY);
+        self.now = min;
+        let mut blk = head;
+        loop {
+            let first = blk * BLOCK;
+            let last = (end - 1) / BLOCK == blk;
+            for s in first..if last { end } else { first + BLOCK } {
+                let entry = self.slot_mut(s).take().expect("a chain's slots are filled");
+                self.place(entry);
             }
-            None => {
-                ends.tail = None;
-                PeekMut::pop(top);
+            let next = self.links[blk as usize];
+            self.links[blk as usize] = self.free;
+            self.free = blk;
+            if last {
+                break;
             }
+            blk = next;
         }
-        Some(Reverse(Entry {
-            time: node.time,
-            seq: node.seq,
-            payload: node.payload,
-        }))
+    }
+
+    /// Files `entry` in its bucket, after the entries already there.
+    /// Always inlined: as a call, it measurably slowed every push and
+    /// every re-filed event.
+    #[inline(always)]
+    fn place(&mut self, entry: Entry<E>) {
+        let b = bucket_of(entry.time, self.now);
+        if b == 0 {
+            return self.current.push_back(entry);
+        }
+        self.occupied |= 1 << (b - 1);
+        let chain = &mut self.far[b - 1];
+        chain.min = chain.min.min(entry.time);
+        let mut end = chain.end;
+        if end.is_multiple_of(BLOCK) {
+            end = self.grow(b - 1);
+        }
+        self.far[b - 1].end = end + 1;
+        *self.slot_mut(end) = Some(entry);
+    }
+
+    /// Appends a free block to `far[k]`'s chain (the bucket is empty, or
+    /// its last block is full) and returns the block's first slot. A
+    /// chunk is added when no block is free.
+    #[inline(never)]
+    fn grow(&mut self, k: usize) -> u32 {
+        if self.free == NIL {
+            assert!(
+                self.chunks.len() < (NIL / CHUNK as u32) as usize,
+                "event queue arena overflow"
+            );
+            let base = self.links.len() as u32;
+            let blocks = CHUNK as u32 / BLOCK;
+            self.links.extend((base + 1..base + blocks).chain([NIL]));
+            let chunk: Box<[_]> = (0..CHUNK).map(|_| None).collect();
+            self.chunks
+                .push(chunk.try_into().unwrap_or_else(|_| unreachable!()));
+            self.free = base;
+        }
+        let blk = self.free;
+        self.free = std::mem::replace(&mut self.links[blk as usize], NIL);
+        let chain = &mut self.far[k];
+        match chain.head {
+            NIL => chain.head = blk,
+            _ => self.links[(chain.end / BLOCK - 1) as usize] = blk,
+        }
+        blk * BLOCK
+    }
+
+    fn slot(&self, s: u32) -> &Option<Entry<E>> {
+        &self.chunks[s as usize / CHUNK][s as usize % CHUNK]
+    }
+
+    fn slot_mut(&mut self, s: u32) -> &mut Option<Entry<E>> {
+        &mut self.chunks[s as usize / CHUNK][s as usize % CHUNK]
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        let direct = self.heap.peek().map(|Reverse(e)| e.time);
-        let lane = self.lane_heads.peek().map(|Reverse(h)| h.time);
-        direct.into_iter().chain(lane).min()
+        if !self.current.is_empty() {
+            return Some(self.now);
+        }
+        (self.occupied != 0).then(|| self.far[self.occupied.trailing_zeros() as usize].min)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane_events.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane_events.is_empty()
+        self.len == 0
     }
 
     /// Total number of events popped since construction (a cheap progress /
@@ -310,90 +293,94 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Checks the lane bookkeeping (an O(pending) pass, for end-of-run
-    /// audits): every lane's chain runs from its head to its tail in
-    /// increasing `(time, seq)` order over stored events, the chains
-    /// together hold every stored lane event, and the lane-head heap holds
-    /// exactly one entry per non-empty lane, keyed by that lane's head.
+    /// Checks the bucket bookkeeping (an O(pending + arena) pass, for
+    /// end-of-run audits): every entry sits in the bucket its time belongs
+    /// in, each bucket is in scheduling (`seq`) order, each bucket's
+    /// recorded minimum is its earliest entry, the occupancy mask marks
+    /// exactly the non-empty buckets, the buckets hold every pending event
+    /// and no slot outside them is filled, and every block is in one chain
+    /// or on the free list.
     ///
     /// # Errors
     ///
     /// The first inconsistency found.
     pub fn audit(&self) -> Result<(), String> {
-        self.lane_events
-            .audit()
-            .map_err(|e| format!("event queue lane storage: {e}"))?;
-        let mut chained = 0usize;
-        let mut non_empty = 0usize;
-        for (lane, ends) in self.lanes.iter().enumerate() {
-            let Some(mut key) = ends.head else {
-                if ends.tail.is_some() {
-                    return Err(format!("event queue: lane {lane} has a tail but no head"));
-                }
-                continue;
-            };
-            non_empty += 1;
-            let mut prev: Option<(Time, u64)> = None;
-            loop {
-                let node = self.lane_events.get(key).ok_or_else(|| {
-                    format!(
-                        "event queue: lane {lane} links to a free slot {}",
-                        key.index()
-                    )
-                })?;
-                if prev.is_some_and(|p| (node.time, node.seq) <= p) {
-                    return Err(format!(
-                        "event queue: lane {lane} is out of order at t={}, seq={}",
-                        node.time, node.seq
-                    ));
-                }
-                prev = Some((node.time, node.seq));
+        let check = |b: usize, e: &Entry<E>, prev: &mut Option<u64>| {
+            let home = bucket_of(e.time, self.now);
+            if e.time < self.now || home != b {
+                return Err(format!(
+                    "event queue: entry (t={}, seq={}) is in bucket {b} but belongs in bucket {home}",
+                    e.time, e.seq
+                ));
+            }
+            if prev.is_some_and(|p| e.seq <= p) || e.seq >= self.seq {
+                return Err(format!(
+                    "event queue: bucket {b} is out of seq order at seq={}",
+                    e.seq
+                ));
+            }
+            *prev = Some(e.seq);
+            Ok(())
+        };
+        let mut prev = None;
+        for e in &self.current {
+            check(0, e, &mut prev)?;
+        }
+        let blocks = self.links.len();
+        let (mut pending, mut chained) = (self.current.len(), 0usize);
+        for (k, chain) in self.far.iter().enumerate() {
+            let b = k + 1;
+            let (mut blk, mut min, mut prev) = (chain.head, Time::MAX, None);
+            while blk != NIL {
                 chained += 1;
-                if chained > self.lane_events.len() {
-                    return Err(format!("event queue: lane {lane}'s chain does not end"));
+                if chained > blocks {
+                    return Err(format!("event queue: bucket {b}'s chain does not end"));
                 }
-                match node.next {
-                    Some(next) => key = next,
-                    None => break,
+                let (first, last) = (blk * BLOCK, chain.end.wrapping_sub(1) / BLOCK == blk);
+                for s in first..if last { chain.end } else { first + BLOCK } {
+                    let Some(e) = self.slot(s) else {
+                        return Err(format!("event queue: bucket {b}'s slot {s} is empty"));
+                    };
+                    check(b, e, &mut prev)?;
+                    min = min.min(e.time);
+                    pending += 1;
                 }
+                blk = if last { NIL } else { self.links[blk as usize] };
             }
-            if ends.tail != Some(key) || prev.map(|(t, _)| t) != Some(ends.last) {
+            if chain.min != min {
                 return Err(format!(
-                    "event queue: lane {lane}'s tail is not its last event"
+                    "event queue: bucket {b}'s minimum is {} but its earliest entry is at {min}",
+                    chain.min
+                ));
+            }
+            let bit = self.occupied >> k & 1;
+            if (bit == 1) != (chain.head != NIL) {
+                let state = if chain.head == NIL {
+                    "empty"
+                } else {
+                    "non-empty"
+                };
+                return Err(format!(
+                    "event queue: bucket {b}'s occupancy bit is {bit} but the bucket is {state}"
                 ));
             }
         }
-        if chained != self.lane_events.len() {
+        let stored = self.chunks.iter().flat_map(|c| c.iter()).flatten().count();
+        if pending != self.len || self.current.len() + stored != self.len {
             return Err(format!(
-                "event queue: lane chains hold {chained} of {} stored lane events",
-                self.lane_events.len()
+                "event queue: {} pending events, but the buckets hold {pending} and the slots {stored}",
+                self.len
             ));
         }
-        if self.lane_heads.len() != non_empty {
-            return Err(format!(
-                "event queue: {} lane-head entries for {non_empty} non-empty lanes",
-                self.lane_heads.len()
-            ));
+        let (mut free, mut blk) = (0usize, self.free);
+        while blk != NIL && free <= blocks {
+            free += 1;
+            blk = self.links[blk as usize];
         }
-        let mut seen = vec![false; self.lanes.len()];
-        for Reverse(h) in &self.lane_heads {
-            let head = self
-                .lanes
-                .get(h.lane as usize)
-                .and_then(|ends| ends.head)
-                .and_then(|key| self.lane_events.get(key));
-            if head.map(|n| (n.time, n.seq)) != Some((h.time, h.seq)) {
-                return Err(format!(
-                    "event queue: lane-head entry (t={}, seq={}) is not lane {}'s head",
-                    h.time, h.seq, h.lane
-                ));
-            }
-            if std::mem::replace(&mut seen[h.lane as usize], true) {
-                return Err(format!(
-                    "event queue: lane {} is in the head heap twice",
-                    h.lane
-                ));
-            }
+        if chained + free != blocks {
+            return Err(format!(
+                "event queue: {chained} chained and {free} free of {blocks} blocks"
+            ));
         }
         Ok(())
     }
@@ -409,8 +396,8 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.len())
-            .field("lanes", &self.lane_heads.len())
+            .field("pending", &self.len)
+            .field("occupied", &format_args!("{:#x}", self.occupied))
             .field("processed", &self.popped)
             .finish()
     }
@@ -485,75 +472,71 @@ mod tests {
     }
 
     #[test]
-    fn lanes_merge_with_the_heap_in_schedule_order() {
+    fn a_refill_keeps_ties_in_schedule_order_across_blocks() {
+        // 100 events at t=9 span four blocks of bucket 4; a push at t=9
+        // after the first pop at t=1 joins them, and all pop FIFO.
         let mut q = EventQueue::new();
-        q.schedule_on(3, Time::from_cycles(5), 'a');
-        q.schedule_at(Time::from_cycles(5), 'b');
-        q.schedule_on(3, Time::from_cycles(5), 'c');
-        q.schedule_on(0, Time::from_cycles(2), 'd');
-        q.schedule_at(Time::from_cycles(9), 'e');
-        q.schedule_on(3, Time::from_cycles(7), 'f');
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.peek_time(), Some(Time::from_cycles(2)));
-        let out: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(out, vec!['d', 'a', 'b', 'c', 'f', 'e']);
-        assert!(q.is_empty());
+        q.schedule_at(Time::from_cycles(1), 0);
+        for i in 1..=100 {
+            q.schedule_at(Time::from_cycles(9), i);
+        }
+        assert_eq!(q.pop(), Some((Time::from_cycles(1), 0)));
+        q.schedule_at(Time::from_cycles(9), 101);
+        q.audit().unwrap();
+        let out: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(out, (1..=101).collect::<Vec<_>>());
+        assert_eq!(q.now(), Time::from_cycles(9));
         q.audit().unwrap();
     }
 
     #[test]
-    fn an_out_of_order_lane_push_falls_back_to_the_heap() {
-        let mut q = EventQueue::new();
-        q.schedule_on(1, Time::from_cycles(10), 1);
-        q.schedule_on(1, Time::from_cycles(4), 2);
-        assert_eq!(q.lane_events.len(), 1);
-        assert_eq!(q.heap.len(), 1);
-        q.audit().unwrap();
-        assert_eq!(q.pop(), Some((Time::from_cycles(4), 2)));
-        assert_eq!(q.pop(), Some((Time::from_cycles(10), 1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "past")]
-    fn scheduling_a_lane_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Time::from_cycles(10), ());
-        q.pop();
-        q.schedule_on(0, Time::from_cycles(5), ());
-    }
-
-    #[test]
-    fn audit_catches_corrupt_lane_bookkeeping() {
+    fn audit_catches_corrupt_bucket_bookkeeping() {
+        // At now=0: t=4,5 sit in bucket 3 and t=6 in bucket 3 after them;
+        // t=16 sits in bucket 5.
         let filled = || {
             let mut q = EventQueue::new();
-            for i in 0..4u64 {
-                q.schedule_on(0, Time::from_cycles(i), i);
-                q.schedule_on(2, Time::from_cycles(i + 1), i);
+            for t in [4u64, 5, 6, 16] {
+                q.schedule_at(Time::from_cycles(t), t);
             }
-            q.pop();
             q.audit().unwrap();
             q
         };
+        fn slot(q: &mut EventQueue<u64>, b: usize, i: u32) -> &mut Option<Entry<u64>> {
+            let s = q.far[b - 1].head * BLOCK + i;
+            q.slot_mut(s)
+        }
 
         let mut q = filled();
-        let extra = *q.lane_heads.peek().unwrap();
-        q.lane_heads.push(extra);
+        slot(&mut q, 3, 1).as_mut().unwrap().time = Time::from_cycles(8);
         let err = q.audit().unwrap_err();
         assert!(
-            err.contains("3 lane-head entries for 2 non-empty lanes"),
+            err.contains("(t=8 cyc, seq=1) is in bucket 3 but belongs in bucket 4"),
             "{err}"
         );
 
         let mut q = filled();
-        let head = q.lanes[2].head.unwrap();
-        q.lanes[2].head = q.lane_events.get(head).unwrap().next;
+        q.far[4].min = Time::from_cycles(17);
         let err = q.audit().unwrap_err();
-        assert!(err.contains("lane chains hold 6 of 7"), "{err}");
+        assert!(
+            err.contains("bucket 5's minimum is 17 cyc but its earliest entry is at 16 cyc"),
+            "{err}"
+        );
 
         let mut q = filled();
-        q.lanes[0].tail = None;
-        q.lanes[0].head = None;
+        q.occupied ^= 1 << 1;
         let err = q.audit().unwrap_err();
-        assert!(err.contains("lane chains hold 4 of 7"), "{err}");
+        assert!(
+            err.contains("bucket 2's occupancy bit is 1 but the bucket is empty"),
+            "{err}"
+        );
+
+        let mut q = filled();
+        let first = slot(&mut q, 3, 0).take();
+        *slot(&mut q, 3, 0) = std::mem::replace(slot(&mut q, 3, 2), first);
+        let err = q.audit().unwrap_err();
+        assert!(
+            err.contains("bucket 3 is out of seq order at seq=1"),
+            "{err}"
+        );
     }
 }

@@ -2,6 +2,8 @@
 
 use astra_des::{EventQueue, Time};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 proptest! {
     /// Events always pop in nondecreasing time order, regardless of
@@ -70,49 +72,63 @@ proptest! {
 }
 
 proptest! {
-    /// FIFO lanes never change the pop order: any interleaving of heap
-    /// pushes, in-order and out-of-order lane pushes and pops yields the
-    /// same `(time, payload)` sequence as a queue fed through
-    /// `schedule_at` alone, and `len`, `is_empty` and `peek_time` agree
-    /// with it after every operation.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The queue pops exactly the sequence a `BinaryHeap` over
+    /// `(time, seq)` pops, for any interleaving of `schedule_at`,
+    /// `schedule_in` and `pop`: same-time ties, zero delays, delays of
+    /// every power of two up to 2^63 and times near `u64::MAX` included.
+    /// `len`, `is_empty`, `peek_time` and `now` agree with the reference,
+    /// and `audit` passes, after every operation.
     #[test]
-    fn lanes_pop_like_the_heap_alone(
-        ops in proptest::collection::vec((0u8..4, 0u32..40, 0u64..6), 1..400)
+    fn pops_like_a_binary_heap(
+        ops in proptest::collection::vec((0u8..6, 0u32..64, 0u64..4), 1..400)
     ) {
         let mut q = EventQueue::new();
-        let mut reference = EventQueue::new();
-        let mut lane_last = [0u64; 40];
-        for (i, &(kind, lane, delay)) in ops.iter().enumerate() {
+        let mut heap = BinaryHeap::new();
+        let (mut seq, mut now_ref) = (0u64, 0u64);
+        for (i, &(kind, shift, small)) in ops.iter().enumerate() {
             let now = q.now().cycles();
-            match kind {
-                0 => {
-                    let at = Time::from_cycles(now + delay);
-                    q.schedule_at(at, i);
-                    reference.schedule_at(at, i);
+            let at = match kind {
+                // A tie with pending events, or a zero delay.
+                0 => Some(now + small.min(u64::MAX - now)),
+                // A power-of-two delay, through `schedule_in`.
+                1 => {
+                    let delay = 1u64 << shift;
+                    if now.checked_add(delay).is_some() {
+                        q.schedule_in(Time::from_cycles(delay), i);
+                        heap.push(Reverse((now + delay, seq, i)));
+                        seq += 1;
+                    }
+                    None
                 }
-                // Lane pushes near `now`: same-time ties, and pushes before
-                // the lane's newest event that take the heap fallback.
-                1 | 2 => {
-                    let at = if kind == 1 {
-                        now + delay
-                    } else {
-                        now.max(lane_last[lane as usize]) + delay
-                    };
-                    lane_last[lane as usize] = lane_last[lane as usize].max(at);
-                    q.schedule_on(lane, Time::from_cycles(at), i);
-                    reference.schedule_at(Time::from_cycles(at), i);
+                // Just past a power-of-two delay.
+                2 => now.checked_add(1 << shift).and_then(|t| t.checked_add(small)),
+                // Near the end of time.
+                3 => Some((u64::MAX - (small << shift.min(61))).max(now)),
+                _ => {
+                    let want = heap.pop().map(|Reverse((t, _, p))| (Time::from_cycles(t), p));
+                    prop_assert_eq!(q.pop(), want);
+                    now_ref = want.map_or(now_ref, |(t, _)| t.cycles());
+                    None
                 }
-                _ => prop_assert_eq!(q.pop(), reference.pop()),
+            };
+            if let Some(at) = at {
+                q.schedule_at(Time::from_cycles(at), i);
+                heap.push(Reverse((at, seq, i)));
+                seq += 1;
             }
-            prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.is_empty(), reference.is_empty());
-            prop_assert_eq!(q.peek_time(), reference.peek_time());
+            prop_assert_eq!(q.now().cycles(), now_ref);
+            prop_assert_eq!(q.len(), heap.len());
+            prop_assert_eq!(q.is_empty(), heap.is_empty());
+            let head = heap.peek().map(|Reverse((t, _, _))| Time::from_cycles(*t));
+            prop_assert_eq!(q.peek_time(), head);
             prop_assert!(q.audit().is_ok(), "{:?}", q.audit());
         }
-        while let Some(popped) = reference.pop() {
-            prop_assert_eq!(q.pop(), Some(popped));
+        while let Some(Reverse((t, _, p))) = heap.pop() {
+            prop_assert_eq!(q.pop(), Some((Time::from_cycles(t), p)));
+            prop_assert!(q.audit().is_ok(), "{:?}", q.audit());
         }
         prop_assert_eq!(q.pop(), None);
-        prop_assert!(q.audit().is_ok(), "{:?}", q.audit());
     }
 }

@@ -171,20 +171,12 @@ impl Links {
         s.prev_latency = params.latency;
         let last = hop + 1 == path.len();
         self.stats.record_hop(link_idx, class, bytes, ser);
-        // Both `start` and `finish` only grow on a link, so its head and
-        // tail arrivals each come in time order: one FIFO lane apiece.
-        let lane = link_idx as u32 * 2;
         if last {
             // Delivery when the tail reaches the destination.
-            q.schedule_on(
-                lane + 1,
-                finish + params.latency,
-                NetEvent::HopArrive { msg },
-            );
+            q.schedule_at(finish + params.latency, NetEvent::HopArrive { msg });
         } else {
             // Next hop wakes when the head arrives there.
-            q.schedule_on(
-                lane,
+            q.schedule_at(
                 start + params.latency + self.config.router_latency,
                 NetEvent::HopArrive { msg },
             );
@@ -215,8 +207,7 @@ impl Links {
         }
         let arrive_at = start + ser + params.latency;
         self.stats.record_hop(link_idx, class, payload, ser);
-        // A FIFO link's arrivals come in time order: the link is the lane.
-        q.schedule_on(link_idx as u32, arrive_at, NetEvent::HopArrive { msg });
+        q.schedule_at(arrive_at, NetEvent::HopArrive { msg });
     }
 }
 

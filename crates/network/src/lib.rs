@@ -88,13 +88,6 @@ pub trait NetScheduler {
     fn schedule_in(&mut self, delay: Time, event: NetEvent) {
         self.schedule_at(self.now() + delay, event);
     }
-
-    /// Schedules a network event at absolute time `at` on FIFO lane
-    /// `lane` (see [`EventQueue::schedule_on`]): the pop order is that of
-    /// [`NetScheduler::schedule_at`], which is the default.
-    fn schedule_on(&mut self, _lane: u32, at: Time, event: NetEvent) {
-        self.schedule_at(at, event);
-    }
 }
 
 impl NetScheduler for EventQueue<NetEvent> {
@@ -104,10 +97,6 @@ impl NetScheduler for EventQueue<NetEvent> {
 
     fn schedule_at(&mut self, at: Time, event: NetEvent) {
         EventQueue::schedule_at(self, at, event);
-    }
-
-    fn schedule_on(&mut self, lane: u32, at: Time, event: NetEvent) {
-        EventQueue::schedule_on(self, lane, at, event);
     }
 }
 

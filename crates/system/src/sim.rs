@@ -63,9 +63,6 @@ impl NetScheduler for NetQ<'_> {
     fn schedule_at(&mut self, at: Time, event: NetEvent) {
         self.0.schedule_at(at, SysEvent::Net(event));
     }
-    fn schedule_on(&mut self, lane: u32, at: Time, event: NetEvent) {
-        self.0.schedule_on(lane, at, SysEvent::Net(event));
-    }
 }
 
 /// The system-layer simulator; see the crate documentation for the model.
@@ -251,7 +248,7 @@ impl SystemSim {
     }
 
     /// Audits that the whole stack is quiescent: consistent event-queue
-    /// lane bookkeeping ([`EventQueue::audit`]), no pending events, no
+    /// bucket bookkeeping ([`EventQueue::audit`]), no pending events, no
     /// in-flight collectives, an empty transport arena, and a backend whose
     /// conserved resources (credits, flits, in-flight maps) are restored.
     ///

@@ -14,6 +14,7 @@ use astra_collectives::CollectiveOp;
 use astra_compute::{ComputeModel, Gemm};
 use astra_des::Time;
 use astra_topology::Dim;
+use std::fmt;
 
 /// Bytes per tensor element (fp32, giving ResNet-50 its familiar ~100 MB of
 /// gradients).
@@ -21,6 +22,57 @@ pub const DTYPE_BYTES: u64 = 4;
 
 /// Default local-update (reduction) cost per KiB of received data.
 const UPDATE_PER_KB: Time = Time::from_cycles(2);
+
+/// The largest per-NPU minibatch [`by_name`] builds a model for.
+pub const MAX_MINIBATCH: u64 = 1 << 16;
+
+/// Why [`by_name`] built no model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ZooError {
+    /// No built-in model has this name.
+    UnknownModel(String),
+    /// The minibatch is zero or above [`MAX_MINIBATCH`].
+    Minibatch(u64),
+}
+
+impl fmt::Display for ZooError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ZooError::UnknownModel(name) => write!(f, "unknown model '{name}'"),
+            ZooError::Minibatch(n) => write!(
+                f,
+                "minibatch {n} is out of range: a model takes 1 to {MAX_MINIBATCH} samples per NPU"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ZooError {}
+
+/// Builds the built-in model `name` (`resnet50`, `vgg16`, `transformer`,
+/// `gpt`, `dlrm` or `tiny_mlp`) at `minibatch` samples per NPU, with
+/// compute times from the paper's 256x256 TPU-like accelerator.
+///
+/// # Errors
+///
+/// [`ZooError::Minibatch`] for a minibatch of zero or above
+/// [`MAX_MINIBATCH`] (whatever the model), and [`ZooError::UnknownModel`]
+/// for any other name.
+pub fn by_name(name: &str, minibatch: u64) -> Result<Workload, ZooError> {
+    if !(1..=MAX_MINIBATCH).contains(&minibatch) {
+        return Err(ZooError::Minibatch(minibatch));
+    }
+    let model = ComputeModel::tpu_like_256();
+    Ok(match name {
+        "resnet50" => resnet50(&model, minibatch),
+        "vgg16" => vgg16(&model, minibatch),
+        "transformer" => transformer(&model, minibatch, 64),
+        "gpt" => gpt_decoder(&model, minibatch, 128, 1024, 12),
+        "dlrm" => dlrm(&model, minibatch),
+        "tiny_mlp" => tiny_mlp(),
+        other => return Err(ZooError::UnknownModel(other.into())),
+    })
+}
 
 /// A 3-layer data-parallel MLP with hand-picked delays — fast to simulate,
 /// used by tests and the quickstart example.
@@ -452,5 +504,33 @@ mod tests {
         let small = resnet50(&m, 8).compute_per_iteration();
         let large = resnet50(&m, 64).compute_per_iteration();
         assert!(large > small);
+    }
+
+    #[test]
+    fn by_name_builds_every_model_up_to_the_minibatch_cap() {
+        for name in ["resnet50", "vgg16", "transformer", "gpt", "dlrm", "tiny_mlp"] {
+            for minibatch in [1, 32, MAX_MINIBATCH] {
+                let w = by_name(name, minibatch).unwrap();
+                assert!(w.validate().is_ok(), "{name} at {minibatch}");
+                assert!(w.compute_per_iteration() > Time::ZERO);
+            }
+        }
+        assert_eq!(
+            by_name("resnet50", 32).unwrap().layers,
+            resnet50(&ComputeModel::tpu_like_256(), 32).layers
+        );
+        assert_eq!(
+            by_name("lenet", 32).unwrap_err(),
+            ZooError::UnknownModel("lenet".into())
+        );
+    }
+
+    #[test]
+    fn by_name_rejects_zero_and_huge_minibatches() {
+        for n in [0, MAX_MINIBATCH + 1, u64::MAX] {
+            let err = by_name("resnet50", n).unwrap_err();
+            assert_eq!(err, ZooError::Minibatch(n));
+            assert!(err.to_string().contains(&format!("minibatch {n} ")), "{err}");
+        }
     }
 }

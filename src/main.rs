@@ -12,12 +12,11 @@
 //! switches), parsed by `TopologyConfig`'s `FromStr`. All other parameters
 //! use Table III/IV defaults; use the library API for full control.
 
-use astra_sim::compute::ComputeModel;
 use astra_sim::collectives::{Algorithm, CollectiveOp};
 use astra_sim::output::{fault_table, fmt_time, training_table};
 use astra_sim::sweep::{Axis, SweepEngine, SweepSpec};
 use astra_sim::system::{CollectiveRequest, SchedulingPolicy};
-use astra_sim::workload::{parser, zoo, Workload};
+use astra_sim::workload::{parser, zoo};
 use astra_sim::{
     CollectiveRunReport, Experiment, FaultPlan, SimConfig, Simulator, TopologyConfig,
 };
@@ -46,6 +45,7 @@ SHAPE:  MxNxK       torus (local x horizontal x vertical), e.g. 2x4x4
         MxNxK*P@S   P torus pods joined by S scale-out switches, e.g. 1x4x1*2@1
 OP:     all-reduce | all-gather | reduce-scatter | all-to-all
 MODEL:  resnet50 | vgg16 | transformer | gpt | dlrm | tiny_mlp
+        (--minibatch: samples per NPU, 1 to 65536; default 32)
 ALG:    baseline | enhanced
 SCHED:  lifo | fifo | priority   (ready-queue chunk-scheduling policy,
         Table III row 7; default lifo)
@@ -181,19 +181,6 @@ fn parse_op(op: &str) -> Result<CollectiveOp, String> {
     }
 }
 
-fn load_model(name: &str, minibatch: u64) -> Result<Workload, String> {
-    let model = ComputeModel::tpu_like_256();
-    match name {
-        "resnet50" => Ok(zoo::resnet50(&model, minibatch)),
-        "vgg16" => Ok(zoo::vgg16(&model, minibatch)),
-        "transformer" => Ok(zoo::transformer(&model, minibatch, 64)),
-        "gpt" => Ok(zoo::gpt_decoder(&model, minibatch, 128, 1024, 12)),
-        "dlrm" => Ok(zoo::dlrm(&model, minibatch)),
-        "tiny_mlp" => Ok(zoo::tiny_mlp()),
-        other => Err(format!("unknown model '{other}'")),
-    }
-}
-
 fn cmd_collective(args: &Args) -> Result<(), String> {
     let mut cfg = SimConfig::new(args.get("topology").ok_or("--topology required")?.parse()?);
     let op = parse_op(args.get("op").unwrap_or("all-reduce"))?;
@@ -278,7 +265,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         .transpose()?
         .unwrap_or(32);
     let workload = match (args.get("model"), args.get("workload")) {
-        (Some(name), None) => load_model(name, minibatch)?,
+        (Some(name), None) => zoo::by_name(name, minibatch).map_err(|e| e.to_string())?,
         (None, Some(path)) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let stem = std::path::Path::new(path)
@@ -422,7 +409,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
         .map(|m| m.parse().map_err(|_| "--minibatch must be an integer"))
         .transpose()?
         .unwrap_or(32);
-    let wl = load_model(name, minibatch)?;
+    let wl = zoo::by_name(name, minibatch).map_err(|e| e.to_string())?;
     std::fs::write(out, parser::write(&wl)).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {} ({} layers) to {out}", wl.name, wl.layers.len());
     Ok(())

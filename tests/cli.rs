@@ -144,6 +144,26 @@ fn zero_passes_is_an_error_naming_passes() {
 }
 
 #[test]
+fn zero_or_huge_minibatch_is_an_error_naming_minibatch() {
+    let out = std::env::temp_dir().join("astra_cli_test_minibatch.txt");
+    let out = out.to_str().unwrap();
+    for n in ["0", "18446744073709551615"] {
+        let train = ["train", "--topology", "2x2x2", "--model", "resnet50", "--minibatch", n];
+        let export = ["export", "--model", "resnet50", "--minibatch", n, "--out", out];
+        for args in [&train[..], &export[..]] {
+            let res = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+                .args(args)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&res.stderr);
+            assert_eq!(res.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(&format!("minibatch {n} ")), "{stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+}
+
+#[test]
 fn export_roundtrips_through_train() {
     let dir = std::env::temp_dir().join("astra_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
