@@ -20,6 +20,7 @@ use astra_bench::calibrated_resnet50;
 use astra_core::{
     Experiment, FaultKind, FaultPlan, LinkFault, LossSpec, SimConfig, Simulator,
 };
+use astra_collectives::IntraAlgo;
 use astra_core::{OverlayConfig, TopologyConfig};
 use astra_des::Time;
 use astra_network::{NetworkConfig, RoutingMode, Straggler};
@@ -333,6 +334,50 @@ fn fig16_resnet50_fifo_three_passes_on_2x2x2() {
             .passes(3)
             .scheduling(SchedulingPolicy::Fifo),
         Experiment::Training(calibrated_resnet50()),
+    );
+}
+
+/// `cfg` with a one-chunk dispatcher (`T` = 1, `P` = 2), so chunks of
+/// several collectives wait in the ready queue together and the scheduling
+/// policy decides which goes first.
+fn contended(mut cfg: SimConfig, policy: SchedulingPolicy) -> SimConfig {
+    cfg.system.dispatcher_threshold = 1;
+    cfg.system.dispatcher_batch = 2;
+    cfg.scheduling(policy)
+}
+
+#[test]
+fn resnet50_priority_contended_on_2x2x2() {
+    // Under the paper's T = 8, P = 16 this run matches LIFO exactly; with
+    // T = 1, P = 2 LIFO, FIFO and priority give three different reports.
+    golden(
+        "resnet50_priority_contended_2x2x2",
+        contended(SimConfig::torus(2, 2, 2), SchedulingPolicy::Priority),
+        Experiment::Training(calibrated_resnet50()),
+    );
+}
+
+/// `cfg` with every phase run as halving-doubling.
+fn halving_doubling(mut cfg: SimConfig) -> SimConfig {
+    cfg.system.intra_algo = IntraAlgo::HalvingDoubling;
+    cfg
+}
+
+#[test]
+fn halving_doubling_allreduce_256kib_on_alltoall() {
+    golden(
+        "halving_doubling_allreduce_256kib_alltoall",
+        halving_doubling(SimConfig::alltoall(1, 8, 7).local_rings(1)),
+        Experiment::all_reduce(256 << 10),
+    );
+}
+
+#[test]
+fn halving_doubling_allreduce_256kib_on_torus() {
+    golden(
+        "halving_doubling_allreduce_256kib_torus",
+        halving_doubling(fig09_torus()),
+        Experiment::all_reduce(256 << 10),
     );
 }
 
