@@ -38,8 +38,8 @@ pub enum Axis {
     Passes(Vec<u32>),
     /// Fault plans; `None` is the fault-free configuration.
     Faults(Vec<Option<FaultPlan>>),
-    /// Ready-queue chunk-scheduling policies (Table III row 7), exercising
-    /// the system layer's pluggable `ChunkScheduler` seam.
+    /// Ready-queue chunk-scheduling policies (Table III row 7), the order
+    /// in which the system layer's `ReadyQueue` dispatches chunks.
     Scheduling(Vec<SchedulingPolicy>),
 }
 

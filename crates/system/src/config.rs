@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Order in which collectives drain from the ready queue
 /// (`scheduling-policy`, Table III row 7).
 ///
-/// Each policy is a [`crate::ChunkScheduler`] implementation; the enum is
+/// Each policy is one arm of [`crate::ReadyQueue::admit`]; the enum is
 /// the serializable configuration knob that selects one (and the sweep
 /// engine's `scheduling` axis sweeps over it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]

@@ -261,8 +261,8 @@ mod tests {
 
     #[test]
     fn absorb_step_defers_overtaking_steps_until_unblocked() {
-        use astra_collectives::PhaseOp;
-        let mut m = PhaseMachine::ring(PhaseOp::ReduceScatter, 4, 4096);
+        use astra_collectives::{PhaseAlgo, PhaseOp};
+        let mut m = PhaseMachine::with_algo(PhaseAlgo::Ring, PhaseOp::ReduceScatter, 4, 4096);
         let mut deferred = Vec::new();
         let mut sends = Vec::new();
         m.start(&mut sends);
@@ -281,8 +281,8 @@ mod tests {
 
     #[test]
     fn steps_deferred_past_completion_are_a_protocol_error() {
-        use astra_collectives::PhaseOp;
-        let mut m = PhaseMachine::direct(PhaseOp::ReduceScatter, 2, 64);
+        use astra_collectives::{PhaseAlgo, PhaseOp};
+        let mut m = PhaseMachine::with_algo(PhaseAlgo::Direct, PhaseOp::ReduceScatter, 2, 64);
         let mut sends = Vec::new();
         m.start(&mut sends);
         // Step 5 never becomes acceptable: completing with it held back is

@@ -9,9 +9,9 @@
 //! * **Chunking** — each issued collective ("set") is split into
 //!   `preferred-set-splits` chunks that are scheduled and pipelined
 //!   independently (Table II);
-//! * **Ready queue** — chunks wait here before dispatch, behind a
-//!   pluggable [`ChunkScheduler`] policy (the scheduling-policy knob,
-//!   Table III row 7): LIFO prioritizes the most recently issued
+//! * **Ready queue** — chunks wait here before dispatch, in a
+//!   [`ReadyQueue`] ordered by the scheduling-policy knob (Table III
+//!   row 7): LIFO prioritizes the most recently issued
 //!   collective, which §III-E argues is what the first layers of
 //!   back-propagation need; FIFO keeps issue order; Priority dispatches
 //!   the smallest queued chunk first;
@@ -68,7 +68,7 @@ mod config;
 mod endpoint;
 mod error;
 mod routing;
-pub mod scheduler;
+mod scheduler;
 mod sim;
 mod stats;
 mod tag;
@@ -77,9 +77,7 @@ mod transport;
 pub use api::{CallbackId, CollId, CollectiveRequest, Notification};
 pub use config::{BackendKind, InjectionPolicy, SchedulingPolicy, SystemConfig};
 pub use error::SystemError;
-pub use scheduler::{
-    ChunkScheduler, FifoScheduler, LifoScheduler, PriorityScheduler, QueuedChunk,
-};
+pub use scheduler::{QueuedChunk, ReadyQueue};
 pub use sim::SystemSim;
 pub use stats::{CollReport, PhaseSpan, SystemStats};
-pub use tag::Tag;
+pub(crate) use tag::Tag;

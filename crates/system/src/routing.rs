@@ -141,7 +141,7 @@ impl SystemSim {
                 self.send_now(msg, route, 0)?;
             } else {
                 let key = self.transport.park(msg, route, 0);
-                self.queue.schedule_in(delay, SysEvent::Inject(key));
+                self.queue.schedule_in(delay, SysEvent::Send(key));
             }
         }
         Ok(())
@@ -229,7 +229,7 @@ impl SystemSim {
                 .loss_gate(&msg, &route, attempt, &mut self.next_msg, &mut self.stats)?
         {
             let key = self.transport.park(r.retry, route.clone(), r.attempt);
-            self.queue.schedule_in(r.backoff, SysEvent::Retransmit(key));
+            self.queue.schedule_in(r.backoff, SysEvent::Send(key));
         }
         self.net.send(&mut NetQ(&mut self.queue), msg, route)?;
         Ok(())

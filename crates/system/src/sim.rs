@@ -13,11 +13,10 @@
 
 use crate::endpoint::{self, live, live_mut, ChunkState, CollState};
 use crate::routing::{Overlay, RouteKey};
-use crate::scheduler::{Npu, QueuedChunk};
 use crate::transport::Transport;
 use crate::{
     BackendKind, CallbackId, CollId, CollReport, CollectiveRequest, Notification, PhaseSpan,
-    SystemConfig, SystemError, SystemStats, Tag,
+    QueuedChunk, ReadyQueue, SystemConfig, SystemError, SystemStats, Tag,
 };
 use astra_collectives::{plan_with_intra, PhaseMachine, SendCmd};
 use astra_des::hash::IdMap;
@@ -45,12 +44,19 @@ pub(crate) enum SysEvent {
         step: u32,
     },
     Callback(u64),
-    /// A paced message injection (`injection-policy: normal`); the key
-    /// claims the parked payload from the transport arena.
-    Inject(SlabKey),
-    /// Retransmission of a scale-out message dropped by lossy transport;
-    /// the key claims the parked payload (and its attempt counter).
-    Retransmit(SlabKey),
+    /// A deferred send: a paced injection (`injection-policy: normal`,
+    /// attempt 0) or the retransmission of a scale-out message dropped by
+    /// lossy transport (attempt 1 and up). The key claims the parked
+    /// payload and its attempt counter from the transport arena.
+    Send(SlabKey),
+}
+
+/// One NPU's dispatcher state (Fig 7): its ready queue and the number of
+/// chunks it dispatched that are still in phase 0 of their plan.
+#[derive(Debug)]
+pub(crate) struct Npu {
+    pub(crate) ready: ReadyQueue,
+    pub(crate) active_first_phase: usize,
 }
 
 /// Wrapper giving backends scheduling access to the master queue.
@@ -157,7 +163,12 @@ impl SystemSim {
             net,
             overlay: None,
             queue: EventQueue::new(),
-            npus: (0..n).map(|_| Npu::new(cfg.scheduling)).collect(),
+            npus: (0..n)
+                .map(|_| Npu {
+                    ready: ReadyQueue::new(cfg.scheduling),
+                    active_first_phase: 0,
+                })
+                .collect(),
             colls: Vec::new(),
             live_colls: 0,
             reports: Vec::new(),
@@ -382,7 +393,7 @@ impl SystemSim {
             })
             .collect();
         for npu in &mut self.npus {
-            npu.sched.admit(&batch);
+            npu.ready.admit(&batch);
         }
         for npu in 0..self.npus.len() {
             self.maybe_dispatch(npu)?;
@@ -535,7 +546,7 @@ impl SystemSim {
                     time,
                 });
             }
-            SysEvent::Inject(key) | SysEvent::Retransmit(key) => {
+            SysEvent::Send(key) => {
                 let p = self.transport.claim(key)?;
                 self.send_now(p.msg, p.route, p.attempt)?;
             }
@@ -564,7 +575,7 @@ impl SystemSim {
             return Ok(());
         }
         for _ in 0..self.cfg.dispatcher_batch {
-            let Some(q) = self.npus[npu].sched.pop() else {
+            let Some(q) = self.npus[npu].ready.pop() else {
                 break;
             };
             let wait = self.now() - q.queued_at;

@@ -1,7 +1,5 @@
 //! Message correlation tags.
 
-use serde::{Deserialize, Serialize};
-
 const COLL_BITS: u32 = 28;
 const CHUNK_BITS: u32 = 12;
 const PHASE_BITS: u32 = 5;
@@ -10,7 +8,7 @@ const STEP_BITS: u32 = 16;
 /// Identifies which (collective, chunk, phase, step) a network message
 /// belongs to. Packed into the network layer's opaque `u64` tag; the
 /// network never interprets it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tag {
     /// Collective id (28 bits).
     pub coll: u64,

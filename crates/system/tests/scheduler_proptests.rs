@@ -1,16 +1,15 @@
-//! Property tests pinning the [`ChunkScheduler`] trait impls to the seed
-//! implementation's semantics.
+//! Property tests pinning [`ReadyQueue`] to the seed implementation's
+//! semantics.
 //!
-//! The pre-refactor system layer kept one `VecDeque` per NPU and matched
-//! the policy enum at every admit site: FIFO appended the batch, LIFO
-//! `push_front`ed it in reverse. The trait refactor must be a pure
-//! mechanical move — for *any* interleaving of admits and pops, the boxed
-//! scheduler must yield exactly the chunks the seed queue would have, in
-//! the same order. Priority (new in the refactor) is pinned against an
-//! obviously-correct linear-scan reference instead.
+//! The seed system layer kept one `VecDeque` per NPU and matched the
+//! policy enum at every admit site: FIFO appended the batch, LIFO
+//! `push_front`ed it in reverse. For *any* interleaving of admits and
+//! pops, the ready queue must yield exactly the chunks the seed queue
+//! would have, in the same order. Priority (which the seed lacked) is
+//! pinned against an obviously-correct linear-scan reference instead.
 
 use astra_des::Time;
-use astra_system::{ChunkScheduler, QueuedChunk, SchedulingPolicy};
+use astra_system::{QueuedChunk, ReadyQueue, SchedulingPolicy};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -97,11 +96,11 @@ fn batch(coll: u64, chunks: u32, bytes: u64) -> Vec<QueuedChunk> {
         .collect()
 }
 
-/// Drives the trait scheduler and a reference through the same schedule,
+/// Drives the ready queue and a reference through the same schedule,
 /// comparing every popped chunk, interleaved lengths, and the final drain.
 fn lockstep(
     schedule: &[Step],
-    mut sched: Box<dyn ChunkScheduler>,
+    mut sched: ReadyQueue,
     mut reference: impl FnMut(&mut dyn FnMut() -> RefOp),
 ) {
     // The closure-based plumbing below keeps one generic driver for both
@@ -124,7 +123,7 @@ fn lockstep(
         }
         ops.push(RefOp::LenExpect(sched.len()));
     }
-    // Final drain: the trait queue must empty in reference order too.
+    // Final drain: the ready queue must empty in reference order too.
     loop {
         let got = sched.pop();
         let done = got.is_none();
@@ -147,14 +146,14 @@ enum RefOp {
 }
 
 proptest! {
-    /// FIFO and LIFO through the trait match the seed `VecDeque` pop-for-pop
-    /// on arbitrary interleavings of admits and pops.
+    /// FIFO and LIFO match the seed `VecDeque` pop-for-pop on arbitrary
+    /// interleavings of admits and pops.
     #[test]
-    fn trait_fifo_lifo_match_seed_queue(schedule in steps()) {
+    fn fifo_lifo_match_seed_queue(schedule in steps()) {
         for policy in [SchedulingPolicy::Fifo, SchedulingPolicy::Lifo] {
             let mut seed = SeedQueue::new(policy);
             let mut live = 0usize;
-            lockstep(&schedule, policy.scheduler(), |next| loop {
+            lockstep(&schedule, ReadyQueue::new(policy), |next| loop {
                 match next() {
                     RefOp::Admit(b) => {
                         seed.admit(&b);
@@ -174,13 +173,13 @@ proptest! {
         }
     }
 
-    /// Priority through the trait matches a linear-scan shortest-job-first
-    /// reference (min by bytes, ties by issue order) on the same schedules.
+    /// Priority matches a linear-scan shortest-job-first reference (min by
+    /// bytes, ties by issue order) on the same schedules.
     #[test]
-    fn trait_priority_matches_linear_scan(schedule in steps()) {
+    fn priority_matches_linear_scan(schedule in steps()) {
         let mut scan = ScanQueue::default();
         let mut live = 0usize;
-        lockstep(&schedule, SchedulingPolicy::Priority.scheduler(), |next| loop {
+        lockstep(&schedule, ReadyQueue::new(SchedulingPolicy::Priority), |next| loop {
             match next() {
                 RefOp::Admit(b) => {
                     scan.admit(&b);
