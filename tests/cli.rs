@@ -293,3 +293,20 @@ fn bad_arguments_fail_gracefully() {
         assert!(stderr.contains(named), "{line}: {stderr}");
     }
 }
+
+#[test]
+fn unknown_op_or_algorithm_exits_1_naming_it() {
+    for line in [
+        "collective --topology 1x4x1 --op bogus --bytes 1024",
+        "sweep --topology 1x4x1 --algorithms bogus",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+            .args(line.split(' '))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line}: {stderr}");
+        assert!(stderr.contains("bogus"), "{line}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+    }
+}
