@@ -21,12 +21,13 @@
 //!   reduce-scatter partitions exactly. Deliberate [`shadow::Mutation`]s
 //!   prove the oracle actually bites; the timed run's trace must then take
 //!   every (NPU, chunk) pair through that plan.
-//! * invariant checkers — compiled in behind the `conform-checks` feature
-//!   (monotone event time, FIFO tie-break stability, slab double-free
-//!   detection, Garnet credit conservation, and
-//!   [`astra_system::SystemSim::check_invariants`] after every event of
-//!   the system-layer loop) plus the always-on quiescence audits
-//!   ([`astra_system::SystemSim::audit_quiescent`]).
+//! * invariant checkers — debug assertions in every layer underneath, on
+//!   whenever `debug_assertions` is (monotone event time, FIFO tie-break
+//!   stability, Garnet credit conservation, and the system layer's slot,
+//!   live-count and dispatcher bookkeeping, each checked where it
+//!   changes) plus the always-on quiescence audits
+//!   ([`astra_system::SystemSim::audit_quiescent`]), which also walk the
+//!   whole system-layer bookkeeping once per run.
 //!
 //! The [`fuzz`] module drives all of them from a seeded config generator
 //! (topology × collective × scheduling × fault plan) built on the vendored

@@ -92,9 +92,9 @@ pub struct EventQueue<E> {
     seq: u64,
     now: Time,
     popped: u64,
-    /// `(time, seq)` of the most recent pop, for the conformance harness's
-    /// monotonicity / FIFO-stability invariant (see `conform-checks`).
-    #[cfg(feature = "conform-checks")]
+    /// `(time, seq)` of the most recent pop, for the debug-build
+    /// monotonicity / FIFO-stability check in [`EventQueue::pop`].
+    #[cfg(debug_assertions)]
     last_pop: Option<(Time, u64)>,
 }
 
@@ -112,7 +112,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: Time::ZERO,
             popped: 0,
-            #[cfg(feature = "conform-checks")]
+            #[cfg(debug_assertions)]
             last_pop: None,
         }
     }
@@ -166,12 +166,12 @@ impl<E> EventQueue<E> {
         }
         let entry = self.current.pop_front()?;
         debug_assert_eq!(entry.time, self.now, "bucket 0 holds a stray event");
-        #[cfg(feature = "conform-checks")]
+        #[cfg(debug_assertions)]
         {
             if let Some((last_time, last_seq)) = self.last_pop {
                 assert!(
                     (entry.time, entry.seq) > (last_time, last_seq),
-                    "conform-checks: event queue pop order violated: \
+                    "event queue pop order violated: \
                      popped (t={}, seq={}) after (t={}, seq={})",
                     entry.time,
                     entry.seq,

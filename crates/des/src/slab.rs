@@ -119,40 +119,20 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Removes and returns the entry under `key`, or `None` if it was
-    /// already removed. The slot goes to the head of the free list.
-    ///
-    /// # Panics
-    ///
-    /// With the `conform-checks` feature enabled, removing a dead key
-    /// (out of range or already freed) panics instead of returning `None`:
-    /// in a correct simulation every parked payload is claimed exactly
-    /// once, so a dead-key remove indicates a double-free.
+    /// Removes and returns the entry under `key`, or `None` if it is dead
+    /// (out of range or already removed). The slot goes to the head of the
+    /// free list.
     pub fn remove(&mut self, key: SlabKey) -> Option<T> {
-        let dead = match self.slots.get(key.0 as usize) {
-            Some(Slot::Occupied(_)) => false,
-            Some(Slot::Vacant(_)) | None => true,
-        };
-        if dead {
-            #[cfg(feature = "conform-checks")]
-            panic!(
-                "conform-checks: slab double-free or invalid key {} (live={}, slots={})",
-                key.0,
-                self.len,
-                self.slots.len()
-            );
-            #[cfg(not(feature = "conform-checks"))]
+        let slot = self.slots.get_mut(key.0 as usize)?;
+        if let Slot::Vacant(_) = slot {
             return None;
         }
-        let slot = &mut self.slots[key.0 as usize];
-        let taken = std::mem::replace(slot, Slot::Vacant(self.free_head));
+        let Slot::Occupied(value) = std::mem::replace(slot, Slot::Vacant(self.free_head)) else {
+            unreachable!("checked occupied above")
+        };
         self.free_head = key.0;
         self.len -= 1;
-        match taken {
-            Slot::Occupied(value) => Some(value),
-            // infallible: checked non-vacant above.
-            Slot::Vacant(_) => unreachable!(),
-        }
+        Some(value)
     }
 
     /// A shared reference to the entry under `key`, if live.
@@ -225,22 +205,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "conform-checks"))]
     fn double_remove_is_none() {
         let mut slab = Slab::new();
         let k = slab.insert("x");
         assert_eq!(slab.remove(k), Some("x"));
         assert_eq!(slab.remove(k), None);
-    }
-
-    #[test]
-    #[cfg(feature = "conform-checks")]
-    #[should_panic(expected = "double-free")]
-    fn double_remove_panics_under_conform_checks() {
-        let mut slab = Slab::new();
-        let k = slab.insert("x");
-        assert_eq!(slab.remove(k), Some("x"));
-        let _ = slab.remove(k);
     }
 
     #[test]

@@ -380,10 +380,9 @@ impl Backend for GarnetNet {
             }
             NetEvent::Credit { link, vc } => {
                 let credits = &mut self.links[link as usize].vcs[vc as usize].credits;
-                #[cfg(feature = "conform-checks")]
-                assert!(
+                debug_assert!(
                     *credits < self.config.buffers_per_vc,
-                    "conform-checks: credit overflow on link {link} vc {vc}: \
+                    "credit overflow on link {link} vc {vc}: \
                      returning a credit would exceed buffers_per_vc={}",
                     self.config.buffers_per_vc
                 );
@@ -732,6 +731,17 @@ mod tests {
         assert!(err.contains("1 message state(s) leaked"), "{err}");
         net.messages.remove(orphan);
         net.audit_quiescent().unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "credit overflow")]
+    fn surplus_credit_to_a_full_vc_panics() {
+        let (topo, cfg) = ring_cfg();
+        let mut net = GarnetNet::new(&topo, &cfg);
+        let mut q = EventQueue::new();
+        // Every VC starts with all `buffers_per_vc` credits.
+        net.handle(&mut q, NetEvent::Credit { link: 0, vc: 0 }, &mut Vec::new());
     }
 
     #[test]

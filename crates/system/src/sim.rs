@@ -259,9 +259,10 @@ impl SystemSim {
     }
 
     /// Audits that the whole stack is quiescent: consistent event-queue
-    /// bucket bookkeeping ([`EventQueue::audit`]), no pending events, no
-    /// in-flight collectives, an empty transport arena, and a backend whose
-    /// conserved resources (credits, flits, in-flight maps) are restored.
+    /// bucket bookkeeping ([`EventQueue::audit`]), no pending events,
+    /// consistent collective slots and dispatcher counts, no in-flight
+    /// collectives, an empty transport arena, and a backend whose conserved
+    /// resources (credits, flits, in-flight maps) are restored.
     ///
     /// The conformance harness calls this after a simulation drains to catch
     /// leaked state that aggregate statistics would never show.
@@ -277,6 +278,7 @@ impl SystemSim {
                 self.queue.len()
             ));
         }
+        self.check_invariants()?;
         if self.live_colls != 0 {
             return Err(format!(
                 "system: {} collective(s) still in flight",
@@ -292,8 +294,7 @@ impl SystemSim {
         self.net.audit_quiescent()
     }
 
-    /// Audits the system layer's bookkeeping between events, in
-    /// O(NPUs + collectives):
+    /// Walks the system layer's bookkeeping, in O(NPUs + collectives):
     ///
     /// * the dense collective slots: `colls`, `reports` and the id counter
     ///   agree on how many collectives were issued, and `live_colls`
@@ -301,13 +302,14 @@ impl SystemSim {
     /// * Fig 7's dispatcher bound: no NPU has `dispatcher_threshold +
     ///   dispatcher_batch` or more chunks in their first phase.
     ///
-    /// [`SystemSim::step`] calls this after every event when the
-    /// `conform-checks` feature is enabled.
+    /// Debug builds assert each of these where the event that changes it
+    /// is handled; [`SystemSim::audit_quiescent`] runs the whole walk once
+    /// per drained run, in every build.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violation found.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&self) -> Result<(), String> {
         let slots = self.colls.len();
         if slots != self.reports.len() || slots as u64 != self.next_coll {
             return Err(format!(
@@ -367,7 +369,6 @@ impl SystemSim {
             .collect();
 
         let now = self.now();
-        debug_assert_eq!(self.colls.len() as u64, id, "collective ids are dense");
         self.live_colls += 1;
         self.reports.push(None);
         self.colls.push(Some(CollState::new(
@@ -379,6 +380,13 @@ impl SystemSim {
             req.bytes,
             now,
         )));
+        debug_assert!(
+            self.colls.len() == self.reports.len() && self.colls.len() as u64 == self.next_coll,
+            "t={now}: {} collective slot(s), {} report slot(s), {} id(s) issued",
+            self.colls.len(),
+            self.reports.len(),
+            self.next_coll
+        );
 
         // Admit the chunk batch to every NPU's ready queue (the scheduling
         // policy decides where it lands) and kick the dispatchers.
@@ -507,12 +515,6 @@ impl SystemSim {
     /// links disconnect a sender from its destination, and on
     /// [`SystemError::RetriesExhausted`] when lossy transport defeats the
     /// retransmission budget.
-    ///
-    /// # Panics
-    ///
-    /// With the `conform-checks` feature, panics with the event time and
-    /// the violation when [`SystemSim::check_invariants`] fails after the
-    /// event.
     pub fn step(&mut self) -> Result<bool, SystemError> {
         let Some((_, ev)) = self.queue.pop() else {
             return Ok(false);
@@ -551,13 +553,6 @@ impl SystemSim {
                 self.send_now(p.msg, p.route, p.attempt)?;
             }
         }
-        #[cfg(feature = "conform-checks")]
-        if let Err(violation) = self.check_invariants() {
-            panic!(
-                "conform-checks: system invariant violated at t={}: {violation}",
-                self.now()
-            );
-        }
         Ok(true)
     }
 
@@ -574,6 +569,7 @@ impl SystemSim {
         if self.npus[npu].active_first_phase >= self.cfg.dispatcher_threshold {
             return Ok(());
         }
+        let bound = self.cfg.dispatcher_threshold + self.cfg.dispatcher_batch;
         for _ in 0..self.cfg.dispatcher_batch {
             let Some(q) = self.npus[npu].ready.pop() else {
                 break;
@@ -584,6 +580,12 @@ impl SystemSim {
                 cs.report.ready_delay.record_time(wait);
             }
             self.npus[npu].active_first_phase += 1;
+            debug_assert!(
+                self.npus[npu].active_first_phase < bound,
+                "t={}: npu {npu} has {} chunk(s) in their first phase, dispatcher bound is {bound}",
+                self.now(),
+                self.npus[npu].active_first_phase
+            );
             self.enter_phase(npu, q.coll, q.chunk, 0)?;
         }
         Ok(())
@@ -774,6 +776,14 @@ impl SystemSim {
                         self.live_colls -= 1;
                         self.reports[slot] = Some(done.report);
                     }
+                    debug_assert_eq!(
+                        self.live_colls as u64 + self.stats.collectives_completed,
+                        self.next_coll,
+                        "t={time}: {} live and {} completed collective(s), {} issued",
+                        self.live_colls,
+                        self.stats.collectives_completed,
+                        self.next_coll
+                    );
                 }
             }
         }

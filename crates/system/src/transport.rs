@@ -214,9 +214,6 @@ mod tests {
         let p = t.claim(key).unwrap();
         assert_eq!(p.msg.bytes, 512);
         assert_eq!(p.attempt, 2);
-        // Under conform-checks a double-claim panics in the slab instead of
-        // surfacing the typed protocol error.
-        #[cfg(not(feature = "conform-checks"))]
         assert!(matches!(t.claim(key), Err(SystemError::Protocol { .. })));
     }
 

@@ -20,7 +20,14 @@ use astra_sim::workload::{parser, zoo};
 use astra_sim::{
     CollectiveRunReport, Experiment, FaultPlan, SimConfig, Simulator, TopologyConfig,
 };
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// A subcommand's outcome. Usage and simulation errors are messages;
+/// a failed write to stdout stays an [`io::Error`], so `main` can tell a
+/// closed pipe from a real failure.
+type CmdResult = Result<(), Box<dyn Error>>;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -64,7 +71,7 @@ SWEEPS: `sweep` expands the cartesian grid of all axes (topologies x ops x
 /// One subcommand: its handler and the flags it accepts.
 struct Command {
     name: &'static str,
-    run: fn(&Args) -> Result<(), String>,
+    run: fn(&Args, &mut dyn Write) -> CmdResult,
     /// Flags that take no value (`--json`).
     switches: &'static [&'static str],
     /// Flags that take exactly one value (`--topology 2x4x4`).
@@ -171,7 +178,7 @@ fn load_faults(path: &str) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-fn cmd_collective(args: &Args) -> Result<(), String> {
+fn cmd_collective(args: &Args, out: &mut dyn Write) -> CmdResult {
     let mut cfg = SimConfig::new(args.get("topology").ok_or("--topology required")?.parse()?);
     let op: CollectiveOp = args.get("op").unwrap_or("all-reduce").parse()?;
     let bytes: u64 = args
@@ -188,7 +195,7 @@ fn cmd_collective(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("faults") {
         cfg.faults = Some(load_faults(path)?);
     }
-    let sim = Simulator::new(cfg).map_err(|e| e.to_string())?;
+    let sim = Simulator::new(cfg)?;
     let req = CollectiveRequest {
         op,
         bytes,
@@ -198,47 +205,45 @@ fn cmd_collective(args: &Args) -> Result<(), String> {
     };
     // With --trace FILE, the report comes from a traced system sim, which
     // also exports a Chrome trace-viewer JSON.
-    let out = match args.get("trace") {
+    let report = match args.get("trace") {
         Some(path) => {
-            let mut ssim = sim.system_sim().map_err(|e| e.to_string())?;
+            let mut ssim = sim.system_sim()?;
             ssim.enable_tracing();
-            let id = ssim.complete_collective(req).map_err(|e| e.to_string())?;
+            let id = ssim.complete_collective(req)?;
             let json = astra_sim::output::chrome_trace(ssim.trace().unwrap_or(&[]));
             std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-            println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
-            CollectiveRunReport::from_sim(&ssim, id).map_err(|e| e.to_string())?
+            writeln!(
+                out,
+                "wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)"
+            )?;
+            CollectiveRunReport::from_sim(&ssim, id)?
         }
-        None => sim.run_collective(req).map_err(|e| e.to_string())?,
+        None => sim.run_collective(req)?,
     };
     if args.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?
-        );
+        writeln!(out, "{}", serde_json::to_string_pretty(&report)?)?;
     } else {
-        println!(
+        writeln!(
+            out,
             "{op:?} of {bytes} bytes on {}: {} ({} cycles)",
-            sim.config()
-                .topology
-                .build()
-                .map_err(|e| e.to_string())?
-                .shape_string(),
-            fmt_time(out.duration),
-            out.duration.cycles()
-        );
-        println!(
+            sim.config().topology.build()?.shape_string(),
+            fmt_time(report.duration),
+            report.duration.cycles()
+        )?;
+        writeln!(
+            out,
             "  chunks: {}   phases: {}   messages: {}",
-            out.coll.chunks, out.coll.phases, out.system.messages
-        );
-        let impact = out.fault_impact();
+            report.coll.chunks, report.coll.phases, report.system.messages
+        )?;
+        let impact = report.fault_impact();
         if !impact.is_clean() {
-            print!("fault impact:\n{}", fault_table(&impact).render());
+            write!(out, "fault impact:\n{}", fault_table(&impact).render())?;
         }
     }
     Ok(())
 }
 
-fn cmd_train(args: &Args) -> Result<(), String> {
+fn cmd_train(args: &Args, out: &mut dyn Write) -> CmdResult {
     let mut cfg = SimConfig::new(args.get("topology").ok_or("--topology required")?.parse()?);
     if let Some(p) = args.get("passes") {
         cfg.passes = p.parse().map_err(|_| "--passes must be an integer")?;
@@ -255,35 +260,37 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         .transpose()?
         .unwrap_or(32);
     let workload = match (args.get("model"), args.get("workload")) {
-        (Some(name), None) => zoo::by_name(name, minibatch).map_err(|e| e.to_string())?,
+        (Some(name), None) => zoo::by_name(name, minibatch)?,
         (None, Some(path)) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let stem = std::path::Path::new(path)
                 .file_stem()
                 .and_then(|s| s.to_str())
                 .unwrap_or("workload");
-            parser::parse(stem, &text).map_err(|e| e.to_string())?
+            parser::parse(stem, &text)?
         }
         _ => return Err("exactly one of --model / --workload is required".into()),
     };
-    let sim = Simulator::new(cfg).map_err(|e| e.to_string())?;
-    let report = sim.run_training(workload).map_err(|e| e.to_string())?;
+    let sim = Simulator::new(cfg)?;
+    let report = sim.run_training(workload)?;
     if args.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        writeln!(out, "{}", serde_json::to_string_pretty(&report)?)?;
     } else {
-        print!("{}", training_table(&report).render());
-        println!(
+        write!(out, "{}", training_table(&report).render())?;
+        writeln!(
+            out,
             "\ntotal {}   compute {}   exposed {}   exposed ratio {:.1}%",
             fmt_time(report.total_time),
             fmt_time(report.total_compute),
             fmt_time(report.total_exposed),
             report.exposed_ratio() * 100.0
-        );
+        )?;
         if !report.faults.is_clean() {
-            print!("fault impact:\n{}", fault_table(&report.faults).render());
+            write!(
+                out,
+                "fault impact:\n{}",
+                fault_table(&report.faults).render()
+            )?;
         }
     }
     Ok(())
@@ -331,7 +338,7 @@ fn inline_spec(args: &Args) -> Result<SweepSpec, String> {
     Ok(spec)
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
+fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     let spec = match args.get("spec") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -346,17 +353,18 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if let Some(dir) = args.get("cache-dir") {
         engine = engine.cache_dir(dir);
     }
-    let run = engine.run().map_err(|e| e.to_string())?;
+    let run = engine.run()?;
     if args.has("json") {
-        print!("{}", run.report.to_json());
+        write!(out, "{}", run.report.to_json())?;
     } else {
         for point in &run.report.points {
             match point.outcome.metrics() {
-                Some(m) => println!(
+                Some(m) => writeln!(
+                    out,
                     "  [{:>3}] {}: {} cycles",
                     point.index, point.label, m.duration_cycles
-                ),
-                None => println!("  [{:>3}] {}: FAILED", point.index, point.label),
+                )?,
+                None => writeln!(out, "  [{:>3}] {}: FAILED", point.index, point.label)?,
             }
         }
     }
@@ -381,17 +389,22 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(args: &Args) -> Result<(), String> {
+fn cmd_export(args: &Args, out: &mut dyn Write) -> CmdResult {
     let name = args.get("model").ok_or("--model required")?;
-    let out = args.get("out").ok_or("--out required")?;
+    let path = args.get("out").ok_or("--out required")?;
     let minibatch: u64 = args
         .get("minibatch")
         .map(|m| m.parse().map_err(|_| "--minibatch must be an integer"))
         .transpose()?
         .unwrap_or(32);
-    let wl = zoo::by_name(name, minibatch).map_err(|e| e.to_string())?;
-    std::fs::write(out, parser::write(&wl)).map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {} ({} layers) to {out}", wl.name, wl.layers.len());
+    let wl = zoo::by_name(name, minibatch)?;
+    std::fs::write(path, parser::write(&wl)).map_err(|e| format!("{path}: {e}"))?;
+    writeln!(
+        out,
+        "wrote {} ({} layers) to {path}",
+        wl.name,
+        wl.layers.len()
+    )?;
     Ok(())
 }
 
@@ -403,9 +416,20 @@ fn main() -> ExitCode {
     let Some(command) = COMMANDS.iter().find(|c| c.name == cmd.as_str()) else {
         return usage();
     };
-    let result = Args::parse(&argv[1..], command).and_then(|args| (command.run)(&args));
+    let mut out = io::stdout().lock();
+    let result = Args::parse(&argv[1..], command)
+        .map_err(Into::into)
+        .and_then(|args| (command.run)(&args, &mut out))
+        .and_then(|()| Ok(out.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closes stdout early (`| head`) has all it wants.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

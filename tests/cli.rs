@@ -1,6 +1,6 @@
 //! Integration tests for the `astra-sim` CLI binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
@@ -309,4 +309,21 @@ fn unknown_op_or_algorithm_exits_1_naming_it() {
         assert!(stderr.contains("bogus"), "{line}: {stderr}");
         assert!(!stderr.contains("panicked"), "{line}: {stderr}");
     }
+}
+
+#[test]
+fn closed_stdout_exits_0_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+        .args("collective --topology 2x2x2 --op all-reduce --bytes 1048576".split(' '))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the read end before the binary writes its first line, as
+    // `| head -0` does.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
