@@ -15,49 +15,6 @@ pub struct LayerTiming {
     pub weight_grad: Time,
 }
 
-impl LayerTiming {
-    /// Sum of all three phases.
-    pub fn total(&self) -> Time {
-        self.forward + self.input_grad + self.weight_grad
-    }
-
-    /// Scales every phase by `num/den` (Fig 18's compute-power knob scales
-    /// *down* delays for *more* powerful NPUs: a 2× NPU halves delays).
-    pub fn scale(&self, num: u64, den: u64) -> LayerTiming {
-        LayerTiming {
-            forward: self.forward.scale(num, den),
-            input_grad: self.input_grad.scale(num, den),
-            weight_grad: self.weight_grad.scale(num, den),
-        }
-    }
-
-    /// Applies a straggler compute-slowdown factor to every phase — the
-    /// per-NPU multiplier a fault plan's `compute_slowdown` reports. A
-    /// factor of exactly `1.0` returns the timing unchanged, bit for bit,
-    /// so fault-free runs cannot drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slowdown` is not finite or is below `1.0` (stragglers
-    /// only ever slow compute down).
-    pub fn slowed(&self, slowdown: f64) -> LayerTiming {
-        assert!(
-            slowdown.is_finite() && slowdown >= 1.0,
-            "straggler slowdown must be a finite factor >= 1.0, got {slowdown}"
-        );
-        if slowdown == 1.0 {
-            return *self;
-        }
-        let stretch =
-            |t: Time| Time::from_cycles((t.cycles() as f64 * slowdown).round() as u64);
-        LayerTiming {
-            forward: stretch(self.forward),
-            input_grad: stretch(self.input_grad),
-            weight_grad: stretch(self.weight_grad),
-        }
-    }
-}
-
 /// The full NPU compute model: systolic GEMM estimate, DRAM roofline, and
 /// the paper's parameterized non-GEMM overhead.
 ///
@@ -68,7 +25,7 @@ impl LayerTiming {
 /// let m = ComputeModel::tpu_like_256();
 /// let t = m.layer_timing(Gemm::new(3136 * 32, 1152, 256));
 /// assert!(t.forward.cycles() > 0);
-/// assert!(t.total() > t.forward);
+/// assert!(t.weight_grad.cycles() > 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ComputeModel {
@@ -188,35 +145,6 @@ mod tests {
         let half = m.with_compute_power(1, 2).gemm_time(g).cycles();
         assert_eq!(twice, base.div_ceil(2));
         assert_eq!(half, base * 2);
-    }
-
-    #[test]
-    fn layer_timing_total() {
-        let m = ComputeModel::tpu_like_256();
-        let t = m.layer_timing(Gemm::new(512, 512, 512));
-        assert_eq!(t.total(), t.forward + t.input_grad + t.weight_grad);
-        let scaled = t.scale(1, 2);
-        assert_eq!(scaled.forward.cycles(), t.forward.cycles().div_ceil(2));
-    }
-
-    #[test]
-    fn straggler_slowdown_stretches_every_phase() {
-        let m = ComputeModel::tpu_like_256();
-        let t = m.layer_timing(Gemm::new(512, 512, 512));
-        let s = t.slowed(1.5);
-        assert_eq!(s.forward.cycles(), ((t.forward.cycles() as f64) * 1.5).round() as u64);
-        assert!(s.input_grad > t.input_grad);
-        assert!(s.weight_grad > t.weight_grad);
-        // Exactly 1.0 is the identity — fault-free timings never drift.
-        assert_eq!(t.slowed(1.0), t);
-    }
-
-    #[test]
-    #[should_panic(expected = "slowdown")]
-    fn speedup_disguised_as_slowdown_panics() {
-        ComputeModel::tpu_like_256()
-            .layer_timing(Gemm::new(64, 64, 64))
-            .slowed(0.5);
     }
 
     #[test]

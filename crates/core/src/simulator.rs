@@ -113,13 +113,15 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Fails if the topology cannot be built, the network parameters are
-    /// out of range, or the fault plan is internally inconsistent. (Fault
+    /// Fails if the topology cannot be built, the network or system
+    /// parameters are out of range, or the fault plan is internally
+    /// inconsistent. (Fault
     /// node indices are bounds-checked against the fabric when the plan is
     /// installed into a concrete simulation.)
     pub fn new(cfg: SimConfig) -> Result<Self, CoreError> {
         cfg.topology.build()?; // validate eagerly
         cfg.network.validate()?;
+        cfg.system.validate()?;
         if let Some(plan) = &cfg.faults {
             plan.validate().map_err(astra_system::SystemError::from)?;
         }

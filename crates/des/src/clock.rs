@@ -30,17 +30,11 @@ impl Clock {
     /// the bench harness.
     pub const GHZ1: Clock = Clock { freq_ghz: 1.0 };
 
-    /// Creates a clock with the given frequency in GHz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_ghz` is not strictly positive and finite.
-    pub fn from_ghz(freq_ghz: f64) -> Self {
-        assert!(
-            freq_ghz.is_finite() && freq_ghz > 0.0,
-            "clock frequency must be positive and finite, got {freq_ghz}"
-        );
-        Clock { freq_ghz }
+    /// The clock frequency in GHz, as configured (a deserialized clock is
+    /// unchecked: `NetworkConfig::validate` rejects a non-positive or
+    /// non-finite one).
+    pub fn freq_ghz(&self) -> f64 {
+        self.freq_ghz
     }
 
     /// Converts a bandwidth in GB/s into bytes per cycle.
@@ -87,7 +81,7 @@ mod tests {
 
     #[test]
     fn two_ghz_halves_bytes_per_cycle() {
-        let c = Clock::from_ghz(2.0);
+        let c = Clock { freq_ghz: 2.0 };
         assert_eq!(c.bytes_per_cycle(25.0), 12.5);
         // 250 bytes at 12.5 B/cyc = 20 cycles.
         assert_eq!(c.serialization_time(250, 25.0).cycles(), 20);
@@ -107,11 +101,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn negative_bandwidth_panics() {
         let _ = Clock::GHZ1.serialization_time(1, -1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "frequency")]
-    fn zero_frequency_panics() {
-        let _ = Clock::from_ghz(0.0);
     }
 }

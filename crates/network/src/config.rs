@@ -38,6 +38,11 @@ pub enum ConfigError {
     ZeroVcs,
     /// No flit buffers per VC configured (garnet backend).
     ZeroVcBuffers,
+    /// The clock frequency is zero, negative or non-finite.
+    BadClock {
+        /// The offending frequency in GHz.
+        freq_ghz: f64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -57,6 +62,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFlitWidth => write!(f, "flit width must be at least 1 byte"),
             ConfigError::ZeroVcs => write!(f, "need at least one virtual channel per vnet"),
             ConfigError::ZeroVcBuffers => write!(f, "need at least one flit buffer per VC"),
+            ConfigError::BadClock { freq_ghz } => write!(
+                f,
+                "clock freq_ghz must be a positive finite GHz value, got {freq_ghz}"
+            ),
         }
     }
 }
@@ -181,9 +190,14 @@ impl NetworkConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first out-of-range value (see [`LinkParams::validate`]),
+    /// Returns the first out-of-range value: a non-positive or non-finite
+    /// clock frequency, a bad link parameter (see [`LinkParams::validate`]),
     /// or a zero flit width / VC count / buffer count.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let freq_ghz = self.clock.freq_ghz();
+        if !(freq_ghz.is_finite() && freq_ghz > 0.0) {
+            return Err(ConfigError::BadClock { freq_ghz });
+        }
         self.local.validate(LinkClass::Local)?;
         self.package.validate(LinkClass::Package)?;
         self.scale_out.validate(LinkClass::ScaleOut)?;

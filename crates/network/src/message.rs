@@ -65,11 +65,6 @@ pub struct Arrival {
 }
 
 impl Arrival {
-    /// Total network latency (injection to delivery).
-    pub fn total_latency(&self) -> Time {
-        self.delivered - self.injected
-    }
-
     /// Time spent waiting for the first link to free up.
     pub fn source_queueing(&self) -> Time {
         self.first_tx_start - self.injected
@@ -93,13 +88,9 @@ mod tests {
             first_tx_start: Time::from_cycles(25),
             delivered: Time::from_cycles(100),
         };
-        assert_eq!(a.total_latency(), Time::from_cycles(90));
         assert_eq!(a.source_queueing(), Time::from_cycles(15));
         assert_eq!(a.wire_time(), Time::from_cycles(75));
-        assert_eq!(
-            a.source_queueing() + a.wire_time(),
-            a.total_latency()
-        );
+        assert_eq!(a.source_queueing() + a.wire_time(), a.delivered - a.injected);
     }
 
     #[test]

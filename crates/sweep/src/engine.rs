@@ -286,6 +286,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Runs `small_spec` over a base config that `edit` breaks and returns
+    /// the first point's error message.
+    fn bad_base_error(edit: impl FnOnce(&mut SimConfig)) -> String {
+        let mut spec = small_spec();
+        edit(&mut spec.base);
+        let run = SweepEngine::new(spec).workers(1).run().unwrap();
+        match &run.report.points[0].outcome {
+            crate::PointOutcome::Error { message } => message.clone(),
+            other => panic!("expected a point error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_set_splits_is_a_point_error() {
+        let err = bad_base_error(|c| c.system.set_splits = 0);
+        assert!(err.contains("set_splits = 0"), "{err}");
+    }
+
+    #[test]
+    fn set_splits_past_the_tag_budget_is_a_point_error() {
+        let err = bad_base_error(|c| c.system.set_splits = 5000);
+        assert_eq!(
+            err,
+            "system layer error: invalid set_splits = 5000, expected 1..=4096"
+        );
+    }
+
+    #[test]
+    fn zero_dispatcher_threshold_or_batch_is_a_point_error() {
+        let err = bad_base_error(|c| c.system.dispatcher_batch = 0);
+        assert!(err.contains("dispatcher_batch = 0"), "{err}");
+        let err = bad_base_error(|c| c.system.dispatcher_threshold = 0);
+        assert!(err.contains("dispatcher_threshold = 0"), "{err}");
+    }
+
+    #[test]
+    fn non_positive_clock_is_a_point_error() {
+        for (bad, shown) in [("0.0", "got 0"), ("-1.0", "got -1")] {
+            let err = bad_base_error(|c| {
+                let json = serde_json::to_string(&c.network.clock).unwrap();
+                c.network.clock = serde_json::from_str(&json.replace("1.0", bad)).unwrap();
+            });
+            assert!(
+                err.contains("clock freq_ghz") && err.ends_with(shown),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn worker_count_does_not_change_the_report() {
         let one = SweepEngine::new(small_spec()).workers(1).run().unwrap();

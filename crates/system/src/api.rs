@@ -17,10 +17,6 @@ impl fmt::Display for CollId {
     }
 }
 
-/// Handle of a scheduled workload callback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CallbackId(pub u64);
-
 /// A collective the workload layer wants executed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CollectiveRequest {
@@ -77,8 +73,8 @@ pub enum Notification {
     },
     /// A workload callback (e.g. "compute done") fired.
     Callback {
-        /// The handle returned by [`crate::SystemSim::schedule_callback`].
-        id: CallbackId,
+        /// The token passed to [`crate::SystemSim::schedule_callback`].
+        token: u64,
         /// Fire time.
         time: Time,
     },

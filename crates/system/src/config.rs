@@ -1,5 +1,7 @@
 //! System-layer configuration (the System rows of Table III).
 
+use crate::tag::MAX_CHUNKS;
+use crate::SystemError;
 use astra_collectives::{Algorithm, IntraAlgo};
 use astra_des::Time;
 use serde::{Deserialize, Serialize};
@@ -87,7 +89,7 @@ pub struct SystemConfig {
     /// Ready-queue policy (`scheduling-policy`).
     pub scheduling: SchedulingPolicy,
     /// Chunks each set is split into (`preferred-set-splits`, Table III
-    /// row 16). §V-F issues 16 at a time.
+    /// row 16), 1 to 4096. §V-F issues 16 at a time.
     pub set_splits: u32,
     /// Constant endpoint delay charged per received message
     /// (`endpoint-delay`; Table IV: 10 cycles).
@@ -111,12 +113,33 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// Validates parameter sanity.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero set-splits or a zero dispatcher batch.
-    pub fn validate(&self) {
-        assert!(self.set_splits > 0, "need at least one chunk per set");
-        assert!(self.dispatcher_batch > 0, "dispatcher batch must be positive");
+    /// [`SystemError::InvalidConfig`] for `set_splits` outside 1..=4096 (a
+    /// message tag has 12 bits for the chunk index), or a zero
+    /// `dispatcher_threshold` or `dispatcher_batch` (nothing would ever be
+    /// dispatched).
+    pub fn validate(&self) -> Result<(), SystemError> {
+        if !(1..=MAX_CHUNKS).contains(&self.set_splits) {
+            return Err(SystemError::InvalidConfig {
+                field: "set_splits",
+                value: u64::from(self.set_splits),
+                expected: format!("1..={MAX_CHUNKS}"),
+            });
+        }
+        for (field, value) in [
+            ("dispatcher_threshold", self.dispatcher_threshold),
+            ("dispatcher_batch", self.dispatcher_batch),
+        ] {
+            if value == 0 {
+                return Err(SystemError::InvalidConfig {
+                    field,
+                    value: 0,
+                    expected: "at least 1".to_string(),
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -150,16 +173,20 @@ mod tests {
         assert_eq!(c.dispatcher_threshold, 8);
         assert_eq!(c.dispatcher_batch, 16);
         assert_eq!(c.scheduling, SchedulingPolicy::Lifo);
-        c.validate();
+        c.validate().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "chunk")]
     fn zero_splits_rejected() {
-        SystemConfig {
+        let err = SystemConfig {
             set_splits: 0,
             ..SystemConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid set_splits = 0, expected 1..=4096"
+        );
     }
 }

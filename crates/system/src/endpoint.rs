@@ -122,26 +122,28 @@ impl CollState {
     }
 }
 
-/// The in-flight collective `coll`, from the dense slots indexed by the
-/// sequential collective id.
-pub(crate) fn live(colls: &[Option<CollState>], coll: u64) -> Result<&CollState, SystemError> {
-    usize::try_from(coll)
-        .ok()
-        .and_then(|i| colls.get(i))
-        .and_then(Option::as_ref)
-        .ok_or(SystemError::UnknownCollective { coll })
+/// One slot of the collective table, indexed by the dense sequential
+/// collective id: the runtime state while the collective runs, its report
+/// once every NPU is done.
+pub(crate) enum Coll {
+    Live(CollState),
+    Done(CollReport),
+}
+
+/// The in-flight collective `coll` from the collective table.
+pub(crate) fn live(colls: &[Coll], coll: u64) -> Result<&CollState, SystemError> {
+    match usize::try_from(coll).ok().and_then(|i| colls.get(i)) {
+        Some(Coll::Live(cs)) => Ok(cs),
+        _ => Err(SystemError::UnknownCollective { coll }),
+    }
 }
 
 /// Mutable form of [`live`].
-pub(crate) fn live_mut(
-    colls: &mut [Option<CollState>],
-    coll: u64,
-) -> Result<&mut CollState, SystemError> {
-    usize::try_from(coll)
-        .ok()
-        .and_then(|i| colls.get_mut(i))
-        .and_then(Option::as_mut)
-        .ok_or(SystemError::UnknownCollective { coll })
+pub(crate) fn live_mut(colls: &mut [Coll], coll: u64) -> Result<&mut CollState, SystemError> {
+    match usize::try_from(coll).ok().and_then(|i| colls.get_mut(i)) {
+        Some(Coll::Live(cs)) => Ok(cs),
+        _ => Err(SystemError::UnknownCollective { coll }),
+    }
 }
 
 /// Endpoint processing time for receiving `step`: the constant endpoint

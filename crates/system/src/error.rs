@@ -23,6 +23,15 @@ pub enum SystemError {
     EmptySet,
     /// A training run was asked for zero passes.
     ZeroPasses,
+    /// A [`crate::SystemConfig`] field is out of range.
+    InvalidConfig {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: u64,
+        /// The accepted values.
+        expected: String,
+    },
     /// A training workload failed validation.
     InvalidWorkload {
         /// The workload's own validation message.
@@ -79,6 +88,11 @@ impl fmt::Display for SystemError {
             SystemError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             SystemError::EmptySet => write!(f, "collective set size must be positive"),
             SystemError::ZeroPasses => write!(f, "training needs passes >= 1, got passes = 0"),
+            SystemError::InvalidConfig {
+                field,
+                value,
+                expected,
+            } => write!(f, "invalid {field} = {value}, expected {expected}"),
             SystemError::InvalidWorkload { what } => write!(f, "invalid workload: {what}"),
             SystemError::InvalidOverlay { what } => write!(f, "invalid overlay: {what}"),
             SystemError::Unreachable { from, to } => write!(

@@ -30,7 +30,10 @@
 //!
 //! The simulation object is [`SystemSim`]; the workload layer drives it via
 //! [`SystemSim::issue_collective`], [`SystemSim::schedule_callback`] and
-//! [`SystemSim::run_until_notification`]. A lone bandwidth test is one call
+//! [`SystemSim::run_until_notification`]. A callback carries a `u64` token
+//! of the caller's choosing back in its [`Notification::Callback`] (the
+//! training runner passes the NPU whose compute step ended), so the caller
+//! needs no table from callback to owner. A lone bandwidth test is one call
 //! to [`SystemSim::complete_collective`].
 //!
 //! ## Example
@@ -74,7 +77,7 @@ mod stats;
 mod tag;
 mod transport;
 
-pub use api::{CallbackId, CollId, CollectiveRequest, Notification};
+pub use api::{CollId, CollectiveRequest, Notification};
 pub use config::{BackendKind, InjectionPolicy, SchedulingPolicy, SystemConfig};
 pub use error::SystemError;
 pub use scheduler::{QueuedChunk, ReadyQueue};

@@ -6,17 +6,17 @@
 //! modeling to `endpoint`, loss/retransmit/reroute machinery to
 //! `transport`. Deferred sends ride the queue as `u32` slab keys
 //! ([`astra_des::SlabKey`]) into the transport's payload arena, so the hot
-//! loop performs no per-event heap allocation: collectives live in dense
-//! slots indexed by their sequential id, send lists go through a reused
+//! loop performs no per-event heap allocation: collectives live in one
+//! table indexed by their sequential id, send lists go through a reused
 //! scratch buffer, and resolved routes are memoized shared `Arc`s
 //! (DESIGN.md "hot-path conventions").
 
-use crate::endpoint::{self, live, live_mut, ChunkState, CollState};
+use crate::endpoint::{self, live, live_mut, ChunkState, Coll, CollState};
 use crate::routing::{Overlay, RouteKey};
 use crate::transport::Transport;
 use crate::{
-    BackendKind, CallbackId, CollId, CollReport, CollectiveRequest, Notification, PhaseSpan,
-    QueuedChunk, ReadyQueue, SystemConfig, SystemError, SystemStats, Tag,
+    BackendKind, CollId, CollReport, CollectiveRequest, Notification, PhaseSpan, QueuedChunk,
+    ReadyQueue, SystemConfig, SystemError, SystemStats, Tag,
 };
 use astra_collectives::{plan_with_intra, PhaseMachine, SendCmd};
 use astra_des::hash::IdMap;
@@ -43,6 +43,7 @@ pub(crate) enum SysEvent {
         phase: u8,
         step: u32,
     },
+    /// A workload callback; carries the caller's token.
     Callback(u64),
     /// A deferred send: a paced injection (`injection-policy: normal`,
     /// attempt 0) or the retransmission of a scale-out message dropped by
@@ -84,19 +85,13 @@ pub struct SystemSim {
     pub(crate) overlay: Option<Overlay>,
     pub(crate) queue: EventQueue<SysEvent>,
     pub(crate) npus: Vec<Npu>,
-    /// In-flight collectives, indexed by their dense sequential id; a slot
-    /// empties when its collective completes.
-    pub(crate) colls: Vec<Option<CollState>>,
-    /// Occupied slots of `colls`.
-    pub(crate) live_colls: usize,
-    /// Reports of completed collectives, indexed like `colls`.
-    pub(crate) reports: Vec<Option<CollReport>>,
+    /// Every issued collective, indexed by its dense sequential id: live
+    /// state until the last NPU finishes, then its report.
+    pub(crate) colls: Vec<Coll>,
     pub(crate) notifications: VecDeque<Notification>,
     pub(crate) stats: SystemStats,
     pub(crate) trace: Option<Vec<PhaseSpan>>,
-    pub(crate) next_coll: u64,
     pub(crate) next_msg: u64,
-    pub(crate) next_cb: u64,
     pub(crate) arrivals_scratch: Vec<Arrival>,
     /// Reused buffer the phase machines append their sends to.
     pub(crate) sends_scratch: Vec<SendCmd>,
@@ -110,7 +105,7 @@ impl fmt::Debug for SystemSim {
         f.debug_struct("SystemSim")
             .field("topo", &self.topo.shape_string())
             .field("now", &self.queue.now())
-            .field("inflight_colls", &self.live_colls)
+            .field("inflight_colls", &self.in_flight())
             .field("pending_events", &self.queue.len())
             .finish()
     }
@@ -131,7 +126,9 @@ impl SystemSim {
     ///
     /// # Panics
     ///
-    /// Panics if the configs fail validation.
+    /// Panics if the configs fail validation
+    /// ([`SystemConfig::validate`], [`NetworkConfig::validate`]); a
+    /// `Simulator` checks both first and reports a typed error.
     pub fn new(
         topo: LogicalTopology,
         cfg: SystemConfig,
@@ -147,14 +144,16 @@ impl SystemSim {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails validation.
+    /// Panics if `cfg` fails [`SystemConfig::validate`].
     pub fn with_backend(
         topo: LogicalTopology,
         cfg: SystemConfig,
         net_cfg: &NetworkConfig,
         net: Box<dyn Backend>,
     ) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let n = topo.num_npus();
         SystemSim {
             topo,
@@ -170,14 +169,10 @@ impl SystemSim {
                 })
                 .collect(),
             colls: Vec::new(),
-            live_colls: 0,
-            reports: Vec::new(),
             notifications: VecDeque::new(),
             stats: SystemStats::default(),
             trace: None,
-            next_coll: 0,
             next_msg: 0,
-            next_cb: 0,
             arrivals_scratch: Vec::new(),
             sends_scratch: Vec::new(),
             routes: IdMap::default(),
@@ -252,15 +247,26 @@ impl SystemSim {
         self.net.stats()
     }
 
-    /// The archived report of a completed collective.
+    /// The archived report of a completed collective (`None` while it
+    /// runs).
     pub fn report(&self, coll: CollId) -> Option<&CollReport> {
-        let slot = usize::try_from(coll.0).ok()?;
-        self.reports.get(slot)?.as_ref()
+        match self.colls.get(usize::try_from(coll.0).ok()?)? {
+            Coll::Done(report) => Some(report),
+            Coll::Live(_) => None,
+        }
+    }
+
+    /// Collectives issued but not yet done on every NPU.
+    fn in_flight(&self) -> usize {
+        self.colls
+            .iter()
+            .filter(|c| matches!(c, Coll::Live(_)))
+            .count()
     }
 
     /// Audits that the whole stack is quiescent: consistent event-queue
     /// bucket bookkeeping ([`EventQueue::audit`]), no pending events,
-    /// consistent collective slots and dispatcher counts, no in-flight
+    /// dispatcher counts within Fig 7's bound, no in-flight
     /// collectives, an empty transport arena, and a backend whose conserved
     /// resources (credits, flits, in-flight maps) are restored.
     ///
@@ -279,11 +285,9 @@ impl SystemSim {
             ));
         }
         self.check_invariants()?;
-        if self.live_colls != 0 {
-            return Err(format!(
-                "system: {} collective(s) still in flight",
-                self.live_colls
-            ));
+        let live = self.in_flight();
+        if live != 0 {
+            return Err(format!("system: {live} collective(s) still in flight"));
         }
         if !self.transport.arena_is_empty() {
             return Err(format!(
@@ -294,37 +298,16 @@ impl SystemSim {
         self.net.audit_quiescent()
     }
 
-    /// Walks the system layer's bookkeeping, in O(NPUs + collectives):
-    ///
-    /// * the dense collective slots: `colls`, `reports` and the id counter
-    ///   agree on how many collectives were issued, and `live_colls`
-    ///   counts the occupied slots;
-    /// * Fig 7's dispatcher bound: no NPU has `dispatcher_threshold +
-    ///   dispatcher_batch` or more chunks in their first phase.
-    ///
-    /// Debug builds assert each of these where the event that changes it
-    /// is handled; [`SystemSim::audit_quiescent`] runs the whole walk once
-    /// per drained run, in every build.
+    /// Checks Fig 7's dispatcher bound on every NPU: none has
+    /// `dispatcher_threshold + dispatcher_batch` or more chunks in their
+    /// first phase. Debug builds assert it each time `maybe_dispatch`
+    /// dispatches; [`SystemSim::audit_quiescent`] walks every NPU once per
+    /// drained run, in every build.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violation found.
+    /// A description of the first NPU over the bound.
     fn check_invariants(&self) -> Result<(), String> {
-        let slots = self.colls.len();
-        if slots != self.reports.len() || slots as u64 != self.next_coll {
-            return Err(format!(
-                "system: {slots} collective slot(s), {} report slot(s), {} id(s) issued",
-                self.reports.len(),
-                self.next_coll
-            ));
-        }
-        let occupied = self.colls.iter().filter(|c| c.is_some()).count();
-        if occupied != self.live_colls {
-            return Err(format!(
-                "system: {occupied} occupied collective slot(s), live count says {}",
-                self.live_colls
-            ));
-        }
         let bound = self.cfg.dispatcher_threshold + self.cfg.dispatcher_batch;
         for (npu, state) in self.npus.iter().enumerate() {
             if state.active_first_phase >= bound {
@@ -356,8 +339,7 @@ impl SystemSim {
             req.dims.as_deref(),
             self.cfg.intra_algo,
         )?;
-        let id = self.next_coll;
-        self.next_coll += 1;
+        let id = self.colls.len() as u64;
 
         // Chunking: split the set into (up to) `set_splits` chunks,
         // distributing the remainder over the first chunks.
@@ -369,9 +351,7 @@ impl SystemSim {
             .collect();
 
         let now = self.now();
-        self.live_colls += 1;
-        self.reports.push(None);
-        self.colls.push(Some(CollState::new(
+        self.colls.push(Coll::Live(CollState::new(
             p,
             req.local_update_per_kb
                 .unwrap_or(self.cfg.local_update_per_kb),
@@ -380,13 +360,6 @@ impl SystemSim {
             req.bytes,
             now,
         )));
-        debug_assert!(
-            self.colls.len() == self.reports.len() && self.colls.len() as u64 == self.next_coll,
-            "t={now}: {} collective slot(s), {} report slot(s), {} id(s) issued",
-            self.colls.len(),
-            self.reports.len(),
-            self.next_coll
-        );
 
         // Admit the chunk batch to every NPU's ready queue (the scheduling
         // policy decides where it lands) and kick the dispatchers.
@@ -458,21 +431,21 @@ impl SystemSim {
     }
 
     /// Schedules a workload callback `delay` from now; a
-    /// [`Notification::Callback`] with the returned id fires then.
+    /// [`Notification::Callback`] carrying `token` fires then. The token is
+    /// the caller's own (the training runner passes the NPU index), so no
+    /// table maps a fired callback back to its owner.
     ///
     /// # Errors
     ///
     /// [`SystemError::TimeOverflow`] when `now + delay` does not fit the
     /// cycle range; nothing is scheduled then.
-    pub fn schedule_callback(&mut self, delay: Time) -> Result<CallbackId, SystemError> {
+    pub fn schedule_callback(&mut self, delay: Time, token: u64) -> Result<(), SystemError> {
         let now = self.queue.now();
         let at = now
             .checked_add(delay)
             .ok_or(SystemError::TimeOverflow { now, delay })?;
-        let id = self.next_cb;
-        self.next_cb += 1;
-        self.queue.schedule_at(at, SysEvent::Callback(id));
-        Ok(CallbackId(id))
+        self.queue.schedule_at(at, SysEvent::Callback(token));
+        Ok(())
     }
 
     /// Processes events until a notification is available (returning it) or
@@ -541,12 +514,10 @@ impl SystemSim {
                 phase,
                 step,
             } => self.on_endpoint_done(npu as usize, coll, chunk, phase, step)?,
-            SysEvent::Callback(id) => {
+            SysEvent::Callback(token) => {
                 let time = self.now();
-                self.notifications.push_back(Notification::Callback {
-                    id: CallbackId(id),
-                    time,
-                });
+                self.notifications
+                    .push_back(Notification::Callback { token, time });
             }
             SysEvent::Send(key) => {
                 let p = self.transport.claim(key)?;
@@ -771,19 +742,8 @@ impl SystemSim {
                 if cs.npus_done == cs.per_npu.len() {
                     cs.report.finished_at = time;
                     self.stats.collectives_completed += 1;
-                    let slot = coll as usize;
-                    if let Some(done) = self.colls[slot].take() {
-                        self.live_colls -= 1;
-                        self.reports[slot] = Some(done.report);
-                    }
-                    debug_assert_eq!(
-                        self.live_colls as u64 + self.stats.collectives_completed,
-                        self.next_coll,
-                        "t={time}: {} live and {} completed collective(s), {} issued",
-                        self.live_colls,
-                        self.stats.collectives_completed,
-                        self.next_coll
-                    );
+                    let report = std::mem::take(&mut cs.report);
+                    self.colls[coll as usize] = Coll::Done(report);
                 }
             }
         }
@@ -813,7 +773,7 @@ mod tests {
     fn invariants_hold_after_every_step_of_a_clean_run() {
         let mut s = sim();
         s.check_invariants().unwrap();
-        // Two overlapping collectives: slots fill, empty and coexist.
+        // Two overlapping collectives: live slots coexist, then turn done.
         s.issue_collective(CollectiveRequest::all_reduce(1 << 16))
             .unwrap();
         s.issue_collective(CollectiveRequest::all_to_all(1 << 14))
@@ -844,14 +804,46 @@ mod tests {
         s.step().unwrap();
         s.check_invariants().unwrap();
 
-        s.live_colls += 1;
-        let err = s.check_invariants().expect_err("a miscounted live slot");
-        assert!(err.contains("occupied"), "{err}");
-        s.live_colls -= 1;
-        s.check_invariants().unwrap();
-
         s.npus[3].active_first_phase = s.cfg.dispatcher_threshold + s.cfg.dispatcher_batch;
         let err = s.check_invariants().expect_err("an over-full dispatcher");
         assert!(err.contains("npu 3"), "{err}");
+    }
+
+    #[test]
+    fn report_appears_only_once_the_collective_is_done() {
+        let mut s = sim();
+        let id = s
+            .issue_collective(CollectiveRequest::all_reduce(1 << 16))
+            .unwrap();
+        s.step().unwrap();
+        assert!(s.report(id).is_none(), "still running");
+        s.run_until_idle().unwrap();
+        assert_eq!(s.report(id).unwrap().set_bytes, 1 << 16);
+        assert!(s.report(CollId(1)).is_none(), "never issued");
+    }
+
+    #[test]
+    fn audit_names_a_collective_left_in_flight() {
+        let mut s = sim();
+        s.issue_collective(CollectiveRequest::all_reduce(1 << 16))
+            .unwrap();
+        s.step().unwrap();
+        // Lose every pending event: the collective can never finish.
+        while s.queue.pop().is_some() {}
+        let err = s.audit_quiescent().expect_err("a live collective");
+        assert_eq!(err, "system: 1 collective(s) still in flight");
+    }
+
+    #[test]
+    fn a_done_collective_is_not_live() {
+        let mut s = sim();
+        let id = s
+            .complete_collective(CollectiveRequest::all_reduce(1 << 16))
+            .unwrap();
+        assert!(matches!(s.colls[0], Coll::Done(_)));
+        assert!(matches!(
+            live_mut(&mut s.colls, id.0),
+            Err(SystemError::UnknownCollective { coll: 0 })
+        ));
     }
 }

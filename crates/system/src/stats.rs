@@ -70,7 +70,7 @@ pub struct PhaseSpan {
 
 /// Per-collective report, archived when the collective completes on every
 /// NPU. The workload layer aggregates these per layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CollReport {
     /// Set size per NPU in bytes.
     pub set_bytes: u64,

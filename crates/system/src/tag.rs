@@ -5,6 +5,9 @@ const CHUNK_BITS: u32 = 12;
 const PHASE_BITS: u32 = 5;
 const STEP_BITS: u32 = 16;
 
+/// Most chunks one collective can be split into: the tag's chunk budget.
+pub(crate) const MAX_CHUNKS: u32 = 1 << CHUNK_BITS;
+
 /// Identifies which (collective, chunk, phase, step) a network message
 /// belongs to. Packed into the network layer's opaque `u64` tag; the
 /// network never interprets it.

@@ -156,18 +156,17 @@ mod core_behavior {
     #[test]
     fn callbacks_fire_in_order() {
         let mut s = sim(ring8());
-        let a = s.schedule_callback(Time::from_cycles(100)).unwrap();
-        let b = s.schedule_callback(Time::from_cycles(50)).unwrap();
+        s.schedule_callback(Time::from_cycles(100), 7).unwrap();
+        s.schedule_callback(Time::from_cycles(50), 3).unwrap();
         let first = s.run_until_notification().unwrap().unwrap();
         let second = s.run_until_notification().unwrap().unwrap();
         match (first, second) {
             (
-                Notification::Callback { id: f, time: tf },
-                Notification::Callback { id: g, time: tg },
+                Notification::Callback { token: 3, time: tf },
+                Notification::Callback { token: 7, time: tg },
             ) => {
-                assert_eq!(f, b);
-                assert_eq!(g, a);
-                assert!(tf < tg);
+                assert_eq!(tf, Time::from_cycles(50));
+                assert_eq!(tg, Time::from_cycles(100));
             }
             other => panic!("unexpected notifications: {other:?}"),
         }

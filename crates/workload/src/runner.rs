@@ -24,7 +24,7 @@
 use crate::{CommSpec, LayerReport, TrainingReport, Workload};
 use astra_des::hash::IdMap;
 use astra_des::Time;
-use astra_system::{CallbackId, CollId, CollectiveRequest, Notification, SystemError, SystemSim};
+use astra_system::{CollId, CollectiveRequest, Notification, SystemError, SystemSim};
 
 /// Which training phase a compute step or collective belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,9 +82,8 @@ pub struct TrainingRunner {
     passes: u32,
     n: usize,
     states: Vec<NpuState>,
-    // Per-event lookups keyed by simulator-minted ids: `IdHasher` maps.
-    // Nothing iterates them, so their order never reaches the report.
-    cb_map: IdMap<CallbackId, usize>,
+    // Per-event lookup keyed by simulator-minted ids: an `IdHasher` map.
+    // Nothing iterates it, so its order never reaches the report.
     gate_of: IdMap<CollId, usize>,
     /// Issue gates indexed by [`TrainingRunner::gate`], grown one
     /// iteration at a time.
@@ -130,7 +129,6 @@ impl TrainingRunner {
             passes,
             n,
             states: vec![NpuState::Done; n], // overwritten in run()
-            cb_map: IdMap::default(),
             gate_of: IdMap::default(),
             gates: Vec::new(),
             done: Vec::new(),
@@ -184,15 +182,7 @@ impl TrainingRunner {
                 });
             };
             match note {
-                Notification::Callback { id, .. } => {
-                    let npu = self
-                        .cb_map
-                        .remove(&id)
-                        .ok_or_else(|| SystemError::Protocol {
-                            what: format!("callback {id:?} does not belong to any NPU"),
-                        })?;
-                    self.on_compute_done(npu)?;
-                }
+                Notification::Callback { token, .. } => self.on_compute_done(token)?,
                 Notification::CollectiveDone { coll, npu, .. } => {
                     self.on_coll_done(coll, npu.index())?;
                 }
@@ -308,21 +298,20 @@ impl TrainingRunner {
         } else {
             delay
         };
-        let cb = self.sim.schedule_callback(delay)?;
-        self.cb_map.insert(cb, npu);
+        self.sim.schedule_callback(delay, npu as u64)?;
         self.states[npu] = NpuState::Computing(step);
         Ok(())
     }
 
-    fn on_compute_done(&mut self, npu: usize) -> Result<(), SystemError> {
-        let NpuState::Computing(step) = self.states[npu] else {
+    /// `npu`'s compute callback (scheduled with the NPU as its token) fired.
+    fn on_compute_done(&mut self, token: u64) -> Result<(), SystemError> {
+        let state = usize::try_from(token).ok().and_then(|i| self.states.get(i));
+        let Some(&NpuState::Computing(step)) = state else {
             return Err(SystemError::Protocol {
-                what: format!(
-                    "compute callback fired for NPU {npu} in non-compute state {:?}",
-                    self.states[npu]
-                ),
+                what: format!("compute callback fired for NPU {token} in state {state:?}"),
             });
         };
+        let npu = token as usize; // in range: `states` has an entry for it
         let Step { iter, layer, kind } = step;
         let l = self.layer(layer);
         let (comm, then) = match kind {

@@ -14,7 +14,7 @@
 
 use astra_sim::collectives::{Algorithm, CollectiveOp};
 use astra_sim::output::{fault_table, fmt_time, training_table};
-use astra_sim::sweep::{Axis, SweepEngine, SweepSpec};
+use astra_sim::sweep::{Axis, PointOutcome, SweepEngine, SweepSpec};
 use astra_sim::system::CollectiveRequest;
 use astra_sim::workload::{parser, zoo};
 use astra_sim::{
@@ -358,13 +358,14 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
         write!(out, "{}", run.report.to_json())?;
     } else {
         for point in &run.report.points {
-            match point.outcome.metrics() {
-                Some(m) => writeln!(
-                    out,
-                    "  [{:>3}] {}: {} cycles",
-                    point.index, point.label, m.duration_cycles
-                )?,
-                None => writeln!(out, "  [{:>3}] {}: FAILED", point.index, point.label)?,
+            let (index, label) = (point.index, &point.label);
+            match &point.outcome {
+                PointOutcome::Ok(m) => {
+                    writeln!(out, "  [{index:>3}] {label}: {} cycles", m.duration_cycles)?
+                }
+                PointOutcome::Error { message } => {
+                    writeln!(out, "  [{index:>3}] {label}: FAILED: {message}")?
+                }
             }
         }
     }
