@@ -161,6 +161,14 @@ impl<T> Slab<T> {
         self.len == 0
     }
 
+    /// The live entries, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|s| match s {
+            Slot::Occupied(value) => Some(value),
+            Slot::Vacant(_) => None,
+        })
+    }
+
     /// Total slots ever allocated (live + recyclable) — the arena's
     /// high-water mark.
     pub fn capacity_used(&self) -> usize {
@@ -221,6 +229,8 @@ mod tests {
         slab.remove(keys[1]);
         slab.remove(keys[4]);
         slab.remove(keys[6]);
+        let live: Vec<i32> = slab.values().copied().collect();
+        assert_eq!(live, [0, 2, 3, 5, 7], "values skip vacant slots");
         assert_eq!(slab.insert(100).index(), 6);
         assert_eq!(slab.insert(101).index(), 4);
         assert_eq!(slab.insert(102).index(), 1);

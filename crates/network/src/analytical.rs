@@ -15,11 +15,11 @@
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::link_index::{LinkIndex, LinkPath};
+use crate::message::SentIds;
 use crate::{
     Arrival, Backend, Message, MsgId, NetEvent, NetScheduler, NetStats, NetworkConfig,
     NetworkError,
 };
-use astra_des::hash::IdSet;
 use astra_des::Time;
 use astra_topology::{LinkClass, LogicalTopology, Route};
 
@@ -47,8 +47,8 @@ struct MsgState {
 pub struct AnalyticalNet {
     links: Links,
     index: LinkIndex,
-    /// Ids of the messages in flight, for the duplicate check at `send`.
-    inflight: IdSet<u64>,
+    /// The duplicate-id check at `send`, over the occupied `slots`.
+    ids: SentIds,
     /// In-flight message states; a `HopArrive` names its message's slot.
     /// Freed slots are reused, so the slab's resident memory follows the
     /// peak number of messages in flight rather than jumping with a hash
@@ -103,7 +103,7 @@ impl AnalyticalNet {
                 fault_windows: Vec::new(),
             },
             index,
-            inflight: IdSet::default(),
+            ids: SentIds::default(),
             slots: Vec::new(),
             free: Vec::new(),
         }
@@ -189,9 +189,8 @@ impl Backend for AnalyticalNet {
             });
         }
         let path = self.index.resolve(&route)?;
-        if !self.inflight.insert(msg.id.0) {
-            return Err(NetworkError::DuplicateMessage { id: msg.id.0 });
-        }
+        let in_flight = self.slots.iter().flatten().map(|s| &s.msg);
+        self.ids.admit(msg.id, in_flight)?;
         let now = queue.now();
         let state = MsgState {
             msg,
@@ -233,7 +232,7 @@ impl Backend for AnalyticalNet {
         } else {
             let state = self.slots[slot].take().expect("slot checked above");
             self.free.push(slot);
-            self.inflight.remove(&state.msg.id.0);
+            self.ids.delivered(state.msg.id);
             let delivered = queue.now();
             self.links.stats.record_delivery(
                 state.msg.bytes,
@@ -254,18 +253,18 @@ impl Backend for AnalyticalNet {
     }
 
     fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.slots.len() - self.free.len()
     }
 
     fn audit_quiescent(&self) -> Result<(), String> {
-        if !self.inflight.is_empty() {
+        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        if occupied > 0 || self.ids.tracked() > 0 {
+            let ids = self.ids.tracked();
             return Err(format!(
-                "analytical: {} message(s) still in flight",
-                self.inflight.len()
+                "analytical: {occupied} message(s) still in flight ({ids} id(s) tracked)"
             ));
         }
-        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
-        if occupied > 0 || self.free.len() != self.slots.len() {
+        if self.free.len() != self.slots.len() {
             return Err(format!(
                 "analytical: {occupied} message slot(s) occupied and {} free of {}",
                 self.free.len(),
@@ -282,23 +281,11 @@ impl Backend for AnalyticalNet {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{drain, simple_ring};
     use super::*;
     use crate::faults::{FaultKind, LinkFault};
-    use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, NodeId, Torus3d};
-
-    fn simple_ring() -> (LogicalTopology, NetworkConfig) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
-        let mut cfg = NetworkConfig {
-            clock: Clock::GHZ1,
-            ..NetworkConfig::default()
-        };
-        cfg.package.gbps = 10.0;
-        cfg.package.latency = Time::from_cycles(5);
-        cfg.package.efficiency = 1.0;
-        cfg.package.packet_bytes = 1;
-        (topo, cfg)
-    }
+    use astra_des::EventQueue;
+    use astra_topology::{Dim, NodeId};
 
     fn one_send(plan: Option<&FaultPlan>) -> (Arrival, u64) {
         let (topo, cfg) = simple_ring();
@@ -310,10 +297,7 @@ mod fault_tests {
         let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
         net.send(&mut q, Message::new(0, NodeId(0), NodeId(1), 100, 0), route)
             .unwrap();
-        let mut out = Vec::new();
-        while let Some((_, ev)) = q.pop() {
-            net.handle(&mut q, ev, &mut out);
-        }
+        let out = drain(&mut net, &mut q);
         assert_eq!(out.len(), 1);
         (out[0], net.stats().fault_stall_cycles)
     }
@@ -404,7 +388,7 @@ mod tests {
     use astra_topology::{Dim, NodeId, Torus3d};
 
     /// A 1x4x1 ring with easy numbers: 10 GB/s (10 B/cyc), zero-ish latency.
-    fn simple_ring() -> (LogicalTopology, NetworkConfig) {
+    pub(super) fn simple_ring() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
         let mut cfg = NetworkConfig {
             clock: Clock::GHZ1,
@@ -417,7 +401,7 @@ mod tests {
         (topo, cfg)
     }
 
-    fn drain(net: &mut AnalyticalNet, q: &mut EventQueue<NetEvent>) -> Vec<Arrival> {
+    pub(super) fn drain(net: &mut AnalyticalNet, q: &mut EventQueue<NetEvent>) -> Vec<Arrival> {
         let mut out = Vec::new();
         while let Some((_, ev)) = q.pop() {
             net.handle(q, ev, &mut out);
@@ -514,14 +498,6 @@ mod tests {
         }
         // Six messages, never more than two in flight: two slots.
         assert_eq!(net.slots.len(), 2);
-        // A delivered id may be sent again; one still in flight may not.
-        net.send(&mut q, msg(0), route.clone()).unwrap();
-        assert!(matches!(
-            net.send(&mut q, msg(0), route),
-            Err(NetworkError::DuplicateMessage { id: 0 })
-        ));
-        assert_eq!(drain(&mut net, &mut q).len(), 1);
-        net.audit_quiescent().unwrap();
         // A slot that is neither occupied nor free fails the audit.
         net.free.pop();
         let err = net.audit_quiescent().unwrap_err();
@@ -568,16 +544,7 @@ mod tests {
             ),
             Err(NetworkError::RouteMismatch { .. })
         ));
-        net.send(
-            &mut q,
-            Message::new(7, NodeId(0), NodeId(1), 10, 0),
-            route.clone(),
-        )
-        .unwrap();
-        assert!(matches!(
-            net.send(&mut q, Message::new(7, NodeId(0), NodeId(1), 10, 0), route),
-            Err(NetworkError::DuplicateMessage { id: 7 })
-        ));
+        // Duplicate ids: tests/duplicate_ids.rs, on both backends.
     }
 
     #[test]
@@ -616,6 +583,7 @@ mod tests {
 
 #[cfg(test)]
 mod hardware_routing_tests {
+    use super::tests::drain;
     use super::*;
     use crate::{MsgId, RoutingMode};
     use astra_des::{Clock, EventQueue};
@@ -644,10 +612,7 @@ mod hardware_routing_tests {
         let dst = route.dst();
         net.send(&mut q, Message::new(0, NodeId(0), dst, bytes, 0), route)
             .unwrap();
-        let mut out = Vec::new();
-        while let Some((_, ev)) = q.pop() {
-            net.handle(&mut q, ev, &mut out);
-        }
+        let out = drain(&mut net, &mut q);
         assert_eq!(out.len(), 1);
         out[0]
     }
@@ -706,10 +671,7 @@ mod hardware_routing_tests {
             net.send(&mut q, Message::new(id, NodeId(0), NodeId(2), 100, 0), route)
                 .unwrap();
         }
-        let mut out = Vec::new();
-        while let Some((_, ev)) = q.pop() {
-            net.handle(&mut q, ev, &mut out);
-        }
+        let out = drain(&mut net, &mut q);
         let m0 = out.iter().find(|a| a.message.id == MsgId(0)).unwrap();
         let m1 = out.iter().find(|a| a.message.id == MsgId(1)).unwrap();
         assert_eq!(m1.source_queueing(), Time::from_cycles(10));

@@ -43,10 +43,10 @@ mod flit;
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::link_index::{LinkIndex, LinkPath, NO_LINK};
+use crate::message::SentIds;
 use crate::{
     Arrival, Backend, Message, NetEvent, NetScheduler, NetStats, NetworkConfig, NetworkError,
 };
-use astra_des::hash::IdSet;
 use astra_des::{Slab, SlabKey, Time};
 use astra_topology::{LinkClass, LogicalTopology, Route};
 use flit::{FlitsOf, PacketState, QueuedFlit};
@@ -88,8 +88,8 @@ pub struct GarnetNet {
     config: NetworkConfig,
     links: Vec<GLink>,
     index: LinkIndex,
-    /// Ids of the messages in flight, for the duplicate check at `send`.
-    inflight: IdSet<u64>,
+    /// The duplicate-id check at `send`, over the live `messages`.
+    ids: SentIds,
     messages: Slab<GMsgState>,
     packets: Slab<PacketState>,
     /// Packets ever injected; a packet's VC is its serial modulo the VC
@@ -144,7 +144,7 @@ impl GarnetNet {
             config: *config,
             links,
             index,
-            inflight: IdSet::default(),
+            ids: SentIds::default(),
             messages: Slab::new(),
             packets: Slab::new(),
             next_packet_id: 0,
@@ -287,7 +287,7 @@ impl GarnetNet {
         msg.flits_remaining -= 1;
         if msg.flits_remaining == 0 {
             let done = self.messages.remove(msg_slot).expect("checked above");
-            self.inflight.remove(&done.msg.id.0);
+            self.ids.delivered(done.msg.id);
             let delivered = q.now();
             let first_tx = done.first_tx_start.unwrap_or(done.injected);
             self.stats.record_delivery(
@@ -324,9 +324,8 @@ impl Backend for GarnetNet {
             });
         }
         let path = self.index.resolve(&route)?;
-        if !self.inflight.insert(msg.id.0) {
-            return Err(NetworkError::DuplicateMessage { id: msg.id.0 });
-        }
+        self.ids
+            .admit(msg.id, self.messages.values().map(|m| &m.msg))?;
 
         // Packetize by the first hop's link class (messages are packetized
         // once, at injection).
@@ -400,26 +399,21 @@ impl Backend for GarnetNet {
     }
 
     fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.messages.len()
     }
 
     fn audit_quiescent(&self) -> Result<(), String> {
-        if !self.inflight.is_empty() {
+        if !self.messages.is_empty() || self.ids.tracked() > 0 {
             return Err(format!(
-                "garnet: {} message(s) still in flight",
-                self.inflight.len()
+                "garnet: {} message(s) still in flight ({} id(s) tracked)",
+                self.messages.len(),
+                self.ids.tracked()
             ));
         }
         if !self.packets.is_empty() {
             return Err(format!(
                 "garnet: {} packet(s) leaked after all messages delivered",
                 self.packets.len()
-            ));
-        }
-        if !self.messages.is_empty() {
-            return Err(format!(
-                "garnet: {} message state(s) leaked with no id in flight",
-                self.messages.len()
             ));
         }
         self.messages
@@ -457,28 +451,11 @@ impl Backend for GarnetNet {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{drain, ring_cfg};
     use super::*;
     use crate::faults::{FaultKind, LinkFault};
-    use astra_des::{Clock, EventQueue};
-    use astra_topology::{Dim, NodeId, Torus3d};
-
-    fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
-        let cfg = NetworkConfig {
-            clock: Clock::GHZ1,
-            package: crate::LinkParams {
-                gbps: 32.0, // 32 B/cyc -> 4 cycles per 128 B flit
-                latency: Time::from_cycles(10),
-                efficiency: 0.94,
-                packet_bytes: 256,
-            },
-            vcs_per_vnet: 2,
-            buffers_per_vc: 4,
-            router_latency: Time::from_cycles(1),
-            ..NetworkConfig::default()
-        };
-        (topo, cfg)
-    }
+    use astra_des::EventQueue;
+    use astra_topology::{Dim, NodeId};
 
     fn one_send(plan: Option<&FaultPlan>) -> (Arrival, u64) {
         let (topo, cfg) = ring_cfg();
@@ -490,10 +467,7 @@ mod fault_tests {
         let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
         net.send(&mut q, Message::new(0, NodeId(0), NodeId(1), 1, 0), route)
             .unwrap();
-        let mut out = Vec::new();
-        while let Some((_, ev)) = q.pop() {
-            net.handle(&mut q, ev, &mut out);
-        }
+        let out = drain(&mut net, &mut q);
         assert_eq!(out.len(), 1);
         (out[0], net.stats().fault_stall_cycles)
     }
@@ -549,7 +523,7 @@ mod tests {
     use astra_des::{Clock, EventQueue};
     use astra_topology::{Dim, NodeId, Torus3d};
 
-    fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
+    pub(super) fn ring_cfg() -> (LogicalTopology, NetworkConfig) {
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
         let cfg = NetworkConfig {
             clock: Clock::GHZ1,
@@ -567,7 +541,7 @@ mod tests {
         (topo, cfg)
     }
 
-    fn drain(net: &mut GarnetNet, q: &mut EventQueue<NetEvent>) -> Vec<Arrival> {
+    pub(super) fn drain(net: &mut GarnetNet, q: &mut EventQueue<NetEvent>) -> Vec<Arrival> {
         let mut out = Vec::new();
         let mut guard = 0u64;
         while let Some((_, ev)) = q.pop() {
@@ -707,30 +681,6 @@ mod tests {
         // Six messages, never more than two in flight.
         assert_eq!(net.messages.capacity_used(), 2);
         assert_eq!(net.packets.capacity_used(), 4);
-    }
-
-    #[test]
-    fn audit_catches_message_state_with_no_id_in_flight() {
-        let (topo, cfg) = ring_cfg();
-        let mut net = GarnetNet::new(&topo, &cfg);
-        let mut q = EventQueue::new();
-        let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
-        net.send(&mut q, Message::new(0, NodeId(0), NodeId(1), 300, 0), route)
-            .unwrap();
-        drain(&mut net, &mut q);
-        net.audit_quiescent().unwrap();
-
-        let orphan = net.messages.insert(GMsgState {
-            msg: Message::new(1, NodeId(0), NodeId(1), 8, 0),
-            path: LinkPath::Spilled(Vec::new()),
-            injected: Time::ZERO,
-            first_tx_start: None,
-            flits_remaining: 1,
-        });
-        let err = net.audit_quiescent().unwrap_err();
-        assert!(err.contains("1 message state(s) leaked"), "{err}");
-        net.messages.remove(orphan);
-        net.audit_quiescent().unwrap();
     }
 
     #[test]

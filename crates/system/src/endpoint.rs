@@ -11,93 +11,80 @@ use crate::{CollReport, SystemError};
 use astra_collectives::{CollectivePlan, PhaseMachine, SendCmd};
 use astra_des::Time;
 
-/// Per-chunk runtime state on one NPU.
-#[derive(Debug)]
+/// Per-chunk runtime state on one NPU: only what every arrival and
+/// endpoint event reads, 32 bytes (DESIGN.md "hot-path conventions").
+/// State the rare paths need lives in [`CollState`]'s side lists.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ChunkState {
-    pub(crate) bytes: u64,
-    pub(crate) phase: u8,
-    pub(crate) entered_phase_at: Time,
     pub(crate) machine: Option<PhaseMachine>,
-    /// Messages that arrived before this NPU entered their phase
-    /// (neighbors can run ahead): (phase, step), drained at phase entry.
-    pub(crate) pending: Vec<(u8, u32)>,
-    /// Current-phase steps that overtook a predecessor still in flight
-    /// (behind a retransmission or reroute, or behind flit-level
-    /// arbitration in garnet); retried after each successful receive.
-    pub(crate) deferred: Vec<u32>,
+    pub(crate) phase: u8,
     pub(crate) done: bool,
 }
 
-impl ChunkState {
-    /// Drains the early-arrived messages buffered for `phase`, in step
-    /// order, leaving later phases' messages queued. Allocates nothing when
-    /// no message for `phase` arrived early (an empty `collect` does not).
-    pub(crate) fn take_early(&mut self, phase: u8) -> Vec<u32> {
-        let mut early: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(p, _)| *p == phase)
-            .map(|(_, s)| *s)
-            .collect();
-        self.pending.retain(|(p, _)| *p != phase);
-        early.sort_unstable();
-        early
-    }
-}
-
-/// One NPU's share of a collective.
-#[derive(Debug)]
-pub(crate) struct NpuColl {
-    pub(crate) chunks: Vec<ChunkState>,
-    pub(crate) chunks_done: u32,
+/// Drains the early-arrived messages buffered for chunk `at` in `phase`, in
+/// step order, leaving every other message queued. Allocates nothing when
+/// no such message arrived early (an empty `collect` does not).
+pub(crate) fn take_early(early: &mut Vec<(usize, u8, u32)>, at: usize, phase: u8) -> Vec<u32> {
+    let mine = |&(a, p, _): &(usize, u8, u32)| a == at && p == phase;
+    let mut steps: Vec<u32> = early.iter().filter(|e| mine(e)).map(|e| e.2).collect();
+    early.retain(|e| !mine(e));
+    steps.sort_unstable();
+    steps
 }
 
 /// Global state of an in-flight collective.
 pub(crate) struct CollState {
     pub(crate) plan: CollectivePlan,
     pub(crate) update_per_kb: Time,
-    pub(crate) per_npu: Vec<NpuColl>,
+    /// Payload of each chunk; the same on every NPU.
+    pub(crate) chunk_bytes: Vec<u64>,
+    /// Every NPU's chunks in one table: NPU `n`'s chunk `c` sits at
+    /// `n * chunks + c` ([`CollState::at`]).
+    pub(crate) chunks: Vec<ChunkState>,
+    /// Chunks retired per NPU.
+    pub(crate) chunks_done: Vec<u32>,
+    /// When each chunk entered its current phase, indexed like `chunks`;
+    /// kept only while tracing, for [`crate::PhaseSpan`]s.
+    pub(crate) entered_phase_at: Vec<Time>,
+    /// Messages that arrived before their chunk entered their phase
+    /// (neighbors can run ahead): (flat index, phase, step), drained at
+    /// phase entry.
+    pub(crate) early: Vec<(usize, u8, u32)>,
+    /// Current-phase steps that overtook a predecessor still in flight:
+    /// (flat index, step); see [`absorb_step`].
+    pub(crate) deferred: Vec<(usize, u32)>,
     pub(crate) npus_done: usize,
     pub(crate) report: CollReport,
 }
 
 impl CollState {
     /// Fresh state for a collective of `chunk_bytes` chunks issued at
-    /// `now` on `num_npus` NPUs.
+    /// `now` on `num_npus` NPUs; `tracing` keeps phase entry times.
     pub(crate) fn new(
         plan: CollectivePlan,
         update_per_kb: Time,
         num_npus: usize,
-        chunk_bytes: &[u64],
+        chunk_bytes: Vec<u64>,
         set_bytes: u64,
         now: Time,
+        tracing: bool,
     ) -> Self {
-        let per_npu = (0..num_npus)
-            .map(|_| NpuColl {
-                chunks: chunk_bytes
-                    .iter()
-                    .map(|&b| ChunkState {
-                        bytes: b,
-                        phase: 0,
-                        entered_phase_at: Time::ZERO,
-                        machine: None,
-                        pending: Vec::new(),
-                        deferred: Vec::new(),
-                        done: false,
-                    })
-                    .collect(),
-                chunks_done: 0,
-            })
-            .collect();
+        let total = num_npus * chunk_bytes.len();
         let phases = plan.phases().len();
+        let chunks = chunk_bytes.len() as u32;
         CollState {
             plan,
             update_per_kb,
-            per_npu,
+            chunk_bytes,
+            chunks: vec![ChunkState::default(); total],
+            chunks_done: vec![0; num_npus],
+            entered_phase_at: vec![Time::ZERO; if tracing { total } else { 0 }],
+            early: Vec::new(),
+            deferred: Vec::new(),
             npus_done: 0,
             report: CollReport {
                 set_bytes,
-                chunks: chunk_bytes.len() as u32,
+                chunks,
                 phases,
                 issued_at: now,
                 first_npu_done: Time::ZERO,
@@ -107,6 +94,12 @@ impl CollState {
                 phase_network: Vec::new(),
             },
         }
+    }
+
+    /// Flat index of `npu`'s `chunk` in [`CollState::chunks`].
+    pub(crate) fn at(&self, npu: usize, chunk: u32) -> usize {
+        debug_assert!((chunk as usize) < self.chunk_bytes.len());
+        npu * self.chunk_bytes.len() + chunk as usize
     }
 
     /// Folds one message's source-queueing and in-network delay into the
@@ -171,22 +164,24 @@ pub(crate) fn receive_cost(
 /// a fault plan the predecessor may be stalled behind a retransmission
 /// timeout or a longer rerouted path, and in garnet flit-level arbitration
 /// can deliver one chunk's step `k + 1` before step `k`. Such a step is
-/// held back in `deferred` and retried once the machine advances.
+/// held back in `deferred` under the chunk's flat index `at` and retried
+/// once the machine advances; other chunks' entries are left alone.
 ///
 /// Returns whether the phase completed.
 ///
 /// # Errors
 ///
-/// [`SystemError::Protocol`] if the phase completes while steps are still
-/// deferred (they can never be accepted).
+/// [`SystemError::Protocol`] if the phase completes while steps of this
+/// chunk are still deferred (they can never be accepted).
 pub(crate) fn absorb_step(
     machine: &mut PhaseMachine,
-    deferred: &mut Vec<u32>,
+    deferred: &mut Vec<(usize, u32)>,
+    at: usize,
     step: u32,
     sends: &mut Vec<SendCmd>,
 ) -> Result<bool, SystemError> {
     if !machine.accepts(step) {
-        deferred.push(step);
+        deferred.push((at, step));
         return Ok(false);
     }
     let mut completed = receive(machine, step, sends)?;
@@ -196,8 +191,8 @@ pub(crate) fn absorb_step(
         let mut progressed = false;
         let mut i = 0;
         while i < deferred.len() {
-            if machine.accepts(deferred[i]) {
-                let step = deferred.swap_remove(i);
+            if deferred[i].0 == at && machine.accepts(deferred[i].1) {
+                let step = deferred.swap_remove(i).1;
                 completed |= receive(machine, step, sends)?;
                 progressed = true;
             } else {
@@ -208,9 +203,10 @@ pub(crate) fn absorb_step(
             break;
         }
     }
-    if completed && !deferred.is_empty() {
+    if completed && deferred.iter().any(|d| d.0 == at) {
+        let held: Vec<u32> = deferred.iter().filter(|d| d.0 == at).map(|d| d.1).collect();
         return Err(SystemError::Protocol {
-            what: format!("phase completed with steps {deferred:?} still deferred"),
+            what: format!("phase completed with steps {held:?} still deferred"),
         });
     }
     Ok(completed)
@@ -234,28 +230,22 @@ fn receive(
 mod tests {
     use super::*;
 
-    fn chunk() -> ChunkState {
-        ChunkState {
-            bytes: 1024,
-            phase: 0,
-            entered_phase_at: Time::ZERO,
-            machine: None,
-            pending: Vec::new(),
-            deferred: Vec::new(),
-            done: false,
-        }
-    }
-
     #[test]
     fn take_early_filters_and_sorts_one_phase() {
-        let mut c = chunk();
-        c.pending = vec![(1, 5), (0, 3), (1, 2), (2, 0), (1, 9)];
-        assert_eq!(c.take_early(1), [2, 5, 9]);
-        assert_eq!(c.pending, [(0, 3), (2, 0)]);
-        assert_eq!(c.take_early(3), Vec::<u32>::new());
-        c.pending.clear();
+        let mut early = vec![
+            (0, 1, 5),
+            (0, 0, 3),
+            (0, 1, 2),
+            (0, 2, 0),
+            (0, 1, 9),
+            (1, 1, 4),
+        ];
+        assert_eq!(take_early(&mut early, 0, 1), [2, 5, 9]);
+        assert_eq!(early, [(0, 0, 3), (0, 2, 0), (1, 1, 4)]);
+        assert_eq!(take_early(&mut early, 0, 3), Vec::<u32>::new());
+        early.clear();
         assert_eq!(
-            c.take_early(0).capacity(),
+            take_early(&mut early, 0, 0).capacity(),
             0,
             "no allocation when nothing is early"
         );
@@ -265,19 +255,20 @@ mod tests {
     fn absorb_step_defers_overtaking_steps_until_unblocked() {
         use astra_collectives::{PhaseAlgo, PhaseOp};
         let mut m = PhaseMachine::with_algo(PhaseAlgo::Ring, PhaseOp::ReduceScatter, 4, 4096);
-        let mut deferred = Vec::new();
+        // Another chunk's held-back step shares the list and stays there.
+        let mut deferred = vec![(9, 3)];
         let mut sends = Vec::new();
         m.start(&mut sends);
         sends.clear();
         // Step 2 and step 1 overtake step 0: both are held back.
-        assert!(!absorb_step(&mut m, &mut deferred, 2, &mut sends).unwrap());
-        assert!(!absorb_step(&mut m, &mut deferred, 1, &mut sends).unwrap());
-        assert_eq!(deferred, [2, 1]);
+        assert!(!absorb_step(&mut m, &mut deferred, 0, 2, &mut sends).unwrap());
+        assert!(!absorb_step(&mut m, &mut deferred, 0, 1, &mut sends).unwrap());
+        assert_eq!(deferred, [(9, 3), (0, 2), (0, 1)]);
         assert!(sends.is_empty());
         // Step 0 unblocks both; the phase completes with all three sends
         // it owes (steps 1 and 2; step 3 does not exist in a 4-ring RS).
-        assert!(absorb_step(&mut m, &mut deferred, 0, &mut sends).unwrap());
-        assert!(deferred.is_empty());
+        assert!(absorb_step(&mut m, &mut deferred, 0, 0, &mut sends).unwrap());
+        assert_eq!(deferred, [(9, 3)]);
         assert_eq!(sends.iter().map(|s| s.step).collect::<Vec<_>>(), [1, 2]);
     }
 
@@ -289,9 +280,9 @@ mod tests {
         m.start(&mut sends);
         // Step 5 never becomes acceptable: completing with it held back is
         // a typed error, not a silent drop.
-        let mut deferred = vec![5];
+        let mut deferred = vec![(0, 5)];
         assert!(matches!(
-            absorb_step(&mut m, &mut deferred, 0, &mut sends),
+            absorb_step(&mut m, &mut deferred, 0, 0, &mut sends),
             Err(SystemError::Protocol { .. })
         ));
     }
@@ -302,12 +293,23 @@ mod tests {
         use astra_topology::{LogicalTopology, Torus3d};
         let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
         let p = plan(&topo, CollectiveOp::AllReduce, Algorithm::Baseline, None).unwrap();
-        let mut cs = CollState::new(p, Time::from_cycles(2), 4, &[512, 512], 1024, Time::ZERO);
+        let mut cs = CollState::new(
+            p,
+            Time::from_cycles(2),
+            4,
+            vec![512, 512],
+            1024,
+            Time::ZERO,
+            false,
+        );
         cs.record_arrival(2, Time::from_cycles(7), Time::from_cycles(11));
         assert_eq!(cs.report.phase_queue.len(), 3);
         assert_eq!(cs.report.phase_queue[2].count(), 1);
         assert_eq!(cs.report.phase_network[2].count(), 1);
         assert_eq!(cs.report.phase_queue[0].count(), 0);
         assert_eq!(cs.report.chunks, 2);
+        // One flat chunk table over all NPUs; no phase times untraced.
+        assert_eq!((cs.chunks.len(), cs.at(3, 1)), (8, 7));
+        assert!(cs.entered_phase_at.is_empty());
     }
 }

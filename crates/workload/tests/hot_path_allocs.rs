@@ -222,3 +222,29 @@ fn garnet_all_reduce_does_not_allocate_per_flit() {
         }
     }
 }
+
+/// Allocations made by issuing an all-reduce on a warm `m`x`n`x`k`
+/// simulator: one all-reduce has already run, so routes are memoized and
+/// the ready queues, slots and scratch buffers have grown.
+fn issue_allocations(m: usize, n: usize, k: usize) -> u64 {
+    let mut sim = SystemSim::new(
+        torus(m, n, k),
+        SystemConfig::default(),
+        &NetworkConfig::default(),
+        BackendKind::Analytical,
+    );
+    let req = CollectiveRequest::all_reduce(512 << 10);
+    sim.complete_collective(req.clone()).unwrap();
+    let before = allocations();
+    sim.issue_collective(req).unwrap();
+    let allocs = allocations() - before;
+    sim.drain_and_audit().unwrap();
+    allocs
+}
+
+#[test]
+fn issuing_a_collective_allocates_the_same_on_8_and_64_npus() {
+    // The chunk table is one flat vector per collective, not one vector
+    // per NPU, so issuing costs the same number of allocations at any size.
+    assert_eq!(issue_allocations(2, 2, 2), issue_allocations(4, 4, 4));
+}

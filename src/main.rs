@@ -346,6 +346,12 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
         }
         None => inline_spec(args)?,
     };
+    // Checked before simulating: a missing directory would otherwise
+    // surface only after every point has run and printed.
+    let out_dir = args.get("out-dir").unwrap_or(".");
+    if !std::path::Path::new(out_dir).is_dir() {
+        return Err(format!("--out-dir {out_dir}: not an existing directory").into());
+    }
     let mut engine = SweepEngine::new(spec);
     if let Some(w) = args.get("workers") {
         engine = engine.workers(w.parse().map_err(|_| "--workers must be an integer")?);
@@ -369,7 +375,6 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
             }
         }
     }
-    let out_dir = args.get("out-dir").unwrap_or(".");
     let path = run
         .report
         .write_bench_json(out_dir)

@@ -264,6 +264,26 @@ fn sweep_spec_file_runs() {
 }
 
 #[test]
+fn sweep_into_a_missing_out_dir_fails_before_simulating() {
+    let missing = std::env::temp_dir().join(format!("astra_cli_no_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&missing);
+    let missing = missing.to_str().unwrap();
+    let (ok, stdout, stderr) = run(&[
+        "sweep",
+        "--topology",
+        "1x4x1",
+        "--sizes",
+        "1024,65536",
+        "--out-dir",
+        missing,
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains(missing), "{stderr}");
+    assert!(stdout.is_empty(), "points were simulated first: {stdout}");
+    assert!(!stderr.contains("points ("), "{stderr}");
+}
+
+#[test]
 fn bad_arguments_fail_gracefully() {
     let (ok, _, stderr) = run(&["collective", "--topology", "banana", "--bytes", "1"]);
     assert!(!ok);
