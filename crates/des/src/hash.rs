@@ -18,12 +18,8 @@
 //! # Example
 //!
 //! ```
-//! use astra_des::hash::{fnv1a_64, StableHasher};
+//! use astra_des::hash::fnv1a_64;
 //!
-//! let d = fnv1a_64(b"all-reduce/1048576");
-//! let mut h = StableHasher::new();
-//! h.write(b"all-reduce/1048576");
-//! assert_eq!(h.finish(), d);
 //! // The digest is a constant of the input, not of the process.
 //! assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
 //! ```
@@ -33,50 +29,11 @@ const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// An incremental 64-bit FNV-1a hasher with a stable, documented algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StableHasher {
-    state: u64,
-}
-
-impl StableHasher {
-    /// Creates a hasher at the FNV-1a offset basis.
-    pub const fn new() -> Self {
-        StableHasher {
-            state: OFFSET_BASIS,
-        }
-    }
-
-    /// Absorbs `bytes` into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(PRIME);
-        }
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current digest.
-    pub const fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher::new()
-    }
-}
-
 /// One-shot 64-bit FNV-1a digest of `bytes`.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write(bytes);
-    h.finish()
+    bytes.iter().fold(OFFSET_BASIS, |state, &b| {
+        (state ^ u64::from(b)).wrapping_mul(PRIME)
+    })
 }
 
 /// Odd multiplier of [`IdHasher`] (the FxHash constant).
@@ -160,23 +117,6 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn incremental_equals_oneshot() {
-        let mut h = StableHasher::new();
-        h.write(b"foo");
-        h.write(b"bar");
-        assert_eq!(h.finish(), fnv1a_64(b"foobar"));
-    }
-
-    #[test]
-    fn write_u64_is_little_endian_bytes() {
-        let mut a = StableHasher::new();
-        a.write_u64(0x0102_0304_0506_0708);
-        let mut b = StableHasher::new();
-        b.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
-        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! payload into the event enum allocates once per event; storing the
 //! payload here once and letting events carry a 4-byte [`SlabKey`] keeps
 //! the event enum small and the steady-state loop allocation-free — freed
-//! slots are recycled through an intrusive free list, so capacity is only
-//! ever grown, never churned.
+//! slots are recycled through a free list, so capacity is only ever grown,
+//! never churned.
 //!
 //! Keys are handed out deterministically (most-recently-freed slot first),
 //! which keeps simulations that embed keys in event ordering reproducible.
@@ -22,17 +22,6 @@ impl SlabKey {
         self.0
     }
 }
-
-#[derive(Debug)]
-enum Slot<T> {
-    /// Live entry.
-    Occupied(T),
-    /// Free slot; payload is the next free slot's index (or `u32::MAX` for
-    /// the end of the free list).
-    Vacant(u32),
-}
-
-const FREE_END: u32 = u32::MAX;
 
 /// A grow-only arena of `T` with recycled `u32` keys.
 ///
@@ -57,11 +46,10 @@ const FREE_END: u32 = u32::MAX;
 /// ```
 #[derive(Debug)]
 pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
-    /// Head of the free list (`FREE_END` when empty).
-    free_head: u32,
-    /// Number of occupied slots.
-    len: usize,
+    /// `None` marks a vacant slot.
+    slots: Vec<Option<T>>,
+    /// The vacant slots, reused last-freed first.
+    free: Vec<u32>,
 }
 
 impl<T> Default for Slab<T> {
@@ -75,17 +63,7 @@ impl<T> Slab<T> {
     pub fn new() -> Self {
         Slab {
             slots: Vec::new(),
-            free_head: FREE_END,
-            len: 0,
-        }
-    }
-
-    /// An empty slab with room for `cap` entries before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(cap),
-            free_head: FREE_END,
-            len: 0,
+            free: Vec::new(),
         }
     }
 
@@ -94,79 +72,54 @@ impl<T> Slab<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the slab would exceed `u32::MAX - 1` slots (far beyond any
+    /// Panics if the slab would exceed `u32::MAX` slots (far beyond any
     /// realistic in-flight window).
+    #[inline]
     pub fn insert(&mut self, value: T) -> SlabKey {
-        self.len += 1;
-        if self.free_head != FREE_END {
-            let idx = self.free_head;
-            match self.slots[idx as usize] {
-                Slot::Vacant(next) => {
-                    self.free_head = next;
-                    self.slots[idx as usize] = Slot::Occupied(value);
-                    SlabKey(idx)
-                }
-                // infallible: the free list only ever links vacant slots.
-                Slot::Occupied(_) => unreachable!("free list points at occupied slot"),
-            }
-        } else {
-            let idx = u32::try_from(self.slots.len())
-                .ok()
-                .filter(|&i| i < FREE_END)
-                .expect("slab exceeded u32 key space");
-            self.slots.push(Slot::Occupied(value));
-            SlabKey(idx)
+        if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = Some(value);
+            return SlabKey(idx);
         }
+        let idx = u32::try_from(self.slots.len()).expect("slab exceeded u32 key space");
+        self.slots.push(Some(value));
+        SlabKey(idx)
     }
 
     /// Removes and returns the entry under `key`, or `None` if it is dead
-    /// (out of range or already removed). The slot goes to the head of the
-    /// free list.
+    /// (out of range or already removed). The slot is the next one reused.
+    #[inline]
     pub fn remove(&mut self, key: SlabKey) -> Option<T> {
-        let slot = self.slots.get_mut(key.0 as usize)?;
-        if let Slot::Vacant(_) = slot {
-            return None;
-        }
-        let Slot::Occupied(value) = std::mem::replace(slot, Slot::Vacant(self.free_head)) else {
-            unreachable!("checked occupied above")
-        };
-        self.free_head = key.0;
-        self.len -= 1;
+        let value = self.slots.get_mut(key.0 as usize)?.take()?;
+        self.free.push(key.0);
         Some(value)
     }
 
     /// A shared reference to the entry under `key`, if live.
+    #[inline]
     pub fn get(&self, key: SlabKey) -> Option<&T> {
-        match self.slots.get(key.0 as usize) {
-            Some(Slot::Occupied(value)) => Some(value),
-            _ => None,
-        }
+        self.slots.get(key.0 as usize)?.as_ref()
     }
 
     /// A mutable reference to the entry under `key`, if live.
+    #[inline]
     pub fn get_mut(&mut self, key: SlabKey) -> Option<&mut T> {
-        match self.slots.get_mut(key.0 as usize) {
-            Some(Slot::Occupied(value)) => Some(value),
-            _ => None,
-        }
+        self.slots.get_mut(key.0 as usize)?.as_mut()
     }
 
     /// Number of live entries.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len() - self.free.len()
     }
 
     /// Whether the slab holds no live entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The live entries, in slot order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|s| match s {
-            Slot::Occupied(value) => Some(value),
-            Slot::Vacant(_) => None,
-        })
+        self.slots.iter().flatten()
     }
 
     /// Total slots ever allocated (live + recyclable) — the arena's
@@ -175,23 +128,31 @@ impl<T> Slab<T> {
         self.slots.len()
     }
 
-    /// Checks the live count against the occupied slots (an O(slots)
-    /// pass, for end-of-run audits).
+    /// Checks the free list against the vacant slots (an O(slots) pass,
+    /// for end-of-run audits): it must name each vacant slot exactly once,
+    /// so that the live count is the number of occupied slots and no insert
+    /// can overwrite a live entry.
     ///
     /// # Errors
     ///
-    /// Both counts, when they differ.
+    /// The first disagreement found.
     pub fn audit(&self) -> Result<(), String> {
-        let occupied = self
-            .slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Occupied(_)))
-            .count();
-        if occupied != self.len {
+        let occupied = self.values().count();
+        if occupied != self.len() {
             return Err(format!(
                 "slab live count {} but {occupied} occupied slots",
-                self.len
+                self.len()
             ));
+        }
+        let mut listed = vec![false; self.slots.len()];
+        for &idx in &self.free {
+            let i = idx as usize;
+            if self.slots.get(i).is_none_or(Option::is_some) || listed[i] {
+                return Err(format!(
+                    "slab free list names slot {idx}, which is not a distinct vacant slot"
+                ));
+            }
+            listed[i] = true;
         }
         Ok(())
     }
@@ -250,9 +211,24 @@ mod tests {
         slab.insert(2);
         slab.remove(k);
         slab.audit().unwrap();
-        slab.len += 1;
+        // A vacant slot missing from the free list counts as live.
+        slab.free.pop();
         let err = slab.audit().unwrap_err();
         assert!(err.contains("live count 2 but 1 occupied"), "{err}");
+    }
+
+    #[test]
+    fn audit_catches_a_free_list_that_disagrees_with_the_vacant_slots() {
+        let mut slab = Slab::new();
+        let k = slab.insert(1);
+        let live = slab.insert(2);
+        slab.remove(k);
+        slab.audit().unwrap();
+        // The live count still adds up, but the next insert would
+        // overwrite a live entry.
+        slab.free[0] = live.index();
+        let err = slab.audit().unwrap_err();
+        assert!(err.contains("names slot 1"), "{err}");
     }
 
     #[test]

@@ -15,12 +15,11 @@
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::link_index::{LinkIndex, LinkPath};
-use crate::message::SentIds;
+use crate::message::{check_send, SentIds};
 use crate::{
-    Arrival, Backend, Message, MsgId, NetEvent, NetScheduler, NetStats, NetworkConfig,
-    NetworkError,
+    Arrival, Backend, Message, NetEvent, NetScheduler, NetStats, NetworkConfig, NetworkError,
 };
-use astra_des::Time;
+use astra_des::{Slab, SlabKey, Time};
 use astra_topology::{LinkClass, LogicalTopology, Route};
 
 #[derive(Debug)]
@@ -47,17 +46,10 @@ struct MsgState {
 pub struct AnalyticalNet {
     links: Links,
     index: LinkIndex,
-    /// The duplicate-id check at `send`, over the occupied `slots`.
+    /// The duplicate-id check at `send`, over the live `slots`.
     ids: SentIds,
     /// In-flight message states; a `HopArrive` names its message's slot.
-    /// Freed slots are reused, so the slab's resident memory follows the
-    /// peak number of messages in flight rather than jumping with a hash
-    /// table's power-of-two capacity. This is not an `astra_des::Slab` on
-    /// purpose: a port onto `Slab` lowered `train_resnet50` events/s in
-    /// 10 of 10 alternating perfbench pairs (~10%); see DESIGN.md.
-    slots: Vec<Option<MsgState>>,
-    /// Empty slots of `slots`, reused last-freed first.
-    free: Vec<usize>,
+    slots: Slab<MsgState>,
 }
 
 /// The link servers and their accounting, kept apart from the in-flight
@@ -104,8 +96,7 @@ impl AnalyticalNet {
             },
             index,
             ids: SentIds::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            slots: Slab::new(),
         }
     }
 }
@@ -141,7 +132,7 @@ impl Links {
     /// (wormhole tail constraint, which also covers a fast link after a
     /// slow one). Store-and-forward hops start after that arrival, so the
     /// constraint never binds for them.
-    fn start_hop(&mut self, q: &mut dyn NetScheduler, s: &mut MsgState, msg: MsgId) {
+    fn start_hop(&mut self, q: &mut dyn NetScheduler, s: &mut MsgState, msg: SlabKey) {
         let path = s.path.as_slice();
         let (link_idx, hop, bytes) = (path[s.hop] as usize, s.hop, s.msg.bytes);
         let class = self.links[link_idx].class;
@@ -177,38 +168,19 @@ impl Backend for AnalyticalNet {
         msg: Message,
         route: Route,
     ) -> Result<(), NetworkError> {
-        if msg.bytes == 0 {
-            return Err(NetworkError::EmptyMessage);
-        }
-        if route.src() != msg.src || route.dst() != msg.dst {
-            return Err(NetworkError::RouteMismatch {
-                msg_src: msg.src,
-                msg_dst: msg.dst,
-                route_src: route.src(),
-                route_dst: route.dst(),
-            });
-        }
-        let path = self.index.resolve(&route)?;
-        let in_flight = self.slots.iter().flatten().map(|s| &s.msg);
-        self.ids.admit(msg.id, in_flight)?;
+        let in_flight = self.slots.values().map(|s| &s.msg);
+        let path = check_send(&mut self.ids, &self.index, &msg, &route, in_flight)?;
         let now = queue.now();
-        let state = MsgState {
+        let slot = self.slots.insert(MsgState {
             msg,
             path,
             hop: 0,
             injected: now,
             first_tx_start: now,
             tail_arrival: Time::ZERO,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        let state = self.slots[slot].insert(state);
-        self.links.start_hop(queue, state, MsgId(slot as u64));
+        });
+        let state = self.slots.get_mut(slot).expect("just inserted");
+        self.links.start_hop(queue, state, slot);
         Ok(())
     }
 
@@ -222,30 +194,24 @@ impl Backend for AnalyticalNet {
             // Garnet events never reach an analytical backend.
             unreachable!("analytical backend received a garnet event: {event:?}");
         };
-        let slot = msg.0 as usize;
-        let Some(state) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
-            panic!("HopArrive for empty in-flight slot {slot}");
+        let Some(state) = self.slots.get_mut(msg) else {
+            panic!("HopArrive for empty in-flight slot {}", msg.index());
         };
         state.hop += 1;
         if state.hop < state.path.as_slice().len() {
             self.links.start_hop(queue, state, msg);
-        } else {
-            let state = self.slots[slot].take().expect("slot checked above");
-            self.free.push(slot);
-            self.ids.delivered(state.msg.id);
-            let delivered = queue.now();
-            self.links.stats.record_delivery(
-                state.msg.bytes,
-                delivered - state.injected,
-                state.first_tx_start - state.injected,
-            );
-            arrivals.push(Arrival {
-                message: state.msg,
-                injected: state.injected,
-                first_tx_start: state.first_tx_start,
-                delivered,
-            });
+            return;
         }
+        let state = self.slots.remove(msg).expect("slot checked above");
+        self.ids.delivered(state.msg.id);
+        let arrival = Arrival {
+            message: state.msg,
+            injected: state.injected,
+            first_tx_start: state.first_tx_start,
+            delivered: queue.now(),
+        };
+        self.links.stats.record_delivery(&arrival);
+        arrivals.push(arrival);
     }
 
     fn stats(&self) -> &NetStats {
@@ -253,25 +219,20 @@ impl Backend for AnalyticalNet {
     }
 
     fn in_flight(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len()
     }
 
     fn audit_quiescent(&self) -> Result<(), String> {
-        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
-        if occupied > 0 || self.ids.tracked() > 0 {
-            let ids = self.ids.tracked();
+        if !self.slots.is_empty() || self.ids.tracked() > 0 {
             return Err(format!(
-                "analytical: {occupied} message(s) still in flight ({ids} id(s) tracked)"
+                "analytical: {} message(s) still in flight ({} id(s) tracked)",
+                self.slots.len(),
+                self.ids.tracked()
             ));
         }
-        if self.free.len() != self.slots.len() {
-            return Err(format!(
-                "analytical: {occupied} message slot(s) occupied and {} free of {}",
-                self.free.len(),
-                self.slots.len()
-            ));
-        }
-        Ok(())
+        self.slots
+            .audit()
+            .map_err(|e| format!("analytical: message {e}"))
     }
 
     fn install_link_faults(&mut self, plan: &FaultPlan) {
@@ -497,14 +458,7 @@ mod tests {
             net.audit_quiescent().unwrap();
         }
         // Six messages, never more than two in flight: two slots.
-        assert_eq!(net.slots.len(), 2);
-        // A slot that is neither occupied nor free fails the audit.
-        net.free.pop();
-        let err = net.audit_quiescent().unwrap_err();
-        assert!(
-            err.contains("0 message slot(s) occupied and 1 free of 2"),
-            "{err}"
-        );
+        assert_eq!(net.slots.capacity_used(), 2);
     }
 
     #[test]
@@ -520,31 +474,6 @@ mod tests {
         let arr = drain(&mut net, &mut q);
         // 100/0.5 = 200 -> round to 256 wire bytes -> 26 cyc ser (ceil) + 5.
         assert_eq!(arr[0].delivered, Time::from_cycles(26 + 5));
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        let (topo, cfg) = simple_ring();
-        let mut net = AnalyticalNet::new(&topo, &cfg);
-        let mut q = EventQueue::new();
-        let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
-        assert!(matches!(
-            net.send(
-                &mut q,
-                Message::new(0, NodeId(0), NodeId(1), 0, 0),
-                route.clone()
-            ),
-            Err(NetworkError::EmptyMessage)
-        ));
-        assert!(matches!(
-            net.send(
-                &mut q,
-                Message::new(0, NodeId(3), NodeId(1), 10, 0),
-                route.clone()
-            ),
-            Err(NetworkError::RouteMismatch { .. })
-        ));
-        // Duplicate ids: tests/duplicate_ids.rs, on both backends.
     }
 
     #[test]
@@ -608,7 +537,9 @@ mod hardware_routing_tests {
         let (topo, cfg) = ring(routing);
         let mut net = AnalyticalNet::new(&topo, &cfg);
         let mut q = EventQueue::new();
-        let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), hops).unwrap();
+        let route = topo
+            .ring_route(Dim::Horizontal, 0, NodeId(0), hops)
+            .unwrap();
         let dst = route.dst();
         net.send(&mut q, Message::new(0, NodeId(0), dst, bytes, 0), route)
             .unwrap();
@@ -668,8 +599,12 @@ mod hardware_routing_tests {
         // Two messages sharing the first link; the second must queue.
         for id in 0..2u64 {
             let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 2).unwrap();
-            net.send(&mut q, Message::new(id, NodeId(0), NodeId(2), 100, 0), route)
-                .unwrap();
+            net.send(
+                &mut q,
+                Message::new(id, NodeId(0), NodeId(2), 100, 0),
+                route,
+            )
+            .unwrap();
         }
         let out = drain(&mut net, &mut q);
         let m0 = out.iter().find(|a| a.message.id == MsgId(0)).unwrap();

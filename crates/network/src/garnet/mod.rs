@@ -43,7 +43,7 @@ mod flit;
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::link_index::{LinkIndex, LinkPath, NO_LINK};
-use crate::message::SentIds;
+use crate::message::{check_send, SentIds};
 use crate::{
     Arrival, Backend, Message, NetEvent, NetScheduler, NetStats, NetworkConfig, NetworkError,
 };
@@ -288,19 +288,14 @@ impl GarnetNet {
         if msg.flits_remaining == 0 {
             let done = self.messages.remove(msg_slot).expect("checked above");
             self.ids.delivered(done.msg.id);
-            let delivered = q.now();
-            let first_tx = done.first_tx_start.unwrap_or(done.injected);
-            self.stats.record_delivery(
-                done.msg.bytes,
-                delivered - done.injected,
-                first_tx - done.injected,
-            );
-            arrivals.push(Arrival {
+            let arrival = Arrival {
                 message: done.msg,
                 injected: done.injected,
-                first_tx_start: first_tx,
-                delivered,
-            });
+                first_tx_start: done.first_tx_start.unwrap_or(done.injected),
+                delivered: q.now(),
+            };
+            self.stats.record_delivery(&arrival);
+            arrivals.push(arrival);
         }
     }
 }
@@ -312,20 +307,8 @@ impl Backend for GarnetNet {
         msg: Message,
         route: Route,
     ) -> Result<(), NetworkError> {
-        if msg.bytes == 0 {
-            return Err(NetworkError::EmptyMessage);
-        }
-        if route.src() != msg.src || route.dst() != msg.dst {
-            return Err(NetworkError::RouteMismatch {
-                msg_src: msg.src,
-                msg_dst: msg.dst,
-                route_src: route.src(),
-                route_dst: route.dst(),
-            });
-        }
-        let path = self.index.resolve(&route)?;
-        self.ids
-            .admit(msg.id, self.messages.values().map(|m| &m.msg))?;
+        let in_flight = self.messages.values().map(|m| &m.msg);
+        let path = check_send(&mut self.ids, &self.index, &msg, &route, in_flight)?;
 
         // Packetize by the first hop's link class (messages are packetized
         // once, at injection).
@@ -692,30 +675,5 @@ mod tests {
         let mut q = EventQueue::new();
         // Every VC starts with all `buffers_per_vc` credits.
         net.handle(&mut q, NetEvent::Credit { link: 0, vc: 0 }, &mut Vec::new());
-    }
-
-    #[test]
-    fn rejects_duplicate_and_empty() {
-        let (topo, cfg) = ring_cfg();
-        let mut net = GarnetNet::new(&topo, &cfg);
-        let mut q = EventQueue::new();
-        let route = topo.ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
-        assert!(net
-            .send(
-                &mut q,
-                Message::new(0, NodeId(0), NodeId(1), 0, 0),
-                route.clone()
-            )
-            .is_err());
-        net.send(
-            &mut q,
-            Message::new(1, NodeId(0), NodeId(1), 8, 0),
-            route.clone(),
-        )
-        .unwrap();
-        assert!(matches!(
-            net.send(&mut q, Message::new(1, NodeId(0), NodeId(1), 8, 0), route),
-            Err(NetworkError::DuplicateMessage { .. })
-        ));
     }
 }

@@ -108,8 +108,8 @@ impl NetScheduler for EventQueue<NetEvent> {
 pub enum NetEvent {
     /// Analytical backend: a message finished traversing one hop.
     HopArrive {
-        /// Backend-internal in-flight message index.
-        msg: MsgId,
+        /// Backend-internal slot of the message's state.
+        msg: SlabKey,
     },
     /// Garnet backend: a link is ready to put the next flit on the wire.
     LinkReady {

@@ -1,5 +1,6 @@
 //! Network statistics.
 
+use crate::Arrival;
 use astra_des::stats::RunningStats;
 use astra_des::Time;
 use astra_topology::LinkClass;
@@ -74,29 +75,40 @@ impl NetStats {
         }
     }
 
-    /// Records a completed delivery.
-    pub fn record_delivery(&mut self, payload: u64, latency: Time, queueing: Time) {
+    /// Records a completed delivery: its payload, its end-to-end latency
+    /// (`delivered - injected`) and its source queueing.
+    pub fn record_delivery(&mut self, arrival: &Arrival) {
         self.delivered += 1;
-        self.payload_bytes += payload;
-        self.latency.record_time(latency);
-        self.source_queueing.record_time(queueing);
+        self.payload_bytes += arrival.message.bytes;
+        self.latency
+            .record_time(arrival.delivered - arrival.injected);
+        self.source_queueing.record_time(arrival.source_queueing());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Message;
+    use astra_topology::NodeId;
 
     #[test]
     fn hop_and_delivery_accounting() {
         let mut s = NetStats::with_links(2);
         s.record_hop(0, LinkClass::Local, 100, Time::from_cycles(4));
         s.record_hop(1, LinkClass::Package, 100, Time::from_cycles(10));
-        s.record_delivery(100, Time::from_cycles(50), Time::from_cycles(5));
+        s.record_delivery(&Arrival {
+            message: Message::new(0, NodeId(0), NodeId(1), 100, 0),
+            injected: Time::from_cycles(10),
+            first_tx_start: Time::from_cycles(15),
+            delivered: Time::from_cycles(60),
+        });
         assert_eq!(s.local_link_bytes, 100);
         assert_eq!(s.package_link_bytes, 100);
         assert_eq!(s.delivered, 1);
+        assert_eq!(s.payload_bytes, 100);
         assert_eq!(s.latency.mean(), 50.0);
+        assert_eq!(s.source_queueing.mean(), 5.0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The duplicate-id rule both backends share (increasing ids pass on the
-//! highest id ever sent; the first lower id switches to a set of the ids in
-//! flight), with `in_flight()` and `audit_quiescent` checked after each step.
+//! The send checks both backends share: the duplicate-id rule (increasing
+//! ids pass on the highest id ever sent; the first lower id switches to a
+//! set of the ids in flight), with `in_flight()` and `audit_quiescent`
+//! checked after each step, and the rejection of empty and misrouted
+//! messages.
 
 use astra_des::EventQueue;
 use astra_network::{AnalyticalNet, GarnetNet};
@@ -14,8 +16,17 @@ fn ring() -> LogicalTopology {
 }
 
 fn send(net: &mut Net, q: &mut EventQueue<NetEvent>, id: u64) -> Result<(), NetworkError> {
+    send_from(net, q, Message::new(id, NodeId(0), NodeId(1), 4096, 0))
+}
+
+/// Sends `msg` on the one-hop route 0 -> 1.
+fn send_from(
+    net: &mut Net,
+    q: &mut EventQueue<NetEvent>,
+    msg: Message,
+) -> Result<(), NetworkError> {
     let route = ring().ring_route(Dim::Horizontal, 0, NodeId(0), 1).unwrap();
-    net.send(q, Message::new(id, NodeId(0), NodeId(1), 4096, 0), route)
+    net.send(q, msg, route)
 }
 
 /// `in_flight()` reads `n`, and the audit passes exactly when it is 0.
@@ -69,4 +80,31 @@ fn analytical_duplicate_id_rule() {
 fn garnet_duplicate_id_rule() {
     let cfg = NetworkConfig::default();
     check_rule(Box::new(GarnetNet::new(&ring(), &cfg)));
+}
+
+/// An empty message and a route that does not join the message's endpoints
+/// are rejected, and neither leaves state behind: the id is sent again.
+fn check_bad_inputs(mut net: Net) {
+    let mut q = EventQueue::new();
+    let empty = Message::new(0, NodeId(0), NodeId(1), 0, 0);
+    let err = send_from(&mut net, &mut q, empty).unwrap_err();
+    assert!(matches!(err, NetworkError::EmptyMessage), "{err}");
+    let misrouted = Message::new(0, NodeId(3), NodeId(1), 10, 0);
+    let err = send_from(&mut net, &mut q, misrouted).unwrap_err();
+    assert!(matches!(err, NetworkError::RouteMismatch { .. }), "{err}");
+    holds(&net, 0);
+    send(&mut net, &mut q, 0).unwrap();
+    holds(&net, 1);
+}
+
+#[test]
+fn analytical_rejects_bad_inputs() {
+    let cfg = NetworkConfig::default();
+    check_bad_inputs(Box::new(AnalyticalNet::new(&ring(), &cfg)));
+}
+
+#[test]
+fn garnet_rejects_bad_inputs() {
+    let cfg = NetworkConfig::default();
+    check_bad_inputs(Box::new(GarnetNet::new(&ring(), &cfg)));
 }

@@ -798,8 +798,8 @@ mod tests {
 
     #[test]
     fn sys_event_stays_24_bytes() {
-        // The DES queue stores one per pending event. Garnet's events
-        // carry `u32` link, VC and slot indices, so a `NetEvent` is 16
+        // The DES queue stores one per pending event. Network events
+        // carry `u32` link, VC and slot indices, so a `NetEvent` is 12
         // bytes; a wider network event grows every queue entry.
         assert_eq!(std::mem::size_of::<SysEvent>(), 24);
     }

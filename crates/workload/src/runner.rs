@@ -22,7 +22,6 @@
 //! waits for the final weight-gradient collectives, layer by layer.
 
 use crate::{CommSpec, LayerReport, TrainingReport, Workload};
-use astra_des::hash::IdMap;
 use astra_des::Time;
 use astra_system::{CollId, CollectiveRequest, Notification, SystemError, SystemSim};
 
@@ -82,9 +81,10 @@ pub struct TrainingRunner {
     passes: u32,
     n: usize,
     states: Vec<NpuState>,
-    // Per-event lookup keyed by simulator-minted ids: an `IdHasher` map.
-    // Nothing iterates it, so its order never reaches the report.
-    gate_of: IdMap<CollId, usize>,
+    /// `gate_of[coll]`: the gate that issued collective `coll` (ids are
+    /// the system layer's dense collective indices). `None` for ids this
+    /// runner did not issue, such as those issued before it was built.
+    gate_of: Vec<Option<usize>>,
     /// Issue gates indexed by [`TrainingRunner::gate`], grown one
     /// iteration at a time.
     gates: Vec<Gate>,
@@ -129,7 +129,7 @@ impl TrainingRunner {
             passes,
             n,
             states: vec![NpuState::Done; n], // overwritten in run()
-            gate_of: IdMap::default(),
+            gate_of: Vec::new(),
             gates: Vec::new(),
             done: Vec::new(),
             slowdowns,
@@ -237,7 +237,11 @@ impl TrainingRunner {
             };
             let id = self.sim.issue_collective(req)?;
             self.gates[g].issued = Some(id);
-            self.gate_of.insert(id, g);
+            let slot = id.0 as usize;
+            if slot >= self.gate_of.len() {
+                self.gate_of.resize(slot + 1, None);
+            }
+            self.gate_of[slot] = Some(g);
         }
         Ok(())
     }
@@ -332,9 +336,11 @@ impl TrainingRunner {
     }
 
     fn on_coll_done(&mut self, coll: CollId, npu: usize) -> Result<(), SystemError> {
-        let gate = *self
+        let gate = self
             .gate_of
-            .get(&coll)
+            .get(coll.0 as usize)
+            .copied()
+            .flatten()
             .ok_or_else(|| SystemError::Protocol {
                 what: format!("completion for collective {coll:?} the runner never issued"),
             })?;
@@ -548,6 +554,34 @@ mod tests {
         // Activation collectives happened and were (at least partly) exposed.
         assert!(report.layers.iter().any(|l| l.fwd_comm > Time::ZERO));
         assert!(report.total_exposed > Time::ZERO);
+    }
+
+    #[test]
+    fn runs_on_a_simulator_that_already_issued_collectives() {
+        let mut earlier = sim(2, 2, 1);
+        for _ in 0..2 {
+            let req = CollectiveRequest {
+                op: astra_collectives::CollectiveOp::AllReduce,
+                bytes: 1 << 12,
+                dims: None,
+                algorithm: None,
+                local_update_per_kb: None,
+            };
+            earlier.complete_collective(req).unwrap();
+        }
+        let start = earlier.now();
+        let late = TrainingRunner::new(earlier, zoo::tiny_mlp(), 2)
+            .unwrap()
+            .run()
+            .unwrap();
+        let fresh = TrainingRunner::new(sim(2, 2, 1), zoo::tiny_mlp(), 2)
+            .unwrap()
+            .run()
+            .unwrap();
+        // The runner's collectives are ids 2 and up; the idle network makes
+        // the run the fresh one shifted by the earlier collectives' time.
+        assert_eq!(late.layers, fresh.layers);
+        assert_eq!(late.total_time, start + fresh.total_time);
     }
 
     #[test]
