@@ -133,6 +133,23 @@ fn huge_compute_time_in_workload_file_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn npu_count_above_the_cap_is_an_error_naming_the_count() {
+    for (shape, count) in [
+        ("4000x4000x4000", "64000000000 NPUs"),
+        ("512x512@1", "262144 NPUs"),
+        ("2x2x2*100000@1", "800000 NPUs"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+            .args(["collective", "--topology", shape, "--bytes", "1024"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{shape}: {stderr}");
+        assert!(stderr.contains(count), "{shape}: {stderr}");
+    }
+}
+
+#[test]
 fn zero_passes_is_an_error_naming_passes() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
         .args(["train", "--topology", "2x2x2", "--model", "tiny_mlp", "--passes", "0"])
