@@ -60,9 +60,10 @@ impl LinkIndex {
     ///
     /// Panics if the topology has `u32::MAX` or more physical links.
     pub(crate) fn new(topo: &LogicalTopology) -> Self {
-        let mut index = IdMap::default();
-        let mut classes = Vec::new();
-        for spec in topo.links() {
+        let specs = topo.links();
+        let mut index = IdMap::with_capacity_and_hasher(specs.len(), Default::default());
+        let mut classes = Vec::with_capacity(specs.len());
+        for spec in specs {
             let k = key_of(spec.from, spec.to, spec.channel);
             index.entry(k).or_insert_with(|| {
                 classes.push(spec.class);
