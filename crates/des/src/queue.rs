@@ -146,13 +146,10 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedules `payload` to fire `delay` after the current time.
+    /// Schedules `payload` to fire `delay` after the current time; the sum
+    /// saturates at [`Time::MAX`].
     pub fn schedule_in(&mut self, delay: Time, payload: E) {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation time overflow");
-        self.schedule_at(at, payload);
+        self.schedule_at(self.now + delay, payload);
     }
 
     /// Removes and returns the earliest event, advancing [`EventQueue::now`]

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulation time, measured in clock cycles.
 ///
@@ -11,6 +11,11 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// and durations add onto points. At the default 1 GHz clock used by the
 /// evaluation harness, one cycle equals one nanosecond, so a link bandwidth
 /// of 25 GB/s is exactly 25 bytes/cycle (see [`crate::Clock`]).
+///
+/// One overflow rule holds in every build profile: `+`, `+=`, `Sum` and
+/// [`Time::scale`] saturate at [`Time::MAX`], which stands for "overflowed"
+/// (see there). `-` must take an earlier time from a later one, which
+/// debug builds check.
 ///
 /// # Example
 ///
@@ -29,7 +34,10 @@ impl Time {
     /// The origin of simulation time (also the zero duration).
     pub const ZERO: Time = Time(0);
 
-    /// The largest representable time; useful as an "infinity" sentinel.
+    /// The overflow value, where `+`, `+=`, `Sum` and [`Time::scale`]
+    /// saturate. No event may happen at it: the system layer's event loop
+    /// fails with a typed overflow error when it pops one, so the last
+    /// valid cycle is `u64::MAX - 1`.
     pub const MAX: Time = Time(u64::MAX);
 
     /// Creates a time from a raw cycle count.
@@ -53,37 +61,8 @@ impl Time {
         Time(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition, returning `None` on overflow.
-    #[inline]
-    pub const fn checked_add(self, rhs: Time) -> Option<Time> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Time(v)),
-            None => None,
-        }
-    }
-
-    /// Returns the larger of two times.
-    #[inline]
-    pub fn max(self, other: Time) -> Time {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two times.
-    #[inline]
-    pub fn min(self, other: Time) -> Time {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Interprets this value as a duration and scales it by `num/den`,
-    /// rounding up. Panics if `den == 0`.
+    /// rounding up and saturating at [`Time::MAX`]. Panics if `den == 0`.
     ///
     /// This is used for compute-power sweeps (e.g. Fig 18 of the paper scales
     /// every layer's compute delay by 0.5×–4×).
@@ -91,7 +70,7 @@ impl Time {
     pub fn scale(self, num: u64, den: u64) -> Time {
         assert!(den != 0, "scale denominator must be nonzero");
         let v = (self.0 as u128 * num as u128).div_ceil(den as u128);
-        Time(u64::try_from(v).expect("time overflow in scale"))
+        Time(u64::try_from(v).unwrap_or(u64::MAX))
     }
 }
 
@@ -99,14 +78,14 @@ impl Add for Time {
     type Output = Time;
     #[inline]
     fn add(self, rhs: Time) -> Time {
-        Time(self.0 + rhs.0)
+        Time(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Time {
     #[inline]
     fn add_assign(&mut self, rhs: Time) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -115,13 +94,6 @@ impl Sub for Time {
     #[inline]
     fn sub(self, rhs: Time) -> Time {
         Time(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Time {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Time) {
-        self.0 -= rhs.0;
     }
 }
 
@@ -161,8 +133,7 @@ mod tests {
         assert_eq!((a - b).cycles(), 4);
         let mut c = a;
         c += b;
-        c -= Time::from_cycles(1);
-        assert_eq!(c.cycles(), 9);
+        assert_eq!(c.cycles(), 10);
     }
 
     #[test]
@@ -218,11 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn checked_add_detects_overflow() {
-        assert_eq!(Time::MAX.checked_add(Time::from_cycles(1)), None);
-        assert_eq!(
-            Time::from_cycles(1).checked_add(Time::from_cycles(2)),
-            Some(Time::from_cycles(3))
-        );
+    fn arithmetic_saturates_at_max() {
+        let big = Time::from_cycles(u64::MAX - 1);
+        assert_eq!(big + Time::from_cycles(2), Time::MAX);
+        let mut t = big;
+        t += big;
+        assert_eq!(t, Time::MAX);
+        assert_eq!([big, big, Time::ZERO].into_iter().sum::<Time>(), Time::MAX);
+        assert_eq!(Time::from_cycles(1 << 60).scale(16, 1), Time::MAX);
+        assert_eq!(Time::MAX.scale(1, 2), Time::from_cycles(1 << 63));
+        assert_eq!(big + Time::from_cycles(1), Time::MAX);
     }
 }

@@ -77,7 +77,8 @@ proptest! {
     /// The queue pops exactly the sequence a `BinaryHeap` over
     /// `(time, seq)` pops, for any interleaving of `schedule_at`,
     /// `schedule_in` and `pop`: same-time ties, zero delays, delays of
-    /// every power of two up to 2^63 and times near `u64::MAX` included.
+    /// every power of two up to 2^63, times near `u64::MAX` and delays
+    /// that saturate there included.
     /// `len`, `is_empty`, `peek_time` and `now` agree with the reference,
     /// and `audit` passes, after every operation.
     #[test]
@@ -91,19 +92,18 @@ proptest! {
             let now = q.now().cycles();
             let at = match kind {
                 // A tie with pending events, or a zero delay.
-                0 => Some(now + small.min(u64::MAX - now)),
-                // A power-of-two delay, through `schedule_in`.
+                0 => Some(now.saturating_add(small)),
+                // A power-of-two delay through `schedule_in`, which
+                // saturates at the end of time.
                 1 => {
                     let delay = 1u64 << shift;
-                    if now.checked_add(delay).is_some() {
-                        q.schedule_in(Time::from_cycles(delay), i);
-                        heap.push(Reverse((now + delay, seq, i)));
-                        seq += 1;
-                    }
+                    q.schedule_in(Time::from_cycles(delay), i);
+                    heap.push(Reverse((now.saturating_add(delay), seq, i)));
+                    seq += 1;
                     None
                 }
                 // Just past a power-of-two delay.
-                2 => now.checked_add(1 << shift).and_then(|t| t.checked_add(small)),
+                2 => Some(now.saturating_add(1 << shift).saturating_add(small)),
                 // Near the end of time.
                 3 => Some((u64::MAX - (small << shift.min(61))).max(now)),
                 _ => {

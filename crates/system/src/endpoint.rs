@@ -151,7 +151,7 @@ pub(crate) fn receive_cost(
     let mut delay = endpoint_delay;
     if machine.reduces_on(step) {
         let kb = machine.message_bytes_for(step).div_ceil(1024);
-        delay += Time::from_cycles(update_per_kb.cycles() * kb);
+        delay += update_per_kb.scale(kb, 1);
     }
     delay
 }

@@ -21,8 +21,6 @@ pub enum SystemError {
     Fault(FaultError),
     /// A zero-byte collective was requested.
     EmptySet,
-    /// A training run was asked for zero passes.
-    ZeroPasses,
     /// A [`crate::SystemConfig`] field is out of range.
     InvalidConfig {
         /// The field's name.
@@ -64,12 +62,10 @@ pub enum SystemError {
         /// The referenced collective id.
         coll: u64,
     },
-    /// A delay would move an event past the last representable cycle.
+    /// An event reached [`Time::MAX`], where time arithmetic saturates.
     TimeOverflow {
-        /// The simulation time the delay was requested at.
-        now: Time,
-        /// The requested delay.
-        delay: Time,
+        /// The time of the last event before it: the last valid time.
+        last: Time,
     },
     /// An internal protocol invariant was violated (a system-layer bug,
     /// surfaced as an error instead of a panic so callers can report it).
@@ -87,7 +83,6 @@ impl fmt::Display for SystemError {
             SystemError::Topology(e) => write!(f, "route synthesis failed: {e}"),
             SystemError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             SystemError::EmptySet => write!(f, "collective set size must be positive"),
-            SystemError::ZeroPasses => write!(f, "training needs passes >= 1, got passes = 0"),
             SystemError::InvalidConfig {
                 field,
                 value,
@@ -107,10 +102,11 @@ impl fmt::Display for SystemError {
             SystemError::UnknownCollective { coll } => {
                 write!(f, "event references unknown collective coll{coll}")
             }
-            SystemError::TimeOverflow { now, delay } => write!(
+            SystemError::TimeOverflow { last } => write!(
                 f,
-                "simulation time overflow: a delay of {delay} at t={now} passes the last \
-                 representable cycle"
+                "simulation time overflow: an event after t={last} reaches the limit of {} \
+                 cycles",
+                Time::MAX.cycles()
             ),
             SystemError::Protocol { what } => write!(f, "system protocol violation: {what}"),
         }
@@ -204,10 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn time_overflow_names_the_time_and_the_delay() {
+    fn time_overflow_names_the_time_and_the_limit() {
         let e = SystemError::TimeOverflow {
-            now: Time::from_cycles(7),
-            delay: Time::from_cycles(u64::MAX),
+            last: Time::from_cycles(7),
         };
         let s = e.to_string();
         assert!(

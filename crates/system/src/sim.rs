@@ -432,19 +432,10 @@ impl SystemSim {
     /// Schedules a workload callback `delay` from now; a
     /// [`Notification::Callback`] carrying `token` fires then. The token is
     /// the caller's own (the training runner passes the NPU index), so no
-    /// table maps a fired callback back to its owner.
-    ///
-    /// # Errors
-    ///
-    /// [`SystemError::TimeOverflow`] when `now + delay` does not fit the
-    /// cycle range; nothing is scheduled then.
-    pub fn schedule_callback(&mut self, delay: Time, token: u64) -> Result<(), SystemError> {
-        let now = self.queue.now();
-        let at = now
-            .checked_add(delay)
-            .ok_or(SystemError::TimeOverflow { now, delay })?;
-        self.queue.schedule_at(at, SysEvent::Callback(token));
-        Ok(())
+    /// table maps a fired callback back to its owner. A callback past the
+    /// last valid cycle fails [`SystemSim::step`] when it would fire.
+    pub fn schedule_callback(&mut self, delay: Time, token: u64) {
+        self.queue.schedule_in(delay, SysEvent::Callback(token));
     }
 
     /// Processes events until a notification is available (returning it) or
@@ -484,13 +475,19 @@ impl SystemSim {
     ///
     /// Fails on route-synthesis or protocol violations (system-layer bugs
     /// surfaced as typed errors), on [`SystemError::Unreachable`] when down
-    /// links disconnect a sender from its destination, and on
+    /// links disconnect a sender from its destination, on
     /// [`SystemError::RetriesExhausted`] when lossy transport defeats the
-    /// retransmission budget.
+    /// retransmission budget, and on [`SystemError::TimeOverflow`] for an
+    /// event at [`Time::MAX`]: every layer's time arithmetic saturates
+    /// there, and this is the one place that rejects it.
     pub fn step(&mut self) -> Result<bool, SystemError> {
-        let Some((_, ev)) = self.queue.pop() else {
+        let last = self.queue.now();
+        let Some((time, ev)) = self.queue.pop() else {
             return Ok(false);
         };
+        if time == Time::MAX {
+            return Err(SystemError::TimeOverflow { last });
+        }
         match ev {
             SysEvent::Net(nev) => {
                 let mut arrivals = std::mem::take(&mut self.arrivals_scratch);

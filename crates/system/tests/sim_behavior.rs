@@ -156,8 +156,8 @@ mod core_behavior {
     #[test]
     fn callbacks_fire_in_order() {
         let mut s = sim(ring8());
-        s.schedule_callback(Time::from_cycles(100), 7).unwrap();
-        s.schedule_callback(Time::from_cycles(50), 3).unwrap();
+        s.schedule_callback(Time::from_cycles(100), 7);
+        s.schedule_callback(Time::from_cycles(50), 3);
         let first = s.run_until_notification().unwrap().unwrap();
         let second = s.run_until_notification().unwrap().unwrap();
         match (first, second) {
@@ -170,6 +170,21 @@ mod core_behavior {
             }
             other => panic!("unexpected notifications: {other:?}"),
         }
+    }
+
+    #[test]
+    fn event_at_the_overflow_time_fails_step() {
+        let mut s = sim(ring8());
+        s.schedule_callback(Time::from_cycles(5), 1);
+        assert!(s.step().unwrap());
+        // 5 + MAX saturates at MAX, the reserved overflow time.
+        s.schedule_callback(Time::MAX, 0);
+        let err = s.step().unwrap_err();
+        assert!(
+            matches!(err, SystemError::TimeOverflow { last } if last == Time::from_cycles(5)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("after t=5 cyc"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Topology error type.
 
-use crate::{Dim, NodeId, MAX_NPUS};
+use crate::{Dim, NodeId, MAX_NPUS, MAX_SWITCH_LINKS};
 use std::error::Error;
 use std::fmt;
 
@@ -50,6 +50,14 @@ pub enum TopologyError {
     TooManyNpus {
         /// The NPU count, or `None` if it overflows `usize`.
         npus: Option<usize>,
+    },
+    /// A switched fabric has more than [`MAX_SWITCH_LINKS`] NPU–switch
+    /// links.
+    TooManySwitches {
+        /// The number of global switches.
+        switches: usize,
+        /// The number of NPUs.
+        npus: usize,
     },
     /// Node id outside the topology.
     NodeOutOfRange {
@@ -103,6 +111,11 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyNpus { npus: None } => {
                 write!(f, "the NPU count overflows usize (cap: {MAX_NPUS} NPUs)")
             }
+            TopologyError::TooManySwitches { switches, npus } => write!(
+                f,
+                "{switches} switches on {npus} NPUs exceed the cap of {MAX_SWITCH_LINKS} \
+                 NPU-switch links per fabric (two per NPU and switch)"
+            ),
             TopologyError::NodeOutOfRange { node, num_npus } => {
                 write!(f, "node {node} out of range ({num_npus} NPUs)")
             }

@@ -79,11 +79,22 @@ pub use torus::Torus3d;
 /// fabric the repository's tests, examples and sweeps build is far smaller.
 pub const MAX_NPUS: usize = 1 << 16;
 
-/// Checks the product of `sizes` against [`MAX_NPUS`].
-fn check_npu_count(sizes: &[usize]) -> Result<(), TopologyError> {
-    match sizes.iter().try_fold(1usize, |n, &s| n.checked_mul(s)) {
-        Some(n) if n <= MAX_NPUS => Ok(()),
-        npus => Err(TopologyError::TooManyNpus { npus }),
+/// The most NPU–switch links one fabric may have. A switched fabric joins
+/// every NPU to every global switch with an up- and a down-link, so its
+/// constructors reject `2 × NPUs × switches` above this with
+/// [`TopologyError::TooManySwitches`], before they allocate anything.
+pub const MAX_SWITCH_LINKS: usize = 1 << 20;
+
+/// Checks the product of `sizes` against [`MAX_NPUS`], and the links to
+/// `switches` global switches against [`MAX_SWITCH_LINKS`].
+fn check_fabric_size(sizes: &[usize], switches: usize) -> Result<(), TopologyError> {
+    let npus = match sizes.iter().try_fold(1usize, |n, &s| n.checked_mul(s)) {
+        Some(n) if n <= MAX_NPUS => n,
+        npus => return Err(TopologyError::TooManyNpus { npus }),
+    };
+    match (2 * npus).checked_mul(switches) {
+        Some(links) if links <= MAX_SWITCH_LINKS => Ok(()),
+        _ => Err(TopologyError::TooManySwitches { switches, npus }),
     }
 }
 
@@ -262,11 +273,23 @@ mod tests {
         );
         let pod = torus(2, 2, 2).unwrap();
         assert_eq!(
-            PodFabric::new(pod, usize::MAX / 4, 1),
+            PodFabric::new(pod.clone(), usize::MAX / 4, 1),
             Err(TopologyError::TooManyNpus { npus: None })
         );
         let msg = torus(4000, 4000, 4000).unwrap_err().to_string();
         assert!(msg.contains("64000000000 NPUs"), "{msg}");
+        // Switched fabrics: 2 × NPUs × switches links.
+        let too_many = |switches, npus| Err(TopologyError::TooManySwitches { switches, npus });
+        let max = MAX_SWITCH_LINKS / 16;
+        assert!(HierAllToAll::new(1, 8, 1, max).is_ok());
+        assert_eq!(HierAllToAll::new(1, 8, 1, max + 1), too_many(max + 1, 8));
+        assert_eq!(HierAllToAll::new(1, 8, 1, usize::MAX), too_many(usize::MAX, 8));
+        assert!(matches!(
+            PodFabric::new(pod, 2, max),
+            Err(TopologyError::TooManySwitches { npus: 16, .. })
+        ));
+        let msg = HierAllToAll::new(1, 8, 1, 100_000_000).unwrap_err().to_string();
+        assert!(msg.contains("100000000 switches"), "{msg}");
     }
 
     #[test]

@@ -40,8 +40,9 @@ impl PodFabric {
     /// # Errors
     ///
     /// Fails if `pods == 0`, if more than one pod is requested without
-    /// any scale-out switch, or if the pods hold more than
-    /// [`MAX_NPUS`](crate::MAX_NPUS) NPUs in all.
+    /// any scale-out switch, if the pods hold more than
+    /// [`MAX_NPUS`](crate::MAX_NPUS) NPUs in all, or if their switch links
+    /// exceed [`MAX_SWITCH_LINKS`](crate::MAX_SWITCH_LINKS).
     pub fn new(pod: Torus3d, pods: usize, switches: usize) -> Result<Self, TopologyError> {
         if pods == 0 {
             return Err(TopologyError::InvalidShape {
@@ -53,7 +54,7 @@ impl PodFabric {
                 what: "multiple pods need at least one scale-out switch",
             });
         }
-        crate::check_npu_count(&[pod.num_npus(), pods])?;
+        crate::check_fabric_size(&[pod.num_npus(), pods], switches)?;
         Ok(PodFabric(Switched {
             block: pod,
             groups: pods,

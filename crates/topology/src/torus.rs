@@ -67,7 +67,7 @@ impl Torus3d {
                 what: "active dimensions need at least one ring",
             });
         }
-        crate::check_npu_count(&[local, horizontal, vertical])?;
+        crate::check_fabric_size(&[local, horizontal, vertical], 0)?;
         Ok(Torus3d {
             local,
             horizontal,

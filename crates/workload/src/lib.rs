@@ -64,7 +64,7 @@ pub mod zoo;
 
 pub use layer::{CommSpec, LayerSpec, Parallelism};
 pub use report::{FaultImpact, LayerReport, TrainingReport};
-pub use runner::TrainingRunner;
+pub use runner::{TrainingRunner, MAX_PASSES};
 
 use serde::{Deserialize, Serialize};
 

@@ -33,6 +33,11 @@ enum CommKind {
     Wg,
 }
 
+/// The most training passes one run may take. Every run in the
+/// repository takes a few; a pass count near `u32::MAX` would otherwise
+/// run without bound.
+pub const MAX_PASSES: u32 = 1_000;
+
 /// Phases per layer: the stride of [`TrainingRunner::gate`].
 const KINDS: usize = 3;
 
@@ -110,13 +115,18 @@ impl TrainingRunner {
     /// # Errors
     ///
     /// Fails with [`SystemError::InvalidWorkload`] if the workload is
-    /// malformed, and with [`SystemError::ZeroPasses`] if `passes == 0`.
+    /// malformed, and with [`SystemError::InvalidConfig`] if `passes` is
+    /// outside `1..=`[`MAX_PASSES`].
     pub fn new(sim: SystemSim, workload: Workload, passes: u32) -> Result<Self, SystemError> {
         workload
             .validate()
             .map_err(|what| SystemError::InvalidWorkload { what })?;
-        if passes == 0 {
-            return Err(SystemError::ZeroPasses);
+        if !(1..=MAX_PASSES).contains(&passes) {
+            return Err(SystemError::InvalidConfig {
+                field: "passes",
+                value: u64::from(passes),
+                expected: format!("1..={MAX_PASSES}"),
+            });
         }
         let n = sim.topology().num_npus();
         let layers = workload.layers.len();
@@ -170,7 +180,7 @@ impl TrainingRunner {
     /// quiescent (see [`SystemSim::audit_quiescent`]).
     pub fn run_instrumented(mut self) -> Result<(TrainingReport, u64), SystemError> {
         for npu in 0..self.n {
-            self.advance(npu, Step::new(0, 0, CommKind::Fwd))?;
+            self.advance(npu, Step::new(0, 0, CommKind::Fwd));
         }
         while self.done_count < self.n {
             let Some(note) = self.sim.run_until_notification()? else {
@@ -248,7 +258,7 @@ impl TrainingRunner {
 
     /// Runs `npu`'s program from `next` until it schedules compute, waits
     /// for a collective or finishes.
-    fn advance(&mut self, npu: usize, mut next: Step) -> Result<(), SystemError> {
+    fn advance(&mut self, npu: usize, mut next: Step) {
         let layers = self.workload.layers.len() as u32;
         loop {
             let Step { iter, layer, kind } = next;
@@ -260,7 +270,7 @@ impl TrainingRunner {
                     self.states[npu] = NpuState::Done;
                     self.finish[npu] = self.sim.now();
                     self.done_count += 1;
-                    return Ok(());
+                    return;
                 }
                 // Forward pass done: back-propagate from the last layer.
                 return self.compute(npu, Step::new(iter, layers - 1, CommKind::Ig));
@@ -280,13 +290,12 @@ impl TrainingRunner {
 
     /// Stalls `npu` until `on`'s collective completes on it, then resumes
     /// at `then`. The only place a stall starts.
-    fn wait_for(&mut self, npu: usize, on: Step, then: Step) -> Result<(), SystemError> {
+    fn wait_for(&mut self, npu: usize, on: Step, then: Step) {
         self.states[npu] = NpuState::Waiting { on, then };
         self.stall_start[npu] = self.sim.now();
-        Ok(())
     }
 
-    fn compute(&mut self, npu: usize, step: Step) -> Result<(), SystemError> {
+    fn compute(&mut self, npu: usize, step: Step) {
         let l = self.layer(step.layer);
         let delay = match step.kind {
             CommKind::Fwd => l.fwd_compute,
@@ -302,9 +311,8 @@ impl TrainingRunner {
         } else {
             delay
         };
-        self.sim.schedule_callback(delay, npu as u64)?;
+        self.sim.schedule_callback(delay, npu as u64);
         self.states[npu] = NpuState::Computing(step);
-        Ok(())
     }
 
     /// `npu`'s compute callback (scheduled with the NPU as its token) fired.
@@ -329,10 +337,12 @@ impl TrainingRunner {
             // Weight gradients block only in no-overlap mode.
             let blocks = kind != CommKind::Wg || !self.overlap;
             if blocks && !self.is_done(step, npu) {
-                return self.wait_for(npu, step, then);
+                self.wait_for(npu, step, then);
+                return Ok(());
             }
         }
-        self.advance(npu, then)
+        self.advance(npu, then);
+        Ok(())
     }
 
     fn on_coll_done(&mut self, coll: CollId, npu: usize) -> Result<(), SystemError> {
@@ -352,7 +362,8 @@ impl TrainingRunner {
             return Ok(());
         }
         self.exposed[npu][on.layer as usize] += self.sim.now() - self.stall_start[npu];
-        self.advance(npu, then)
+        self.advance(npu, then);
+        Ok(())
     }
 
     // ---- reporting ----------------------------------------------------
@@ -394,10 +405,7 @@ impl TrainingRunner {
                     }
                 }
                 let exposed_mean = Time::from_cycles(
-                    self.exposed
-                        .iter()
-                        .map(|per_npu| per_npu[i].cycles())
-                        .sum::<u64>()
+                    self.exposed.iter().map(|per_npu| per_npu[i]).sum::<Time>().cycles()
                         / self.n as u64,
                 );
                 LayerReport {
@@ -415,11 +423,7 @@ impl TrainingRunner {
             })
             .collect::<Vec<_>>();
         let total_exposed = Time::from_cycles(
-            self.exposed
-                .iter()
-                .map(|per_npu| per_npu.iter().map(|t| t.cycles()).sum::<u64>())
-                .sum::<u64>()
-                / self.n as u64,
+            self.exposed.iter().flatten().copied().sum::<Time>().cycles() / self.n as u64,
         );
         TrainingReport {
             workload: self.workload.name.clone(),
@@ -586,9 +590,15 @@ mod tests {
 
     #[test]
     fn zero_passes_rejected() {
-        let err = TrainingRunner::new(sim(2, 1, 1), zoo::tiny_mlp(), 0).unwrap_err();
-        assert!(matches!(err, SystemError::ZeroPasses), "{err:?}");
-        assert!(err.to_string().contains("passes"), "{err}");
+        for passes in [0, MAX_PASSES + 1, u32::MAX] {
+            let err = TrainingRunner::new(sim(2, 1, 1), zoo::tiny_mlp(), passes).unwrap_err();
+            assert!(
+                matches!(err, SystemError::InvalidConfig { field: "passes", .. }),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(&format!("passes = {passes},")), "{err}");
+        }
+        assert!(TrainingRunner::new(sim(2, 1, 1), zoo::tiny_mlp(), MAX_PASSES).is_ok());
     }
 
     #[test]

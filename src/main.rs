@@ -53,6 +53,7 @@ SHAPE:  MxNxK       torus (local x horizontal x vertical), e.g. 2x4x4
 OP:     all-reduce | all-gather | reduce-scatter | all-to-all
 MODEL:  resnet50 | vgg16 | transformer | gpt | dlrm | tiny_mlp
         (--minibatch: samples per NPU, 1 to 65536; default 32)
+        (--passes: training iterations, 1 to 1000; default 2)
 ALG:    baseline | enhanced
 SCHED:  lifo | fifo | priority   (ready-queue chunk-scheduling policy,
         Table III row 7; default lifo)

@@ -104,32 +104,61 @@ fn train_workload_file_command() {
 
 #[test]
 fn huge_compute_time_in_workload_file_is_an_error_not_a_panic() {
-    // fc1's forward compute ends at the last representable cycle, so
-    // scheduling fc2's compute after it overflows the simulation clock.
+    // Each input drives an event to `u64::MAX`, where time saturates; the
+    // event loop rejects it, naming the last valid time.
     let dir = std::env::temp_dir().join("astra_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("huge_compute.txt");
-    std::fs::write(
-        &file,
+    let write = |name: &str, text: &str| {
+        let file = dir.join(name);
+        std::fs::write(&file, text).unwrap();
+        file.to_str().unwrap().to_owned()
+    };
+    // fc1's forward compute alone ends at `u64::MAX`.
+    let max_compute = write(
+        "huge_compute.txt",
         "DATA\n2\n\
          fc1 18446744073709551615 NONE 0 42000 NONE 0 38000 ALLREDUCE 1048576 2\n\
          fc2 18446744073709551000 NONE 0 1 NONE 0 1 ALLREDUCE 1048576 2\n",
-    )
-    .unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
-        .args(["train", "--topology", "2x2x2", "--workload"])
-        .arg(&file)
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("simulation time overflow")
-            && stderr.contains("18446744073709551000 cyc")
-            && stderr.contains("t=18446744073709551615 cyc"),
-        "{stderr}"
     );
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    // fc1's compute ends just short of it; the work after it does not.
+    let late_compute = write(
+        "late_compute.txt",
+        "DATA\n1\nfc1 18446744073709551000 NONE 0 1 NONE 0 1 ALLREDUCE 1048576 2\n",
+    );
+    // A local update of 2^60 + 1 cycles/KiB.
+    let huge_update = write(
+        "huge_update.txt",
+        "DATA\n1\nfc1 1000 NONE 0 1000 NONE 0 1000 ALLREDUCE 1048576 1152921504606846977\n",
+    );
+    // A 2^62-cycle retransmission timeout, doubled on each retry.
+    let huge_timeout = write(
+        "huge_timeout.json",
+        r#"{"seed": 1, "link_faults": [], "stragglers": [],
+            "loss": {"drop_rate": 0.5, "timeout": 4611686018427387904, "max_retries": 16}}"#,
+    );
+    fn train(file: &str) -> Vec<&str> {
+        vec!["train", "--topology", "2x2x2", "--workload", file]
+    }
+    let lossy = ["collective", "--topology", "1x2x1*2@1", "--bytes", "1048576", "--faults"];
+    for (args, last) in [
+        (train(&max_compute), "0"),
+        (train(&late_compute), "18446744073709551520"),
+        (train(&huge_update), "4506"),
+        ([&lossy[..], &[&huge_timeout]].concat(), "13835058055282231011"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let want = format!(
+            "simulation time overflow: an event after t={last} cyc reaches the limit of {} cycles",
+            u64::MAX
+        );
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -138,6 +167,7 @@ fn npu_count_above_the_cap_is_an_error_naming_the_count() {
         ("4000x4000x4000", "64000000000 NPUs"),
         ("512x512@1", "262144 NPUs"),
         ("2x2x2*100000@1", "800000 NPUs"),
+        ("1x8@100000000", "100000000 switches"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
             .args(["collective", "--topology", shape, "--bytes", "1024"])
@@ -151,13 +181,15 @@ fn npu_count_above_the_cap_is_an_error_naming_the_count() {
 
 #[test]
 fn zero_passes_is_an_error_naming_passes() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
-        .args(["train", "--topology", "2x2x2", "--model", "tiny_mlp", "--passes", "0"])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("passes"), "{stderr}");
+    for n in ["0", "4294967295"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+            .args(["train", "--topology", "2x2x2", "--model", "resnet50", "--passes", n])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(&format!("passes = {n},")), "{stderr}");
+    }
 }
 
 #[test]
