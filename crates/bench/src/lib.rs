@@ -11,6 +11,7 @@ use astra_core::output::Table;
 use astra_core::{SimConfig, Simulator};
 use astra_sweep::{SweepEngine, SweepReport, SweepRun, SweepSpec};
 use astra_system::CollectiveRequest;
+pub use astra_workload::transform::scale_compute_power;
 use astra_workload::{TrainingReport, Workload};
 use std::path::PathBuf;
 
@@ -144,17 +145,6 @@ pub fn calibrated_resnet50() -> Workload {
         14,
         1,
     )
-}
-
-/// Scales every compute delay of a workload by `den/num` — i.e. `num/den`×
-/// compute *power* (Fig 18's knob).
-pub fn scale_compute_power(mut wl: Workload, num: u64, den: u64) -> Workload {
-    for l in &mut wl.layers {
-        l.fwd_compute = l.fwd_compute.scale(den, num);
-        l.ig_compute = l.ig_compute.scale(den, num);
-        l.wg_compute = l.wg_compute.scale(den, num);
-    }
-    wl
 }
 
 #[cfg(test)]

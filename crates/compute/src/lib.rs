@@ -17,8 +17,9 @@
 //! * [`Gemm`] — GEMM shapes, plus the standard mapping from a training
 //!   layer's forward pass to its two backward GEMMs;
 //! * [`ComputeModel`] — the facade combining all of the above plus the
-//!   paper's parameterized non-GEMM overhead and the compute-power scaling
-//!   knob used by Fig 18.
+//!   paper's parameterized non-GEMM overhead. Fig 18's compute-power sweep
+//!   scales the delays of a built workload
+//!   (`astra_workload::transform::scale_compute_power`).
 //!
 //! ## Example
 //!

@@ -35,10 +35,6 @@ pub struct ComputeModel {
     /// (activations, normalization, optimizer), as parts-per-1024 of the
     /// GEMM time.
     non_gemm_overhead_per_1024: u64,
-    /// Compute-power multiplier numerator/denominator: delays are scaled by
-    /// `den/num`, so `num/den = 2` halves delays (a 2× faster NPU).
-    power_num: u64,
-    power_den: u64,
 }
 
 impl ComputeModel {
@@ -50,8 +46,6 @@ impl ComputeModel {
             array: SystolicArray::new(256, 256, Dataflow::WeightStationary),
             dram: DramModel::new(900.0, 2, Clock::GHZ1),
             non_gemm_overhead_per_1024: 128, // 12.5%
-            power_num: 1,
-            power_den: 1,
         }
     }
 
@@ -61,8 +55,6 @@ impl ComputeModel {
             array,
             dram,
             non_gemm_overhead_per_1024,
-            power_num: 1,
-            power_den: 1,
         }
     }
 
@@ -76,31 +68,14 @@ impl ComputeModel {
         &self.dram
     }
 
-    /// Returns a copy with compute power scaled by `num/den` relative to
-    /// this model (Fig 18 sweeps 0.5× to 4×). A more powerful NPU has
-    /// *shorter* delays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either term is zero.
-    pub fn with_compute_power(&self, num: u64, den: u64) -> Self {
-        assert!(num > 0 && den > 0, "compute power ratio must be positive");
-        ComputeModel {
-            power_num: num,
-            power_den: den,
-            ..*self
-        }
-    }
-
     /// Effective delay of one GEMM: systolic estimate, DRAM roofline,
-    /// non-GEMM overhead, power scaling.
+    /// non-GEMM overhead.
     pub fn gemm_time(&self, gemm: Gemm) -> Time {
         let compute = self.array.gemm_cycles(gemm);
         let rooflined = self.dram.roofline(gemm, compute);
         let with_overhead =
             rooflined + rooflined * self.non_gemm_overhead_per_1024 / 1024;
-        // power num/den speeds up: time scales by den/num.
-        Time::from_cycles(with_overhead).scale(self.power_den, self.power_num)
+        Time::from_cycles(with_overhead)
     }
 
     /// Per-phase timing of a training layer whose forward GEMM is `forward`.
@@ -137,17 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn power_scaling_is_inverse() {
-        let m = ComputeModel::tpu_like_256();
-        let g = Gemm::new(1024, 1024, 1024);
-        let base = m.gemm_time(g).cycles();
-        let twice = m.with_compute_power(2, 1).gemm_time(g).cycles();
-        let half = m.with_compute_power(1, 2).gemm_time(g).cycles();
-        assert_eq!(twice, base.div_ceil(2));
-        assert_eq!(half, base * 2);
-    }
-
-    #[test]
     fn memory_bound_gemm_hits_roofline() {
         // A skinny GEMM (tiny K) is memory bound on any fast array.
         let m = ComputeModel::tpu_like_256();
@@ -155,11 +119,5 @@ mod tests {
         let t = m.gemm_time(g).cycles();
         let stream = m.dram().stream_cycles(g);
         assert!(t >= stream);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_power_panics() {
-        ComputeModel::tpu_like_256().with_compute_power(0, 1);
     }
 }

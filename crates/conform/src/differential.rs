@@ -8,33 +8,41 @@
 //! runs the same [`SimConfig`] through both backends and checks exactly
 //! that.
 
-use astra_core::{SimConfig, Simulator};
-use astra_des::Time;
-use astra_system::{BackendKind, CollectiveRequest};
+use astra_core::{CollectiveRunReport, CoreError, SimConfig, Simulator};
+use astra_system::{BackendKind, CollectiveRequest, PhaseSpan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Structural summary of one traced collective run: everything the
-/// differential oracle compares across backends.
+/// One traced collective run: the run's report, its phase spans and its
+/// event count. Every oracle in this crate reads a run through this type;
+/// [`run_traced`] is the only code that produces one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TracedRun {
-    /// Which backend produced it.
-    pub backend: BackendKind,
-    /// Issue-to-last-NPU completion time.
-    pub duration: Time,
-    /// Per-NPU chunk completion order: element `i` lists the chunk indices
-    /// of NPU `i`'s final-phase completions, in completion order.
-    pub completion_order: Vec<Vec<u32>>,
-    /// System-layer messages delivered.
-    pub messages: u64,
-    /// Backend deliveries (retransmissions would make this exceed
-    /// `messages`; the oracle only accepts fault-free configs).
-    pub delivered: u64,
-    /// Total payload bytes the backend carried to destinations.
-    pub payload_bytes: u64,
+    /// The collective's report with the run's system and network stats.
+    pub report: CollectiveRunReport,
+    /// The run's chunk-phase spans (all of its one collective), in
+    /// recording order.
+    pub spans: Vec<PhaseSpan>,
+    /// NPUs in the fabric the run simulated.
+    pub npus: usize,
     /// Discrete events processed (not compared — the backends legitimately
     /// differ by orders of magnitude — but kept for repro context).
     pub events: u64,
+}
+
+impl TracedRun {
+    /// Per-NPU chunk completion order: element `i` lists the chunk indices
+    /// of NPU `i`'s final-phase completions, in completion order.
+    pub fn completion_order(&self) -> Vec<Vec<u32>> {
+        let mut order = vec![Vec::new(); self.npus];
+        let last_phase = self.report.coll.phases.checked_sub(1);
+        for span in &self.spans {
+            if Some(usize::from(span.phase)) == last_phase {
+                order[span.npu as usize].push(span.chunk);
+            }
+        }
+        order
+    }
 }
 
 /// Accepted band for the analytical-to-Garnet duration ratio.
@@ -186,58 +194,40 @@ impl fmt::Display for DiffError {
 impl std::error::Error for DiffError {}
 
 /// Runs `req` on `cfg` over the backend `cfg.backend` selects, with tracing
-/// enabled, and condenses the run into its structural summary.
+/// enabled, and keeps the run's report and spans.
 ///
-/// After the run the full-stack quiescence audit
-/// ([`astra_system::SystemSim::audit_quiescent`]) must pass: leaked
-/// in-flight state or a Garnet credit imbalance fails the run even when
-/// the collective itself completed.
+/// The run ends with the full-stack quiescence audit
+/// ([`astra_system::SystemSim::audit_quiescent`]): leaked in-flight state
+/// or a Garnet credit imbalance fails the run even when the collective
+/// itself completed.
 ///
 /// # Errors
 ///
-/// [`DiffError::Run`] on invalid configs, drained simulations, or a failed
-/// quiescence audit.
-pub fn run_traced(cfg: &SimConfig, req: &CollectiveRequest) -> Result<TracedRun, DiffError> {
-    let simulator = Simulator::new(cfg.clone()).map_err(|e| DiffError::Run(e.to_string()))?;
-    let mut sim = simulator
-        .system_sim()
-        .map_err(|e| DiffError::Run(e.to_string()))?;
+/// The simulator's typed error on invalid configs, drained simulations,
+/// or a failed quiescence audit.
+pub fn run_traced(cfg: &SimConfig, req: &CollectiveRequest) -> Result<TracedRun, CoreError> {
+    let mut sim = Simulator::new(cfg.clone())?.system_sim()?;
     sim.enable_tracing();
-    let id = sim
-        .complete_collective(req.clone())
-        .map_err(|e| DiffError::Run(e.to_string()))?;
-    let n = sim.topology().num_npus();
-
-    let report = sim
-        .report(id)
-        .ok_or_else(|| DiffError::Run("missing collective report".into()))?;
-    let duration = report.duration();
-    let last_phase = (report.phases - 1) as u8;
-
-    let spans = sim
-        .trace()
-        .ok_or_else(|| DiffError::Run("tracing yielded no spans".into()))?;
-    let mut completion_order = vec![Vec::new(); n];
-    for span in spans {
-        if span.coll == id.0 && span.phase == last_phase {
-            completion_order[span.npu as usize].push(span.chunk);
-        }
-    }
-
+    let id = sim.complete_collective(req.clone())?;
     Ok(TracedRun {
-        backend: cfg.backend,
-        duration,
-        completion_order,
-        messages: sim.stats().messages,
-        delivered: sim.net_stats().delivered,
-        payload_bytes: sim.net_stats().payload_bytes,
+        report: CollectiveRunReport::from_sim(&sim, id)?,
+        spans: sim.trace().unwrap_or_default().to_vec(),
+        npus: sim.topology().num_npus(),
         events: sim.events_processed(),
     })
 }
 
+/// `cfg` with its backend replaced by `backend`.
+pub(crate) fn on_backend(cfg: &SimConfig, backend: BackendKind) -> SimConfig {
+    SimConfig {
+        backend,
+        ..cfg.clone()
+    }
+}
+
 /// The differential oracle: runs `req` on `cfg` through **both** backends
-/// and checks structural equivalence plus the latency envelope. Returns the
-/// two traced runs (analytical first) when they conform.
+/// and compares the runs. Returns the two traced runs (analytical
+/// first) when they conform.
 ///
 /// # Errors
 ///
@@ -250,68 +240,58 @@ pub fn diff_check(
     req: &CollectiveRequest,
     opts: &DiffOptions,
 ) -> Result<(TracedRun, TracedRun), DiffError> {
-    let envelope = &opts.envelope;
     if cfg.faults.as_ref().is_some_and(|p| !p.is_empty()) {
         return Err(DiffError::Run(
             "differential oracle requires a fault-free config".into(),
         ));
     }
-    let mut a_cfg = cfg.clone();
-    a_cfg.backend = BackendKind::Analytical;
-    let mut g_cfg = cfg.clone();
-    g_cfg.backend = BackendKind::Garnet;
-    let a = run_traced(&a_cfg, req)?;
-    let g = run_traced(&g_cfg, req)?;
-
-    if a.messages != g.messages {
-        return Err(DiffError::Divergence(Box::new(Divergence::MessageCount {
-            analytical: a.messages,
-            garnet: g.messages,
-        })));
-    }
-    if a.payload_bytes != g.payload_bytes {
-        return Err(DiffError::Divergence(Box::new(Divergence::PayloadBytes {
-            analytical: a.payload_bytes,
-            garnet: g.payload_bytes,
-        })));
-    }
-    for (npu, (ao, go)) in a
-        .completion_order
-        .iter()
-        .zip(g.completion_order.iter())
-        .enumerate()
-    {
-        let mut a_sorted = ao.clone();
-        let mut g_sorted = go.clone();
-        a_sorted.sort_unstable();
-        g_sorted.sort_unstable();
-        if a_sorted != g_sorted {
-            return Err(DiffError::Divergence(Box::new(Divergence::ChunkSet {
-                npu,
-                analytical: a_sorted,
-                garnet: g_sorted,
-            })));
-        }
-        if opts.strict_order && ao != go {
-            return Err(DiffError::Divergence(Box::new(
-                Divergence::CompletionOrder {
-                    npu,
-                    analytical: ao.clone(),
-                    garnet: go.clone(),
-                },
-            )));
-        }
-    }
-    let ratio = a.duration.cycles() as f64 / g.duration.cycles().max(1) as f64;
-    if ratio < envelope.lo || ratio > envelope.hi {
-        return Err(DiffError::Divergence(Box::new(
-            Divergence::LatencyEnvelope {
-                ratio,
-                envelope: *envelope,
-                analytical: a.duration.cycles(),
-                garnet: g.duration.cycles(),
-            },
-        )));
-    }
+    let run = |backend| {
+        run_traced(&on_backend(cfg, backend), req).map_err(|e| DiffError::Run(e.to_string()))
+    };
+    let a = run(BackendKind::Analytical)?;
+    let g = run(BackendKind::Garnet)?;
+    compare(&a, &g, opts).map_err(|d| DiffError::Divergence(Box::new(d)))?;
     Ok((a, g))
+}
+
+/// Checks an analytical run `a` against a Garnet run `g` of the same
+/// fault-free configuration: equal message counts and payload totals, the
+/// same chunk multiset per NPU (and the same order under
+/// [`DiffOptions::strict_order`]), and a duration ratio inside the
+/// envelope.
+///
+/// # Errors
+///
+/// The first structural disagreement.
+pub(crate) fn compare(a: &TracedRun, g: &TracedRun, opts: &DiffOptions) -> Result<(), Divergence> {
+    let (analytical, garnet) = (a.report.system.messages, g.report.system.messages);
+    if analytical != garnet {
+        return Err(Divergence::MessageCount { analytical, garnet });
+    }
+    let (analytical, garnet) = (a.report.network.payload_bytes, g.report.network.payload_bytes);
+    if analytical != garnet {
+        return Err(Divergence::PayloadBytes { analytical, garnet });
+    }
+    let sorted = |order: &[u32]| {
+        let mut set = order.to_vec();
+        set.sort_unstable();
+        set
+    };
+    let orders = a.completion_order().into_iter().zip(g.completion_order());
+    for (npu, (analytical, garnet)) in orders.enumerate() {
+        let (a_set, g_set) = (sorted(&analytical), sorted(&garnet));
+        if a_set != g_set {
+            return Err(Divergence::ChunkSet { npu, analytical: a_set, garnet: g_set });
+        }
+        if opts.strict_order && analytical != garnet {
+            return Err(Divergence::CompletionOrder { npu, analytical, garnet });
+        }
+    }
+    let (analytical, garnet) = (a.report.duration.cycles(), g.report.duration.cycles());
+    let ratio = analytical as f64 / garnet.max(1) as f64;
+    let envelope = opts.envelope;
+    if ratio < envelope.lo || ratio > envelope.hi {
+        return Err(Divergence::LatencyEnvelope { ratio, envelope, analytical, garnet });
+    }
+    Ok(())
 }

@@ -9,14 +9,14 @@
 //! simulator is deterministic, `(seed, case index)` fully identifies every
 //! generated case.
 
-use crate::differential::{diff_check, DiffError, DiffOptions};
+use crate::differential::{compare, on_backend, run_traced, DiffOptions};
 use crate::repro::{dump_repro, ReproBundle};
-use crate::shadow::shadow_conformance;
+use crate::shadow::{check_trace, verified_plan};
 use astra_collectives::{Algorithm, CollectiveOp, IntraAlgo};
-use astra_core::{SimConfig, TopologyConfig};
+use astra_core::{CoreError, SimConfig, TopologyConfig};
 use astra_des::Time;
 use astra_network::{FaultPlan, LossSpec};
-use astra_system::{BackendKind, CollectiveRequest, SchedulingPolicy};
+use astra_system::{BackendKind, CollectiveRequest, SchedulingPolicy, SystemError};
 use proptest::rng::TestRng;
 use proptest::strategy::Strategy;
 use serde::{Deserialize, Serialize};
@@ -231,41 +231,51 @@ pub struct FuzzOutcome {
     pub repro_paths: Vec<Option<PathBuf>>,
 }
 
-/// Fault-path errors that are *correct* behavior under an installed fault
-/// plan (the typed giving-up errors), not conformance failures.
-fn tolerated_under_faults(msg: &str) -> bool {
-    msg.contains("retransmission budget exhausted")
-        || msg.contains("blocked by down links")
+/// Whether `e` is *correct* behavior under an installed fault plan (the
+/// typed giving-up errors), not a conformance failure.
+fn gives_up_under_faults(e: &CoreError) -> bool {
+    matches!(
+        e,
+        CoreError::System(SystemError::RetriesExhausted { .. } | SystemError::Unreachable { .. })
+    )
 }
 
-/// Runs one case through every applicable oracle. Returns the failure
-/// message, tagged with the oracle that produced it, or `None`.
+/// Runs one case through every applicable oracle, simulating each backend
+/// at most once. Returns the failure message, tagged with the oracle that
+/// produced it, or `None`.
 fn check_case(case: &ConformCase, opts: &DiffOptions) -> Option<(String, String)> {
     let has_faults = case
         .config
         .faults
         .as_ref()
         .is_some_and(|p| !p.is_empty());
+    let run = |backend| run_traced(&on_backend(&case.config, backend), &case.request);
+    let tag = |oracle: &str, msg: String| Some((oracle.to_owned(), msg));
     // Shadow oracle: data-plane semantics + trace conformance, on the
-    // analytical backend (collectives that correctly give up under the
-    // fault plan are vacuous passes).
-    match shadow_conformance(&case.config, &case.request) {
-        Ok(()) => {}
-        Err(e) if has_faults && tolerated_under_faults(&e) => {}
-        Err(e) => return Some(("shadow".into(), e)),
+    // analytical run (collectives that correctly give up under the fault
+    // plan are vacuous passes).
+    let plan = match verified_plan(&case.config, &case.request) {
+        Ok(plan) => plan,
+        Err(e) => return tag("shadow", e),
+    };
+    let analytical = match run(BackendKind::Analytical) {
+        Ok(a) => a,
+        Err(e) if has_faults && gives_up_under_faults(&e) => return None,
+        Err(e) => return tag("shadow", e.to_string()),
+    };
+    if let Err(e) = check_trace(&analytical, &plan) {
+        return tag("shadow", e);
     }
     // Differential oracle: fault-free configs only (fault windows are
     // wall-clock-relative, so the two time scales legitimately diverge).
-    if !has_faults {
-        match diff_check(&case.config, &case.request, opts) {
-            Ok(_) => {}
-            Err(DiffError::Run(e)) => return Some(("differential".into(), e)),
-            Err(DiffError::Divergence(d)) => {
-                return Some(("differential".into(), d.to_string()))
-            }
-        }
+    if has_faults {
+        return None;
     }
-    None
+    let divergence = match run(BackendKind::Garnet) {
+        Ok(garnet) => compare(&analytical, &garnet, opts).err()?.to_string(),
+        Err(e) => e.to_string(),
+    };
+    tag("differential", divergence)
 }
 
 /// Runs `cases` generated cases from `seed` through the oracles, shrinking
@@ -309,4 +319,22 @@ pub fn run_fuzz(seed: u64, cases: u32, opts: &DiffOptions) -> FuzzOutcome {
         }
     }
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A lossy case whose scale-out messages exhaust their retry budget
+    /// gives up with the typed error, and the fuzzer counts that as a pass.
+    #[test]
+    fn exhausted_retry_budget_is_not_a_failure() {
+        let mut config = SimConfig::torus(1, 2, 1).pods(2, 1);
+        let loss = LossSpec { drop_rate: 0.9, timeout: Time::from_cycles(500), max_retries: 0 };
+        config.faults = Some(FaultPlan { seed: 1, loss: Some(loss), ..FaultPlan::default() });
+        let case = ConformCase { config, request: CollectiveRequest::all_reduce(2048) };
+        let err = run_traced(&case.config, &case.request).expect_err("no retries at 90% loss");
+        assert!(gives_up_under_faults(&err), "{err}");
+        assert_eq!(check_case(&case, &DiffOptions::default()), None);
+    }
 }

@@ -26,8 +26,9 @@
 //! simulation by checking that every (NPU, chunk) pair of the recorded
 //! trace follows the same plan.
 
+use crate::differential::{run_traced, TracedRun};
 use astra_collectives::{plan_with_intra, semantics, CollectivePlan, PhaseOp, PhaseSpec};
-use astra_core::{SimConfig, Simulator};
+use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 use astra_topology::LogicalTopology;
 use std::collections::BTreeMap;
@@ -101,14 +102,29 @@ pub fn shadow_verify(
 
 /// The end-to-end shadow oracle for one configuration: verifies the data
 /// plane of the exact plan the system layer will execute, runs the timed
-/// simulation, and checks the recorded trace conforms to that plan (every
-/// chunk of every NPU traverses every phase, in order) with a clean
-/// quiescence audit afterwards.
+/// simulation ([`run_traced`], which ends in a clean quiescence audit), and
+/// checks the recorded trace conforms to that plan: every chunk of every
+/// NPU traverses every phase, in order.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation.
 pub fn shadow_conformance(cfg: &SimConfig, req: &CollectiveRequest) -> Result<(), String> {
+    let plan = verified_plan(cfg, req)?;
+    let run = run_traced(cfg, req).map_err(|e| e.to_string())?;
+    check_trace(&run, &plan)
+}
+
+/// The plan the system layer will execute for `req` on `cfg`, after
+/// [`shadow_verify`] has checked its data plane.
+///
+/// # Errors
+///
+/// The planner's error, or the first violated postcondition.
+pub(crate) fn verified_plan(
+    cfg: &SimConfig,
+    req: &CollectiveRequest,
+) -> Result<CollectivePlan, String> {
     let topo = cfg.topology.build().map_err(|e| e.to_string())?;
     let algorithm = req.algorithm.unwrap_or(cfg.system.algorithm);
     let plan = plan_with_intra(
@@ -119,22 +135,20 @@ pub fn shadow_conformance(cfg: &SimConfig, req: &CollectiveRequest) -> Result<()
         cfg.system.intra_algo,
     )
     .map_err(|e| e.to_string())?;
-
-    // 1. The schedule's data plane is correct.
     shadow_verify(&topo, &plan, &[])?;
+    Ok(plan)
+}
 
-    // 2. The timed simulation executes that schedule faithfully.
-    let simulator = Simulator::new(cfg.clone()).map_err(|e| e.to_string())?;
-    let mut sim = simulator.system_sim().map_err(|e| e.to_string())?;
-    sim.enable_tracing();
-    let id = sim
-        .complete_collective(req.clone())
-        .map_err(|e| e.to_string())?;
-    let n = sim.topology().num_npus();
-
-    let report = sim.report(id).ok_or("missing collective report")?;
-    let phases = report.phases;
-    let chunks = report.chunks;
+/// Checks that `run` executed `plan` faithfully: it ran the plan's phases,
+/// and every (NPU, chunk) pair traversed each phase exactly once, in
+/// order, with well-formed, non-overlapping spans.
+///
+/// # Errors
+///
+/// A human-readable description of the first violation.
+pub(crate) fn check_trace(run: &TracedRun, plan: &CollectivePlan) -> Result<(), String> {
+    let phases = run.report.coll.phases;
+    let chunks = run.report.coll.chunks as usize;
     if phases != plan.phases().len() {
         return Err(format!(
             "system executed {} phases, plan has {}",
@@ -143,16 +157,10 @@ pub fn shadow_conformance(cfg: &SimConfig, req: &CollectiveRequest) -> Result<()
         ));
     }
 
-    // Per (npu, chunk): one span per phase, phase starts non-decreasing,
-    // each span well-formed.
-    let spans = sim.trace().ok_or("tracing yielded no spans")?;
     // (phase, start cycles, end cycles) per traced span, keyed by (npu, chunk).
     type SpanSeq = Vec<(u8, u64, u64)>;
     let mut by_key: BTreeMap<(u32, u32), SpanSeq> = BTreeMap::new();
-    for s in spans {
-        if s.coll != id.0 {
-            continue;
-        }
+    for s in &run.spans {
         if s.start > s.end {
             return Err(format!(
                 "npu {} chunk {} phase {}: span ends before it starts",
@@ -164,13 +172,12 @@ pub fn shadow_conformance(cfg: &SimConfig, req: &CollectiveRequest) -> Result<()
             .or_default()
             .push((s.phase, s.start.cycles(), s.end.cycles()));
     }
-    if by_key.len() != n * chunks as usize {
+    let n = run.npus;
+    if by_key.len() != n * chunks {
         return Err(format!(
-            "trace covers {} (npu, chunk) pairs, want {} ({} npus x {} chunks)",
+            "trace covers {} (npu, chunk) pairs, want {} ({n} npus x {chunks} chunks)",
             by_key.len(),
-            n * chunks as usize,
-            n,
-            chunks
+            n * chunks,
         ));
     }
     for ((npu, chunk), mut seq) in by_key {

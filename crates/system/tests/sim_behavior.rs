@@ -16,12 +16,18 @@ fn ring8() -> LogicalTopology {
 }
 
 fn sim(topo: LogicalTopology) -> SystemSim {
-    SystemSim::new(
-        topo,
-        SystemConfig::default(),
-        &NetworkConfig::default(),
-        BackendKind::Analytical,
-    )
+    sim_with(topo, SystemConfig::default())
+}
+
+fn sim_with(topo: LogicalTopology, cfg: SystemConfig) -> SystemSim {
+    SystemSim::new(topo, cfg, &NetworkConfig::default(), BackendKind::Analytical)
+}
+
+/// Completes `req` on `sim`, quiescence audit included, and returns when
+/// it finished on the last NPU.
+fn finish(sim: &mut SystemSim, req: CollectiveRequest) -> Time {
+    let id = sim.complete_collective(req).unwrap();
+    sim.report(id).unwrap().finished_at
 }
 
 mod core_behavior {
@@ -243,12 +249,7 @@ mod core_behavior {
             dispatcher_batch: 2,
             ..SystemConfig::default()
         };
-        let mut s = SystemSim::new(
-            ring8(),
-            cfg,
-            &NetworkConfig::default(),
-            BackendKind::Analytical,
-        );
+        let mut s = sim_with(ring8(), cfg);
         let _big = s
             .issue_collective(CollectiveRequest::all_reduce(1 << 24))
             .unwrap();
@@ -337,9 +338,7 @@ mod fault_behavior {
     }
 
     fn run_all_reduce(s: &mut SystemSim, bytes: u64) -> Time {
-        let id = s.issue_collective(CollectiveRequest::all_reduce(bytes)).unwrap();
-        s.run_until_idle().unwrap();
-        s.report(id).unwrap().finished_at
+        finish(s, CollectiveRequest::all_reduce(bytes))
     }
 
     #[test]
@@ -526,17 +525,9 @@ mod injection_behavior {
             set_splits: 4,
             ..SystemConfig::default()
         };
-        let mut sim = SystemSim::new(
-            topo,
-            cfg,
-            &NetworkConfig::default(),
-            BackendKind::Analytical,
-        );
-        let id = sim
-            .issue_collective(CollectiveRequest::all_to_all(1 << 20))
-            .unwrap();
-        sim.run_until_idle().unwrap();
-        (sim.report(id).unwrap().finished_at, sim.events_processed())
+        let mut sim = sim_with(topo, cfg);
+        let t = finish(&mut sim, CollectiveRequest::all_to_all(1 << 20));
+        (t, sim.events_processed())
     }
 
     #[test]
@@ -572,17 +563,7 @@ mod injection_behavior {
                 set_splits: 2,
                 ..SystemConfig::default()
             };
-            let mut sim = SystemSim::new(
-                topo,
-                cfg,
-                &NetworkConfig::default(),
-                BackendKind::Analytical,
-            );
-            let id = sim
-                .issue_collective(CollectiveRequest::all_reduce(1 << 16))
-                .unwrap();
-            sim.run_until_idle().unwrap();
-            sim.report(id).unwrap().finished_at
+            finish(&mut sim_with(topo, cfg), CollectiveRequest::all_reduce(1 << 16))
         };
         assert_eq!(
             run(InjectionPolicy::Aggressive),
@@ -609,11 +590,7 @@ mod overlay_behavior {
             BackendKind::Analytical,
         )
         .unwrap();
-        let id = sim
-            .issue_collective(CollectiveRequest::all_reduce(1 << 20))
-            .unwrap();
-        sim.run_until_idle().unwrap();
-        sim.report(id).unwrap().finished_at
+        finish(&mut sim, CollectiveRequest::all_reduce(1 << 20))
     }
 
     #[test]
@@ -627,17 +604,7 @@ mod overlay_behavior {
         let physical = LogicalTopology::torus(Torus3d::new(1, 16, 1, 1, 2, 1).unwrap());
         let overlaid = run_overlay(logical.clone(), &physical, Mapping::identity(16));
 
-        let mut native = SystemSim::new(
-            logical,
-            SystemConfig::default(),
-            &NetworkConfig::default(),
-            BackendKind::Analytical,
-        );
-        let id = native
-            .issue_collective(CollectiveRequest::all_reduce(1 << 20))
-            .unwrap();
-        native.run_until_idle().unwrap();
-        let native_t = native.report(id).unwrap().finished_at;
+        let native_t = finish(&mut sim(logical), CollectiveRequest::all_reduce(1 << 20));
         assert!(
             overlaid > native_t,
             "overlay on a thinner fabric must be slower: {overlaid} vs {native_t}"
@@ -663,17 +630,8 @@ mod overlay_behavior {
         // rings, so allow slack).
         let topo = || LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 2, 1).unwrap());
         let overlaid = run_overlay(topo(), &topo(), Mapping::identity(8));
-        let mut native = SystemSim::new(
-            topo(),
-            SystemConfig::default(),
-            &NetworkConfig::default(),
-            BackendKind::Analytical,
-        );
-        let id = native
-            .issue_collective(CollectiveRequest::all_reduce(1 << 20))
-            .unwrap();
-        native.run_until_idle().unwrap();
-        let native_t = native.report(id).unwrap().finished_at.cycles() as f64;
+        let native_t = finish(&mut sim(topo()), CollectiveRequest::all_reduce(1 << 20));
+        let native_t = native_t.cycles() as f64;
         let ratio = overlaid.cycles() as f64 / native_t;
         assert!(
             (0.5..2.0).contains(&ratio),
@@ -709,18 +667,9 @@ mod hd_behavior {
             intra_algo: intra,
             ..SystemConfig::default()
         };
-        let mut sim = SystemSim::new(
-            topo,
-            cfg,
-            &NetworkConfig::default(),
-            BackendKind::Analytical,
-        );
-        let id = sim.issue_collective(CollectiveRequest::all_reduce(bytes)).unwrap();
-        sim.run_until_idle().unwrap();
-        (
-            sim.report(id).unwrap().finished_at,
-            sim.net_stats().payload_bytes,
-        )
+        let mut sim = sim_with(topo, cfg);
+        let t = finish(&mut sim, CollectiveRequest::all_reduce(bytes));
+        (t, sim.net_stats().payload_bytes)
     }
 
     #[test]

@@ -36,8 +36,8 @@ impl HierAllToAll {
     /// Fails if any size is zero where the dimension is active: `local` and
     /// `packages` must be ≥ 1; a local dimension > 1 needs `local_rings ≥ 1`;
     /// a package dimension > 1 needs `switches ≥ 1`; `local * packages`
-    /// may not exceed [`MAX_NPUS`](crate::MAX_NPUS), nor its switch links
-    /// [`MAX_SWITCH_LINKS`](crate::MAX_SWITCH_LINKS).
+    /// may not exceed [`MAX_NPUS`](crate::MAX_NPUS), nor its ring or switch
+    /// links [`MAX_SWITCH_LINKS`](crate::MAX_SWITCH_LINKS).
     pub fn new(
         local: usize,
         packages: usize,
@@ -59,7 +59,8 @@ impl HierAllToAll {
                 what: "active package dimension needs at least one switch",
             });
         }
-        crate::check_fabric_size(&[local, packages], switches)?;
+        let rings = [(local, local_rings), (1, 0), (1, 0)];
+        crate::check_fabric_size(&[local, packages], rings, switches)?;
         // A package is a 1-D torus of unidirectional local rings.
         let package = Torus3d::new(local, 1, 1, local_rings, 0, 0)?;
         Ok(HierAllToAll(Switched {

@@ -51,6 +51,14 @@ pub enum TopologyError {
         /// The NPU count, or `None` if it overflows `usize`.
         npus: Option<usize>,
     },
+    /// The rings of a fabric's active torus dimensions would build more
+    /// than [`MAX_SWITCH_LINKS`] links.
+    TooManyRings {
+        /// The local, horizontal and vertical ring counts.
+        rings: [usize; 3],
+        /// The number of NPUs.
+        npus: usize,
+    },
     /// A switched fabric has more than [`MAX_SWITCH_LINKS`] NPU–switch
     /// links.
     TooManySwitches {
@@ -111,6 +119,15 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyNpus { npus: None } => {
                 write!(f, "the NPU count overflows usize (cap: {MAX_NPUS} NPUs)")
             }
+            TopologyError::TooManyRings {
+                rings: [local, horizontal, vertical],
+                npus,
+            } => write!(
+                f,
+                "{local} local, {horizontal} horizontal and {vertical} vertical rings on \
+                 {npus} NPUs exceed the cap of {MAX_SWITCH_LINKS} ring links per fabric \
+                 (one per NPU and local ring, two per inter-package ring)"
+            ),
             TopologyError::TooManySwitches { switches, npus } => write!(
                 f,
                 "{switches} switches on {npus} NPUs exceed the cap of {MAX_SWITCH_LINKS} \

@@ -79,19 +79,43 @@ pub use torus::Torus3d;
 /// fabric the repository's tests, examples and sweeps build is far smaller.
 pub const MAX_NPUS: usize = 1 << 16;
 
-/// The most NPU–switch links one fabric may have. A switched fabric joins
-/// every NPU to every global switch with an up- and a down-link, so its
-/// constructors reject `2 × NPUs × switches` above this with
-/// [`TopologyError::TooManySwitches`], before they allocate anything.
+/// The most NPU–switch links, and the most ring links, one fabric may
+/// have. A switched fabric joins every NPU to every global switch with an
+/// up- and a down-link, so its constructors reject `2 × NPUs × switches`
+/// above this with [`TopologyError::TooManySwitches`], and ring links
+/// above it with [`TopologyError::TooManyRings`], before they allocate
+/// anything.
 pub const MAX_SWITCH_LINKS: usize = 1 << 20;
 
-/// Checks the product of `sizes` against [`MAX_NPUS`], and the links to
-/// `switches` global switches against [`MAX_SWITCH_LINKS`].
-fn check_fabric_size(sizes: &[usize], switches: usize) -> Result<(), TopologyError> {
+/// Checks the product of `sizes` against [`MAX_NPUS`], then the ring links
+/// and the links to `switches` global switches against
+/// [`MAX_SWITCH_LINKS`]. `rings` gives the (size, ring count) of the local,
+/// horizontal and vertical torus dimension every NPU sits on: each NPU
+/// drives one link per local ring and two per inter-package ring, and a
+/// dimension of size 1 builds no ring whatever its count.
+fn check_fabric_size(
+    sizes: &[usize],
+    rings: [(usize, usize); 3],
+    switches: usize,
+) -> Result<(), TopologyError> {
     let npus = match sizes.iter().try_fold(1usize, |n, &s| n.checked_mul(s)) {
         Some(n) if n <= MAX_NPUS => n,
         npus => return Err(TopologyError::TooManyNpus { npus }),
     };
+    let ring_links = rings
+        .iter()
+        .zip([1, 2, 2])
+        .filter(|&(&(size, _), _)| size > 1)
+        .try_fold(0usize, |sum, (&(_, count), links)| {
+            sum.checked_add(count.checked_mul(links)?)
+        })
+        .and_then(|per_npu| per_npu.checked_mul(npus));
+    if ring_links.is_none_or(|links| links > MAX_SWITCH_LINKS) {
+        return Err(TopologyError::TooManyRings {
+            rings: rings.map(|(_, count)| count),
+            npus,
+        });
+    }
     match (2 * npus).checked_mul(switches) {
         Some(links) if links <= MAX_SWITCH_LINKS => Ok(()),
         _ => Err(TopologyError::TooManySwitches { switches, npus }),
@@ -290,6 +314,24 @@ mod tests {
         ));
         let msg = HierAllToAll::new(1, 8, 1, 100_000_000).unwrap_err().to_string();
         assert!(msg.contains("100000000 switches"), "{msg}");
+        // Rings: one link per NPU and local ring, two per inter-package
+        // ring, on active dimensions only.
+        let rings = |rings, npus| TopologyError::TooManyRings { rings, npus };
+        let err = Torus3d::new(2, 2, 2, 100_000_000, 2, 2).unwrap_err();
+        assert_eq!(err, rings([100_000_000, 2, 2], 8));
+        assert!(err.to_string().contains("100000000 local"), "{err}");
+        let max = MAX_SWITCH_LINKS / 16;
+        assert!(Torus3d::new(1, 8, 1, usize::MAX, max, usize::MAX).is_ok());
+        let err = Torus3d::new(1, 8, 1, 1, max + 1, 1).unwrap_err();
+        assert_eq!(err, rings([1, max + 1, 1], 8));
+        let err = Torus3d::new(1, 8, 1, 1, usize::MAX, 1).unwrap_err();
+        assert_eq!(err, rings([1, usize::MAX, 1], 8));
+        // Default rings at the NPU cap: 10 links per NPU, 655,360 in all.
+        assert!(Torus3d::new(16, 64, 64, 2, 2, 2).is_ok());
+        let err = HierAllToAll::new(4, 2, 1 << 20, 1).unwrap_err();
+        assert_eq!(err, rings([1 << 20, 0, 0], 8));
+        let pod = Torus3d::new(1, 2, 1, 1, 1 << 17, 1).unwrap();
+        assert_eq!(PodFabric::new(pod, 4, 1).unwrap_err(), rings([1, 1 << 17, 1], 8));
     }
 
     #[test]

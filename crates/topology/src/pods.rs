@@ -41,8 +41,8 @@ impl PodFabric {
     ///
     /// Fails if `pods == 0`, if more than one pod is requested without
     /// any scale-out switch, if the pods hold more than
-    /// [`MAX_NPUS`](crate::MAX_NPUS) NPUs in all, or if their switch links
-    /// exceed [`MAX_SWITCH_LINKS`](crate::MAX_SWITCH_LINKS).
+    /// [`MAX_NPUS`](crate::MAX_NPUS) NPUs in all, or if their ring or switch
+    /// links exceed [`MAX_SWITCH_LINKS`](crate::MAX_SWITCH_LINKS).
     pub fn new(pod: Torus3d, pods: usize, switches: usize) -> Result<Self, TopologyError> {
         if pods == 0 {
             return Err(TopologyError::InvalidShape {
@@ -54,7 +54,7 @@ impl PodFabric {
                 what: "multiple pods need at least one scale-out switch",
             });
         }
-        crate::check_fabric_size(&[pod.num_npus(), pods], switches)?;
+        crate::check_fabric_size(&[pod.num_npus(), pods], pod.rings(), switches)?;
         Ok(PodFabric(Switched {
             block: pod,
             groups: pods,

@@ -44,8 +44,10 @@ impl Torus3d {
     /// # Errors
     ///
     /// Fails if any dimension size is zero, if an active dimension
-    /// (size > 1) has zero rings, or if `local * horizontal * vertical`
-    /// exceeds [`MAX_NPUS`](crate::MAX_NPUS).
+    /// (size > 1) has zero rings, if `local * horizontal * vertical`
+    /// exceeds [`MAX_NPUS`](crate::MAX_NPUS), or if the rings of the active
+    /// dimensions would build more than
+    /// [`MAX_SWITCH_LINKS`](crate::MAX_SWITCH_LINKS) links.
     pub fn new(
         local: usize,
         horizontal: usize,
@@ -67,15 +69,26 @@ impl Torus3d {
                 what: "active dimensions need at least one ring",
             });
         }
-        crate::check_fabric_size(&[local, horizontal, vertical], 0)?;
-        Ok(Torus3d {
+        let torus = Torus3d {
             local,
             horizontal,
             vertical,
             local_rings,
             horizontal_rings,
             vertical_rings,
-        })
+        };
+        crate::check_fabric_size(&[local, horizontal, vertical], torus.rings(), 0)?;
+        Ok(torus)
+    }
+
+    /// The (size, ring count) of the local, horizontal and vertical
+    /// dimensions.
+    pub(crate) fn rings(&self) -> [(usize, usize); 3] {
+        [
+            (self.local, self.local_rings),
+            (self.horizontal, self.horizontal_rings),
+            (self.vertical, self.vertical_rings),
+        ]
     }
 
     /// Local dimension size `M`.

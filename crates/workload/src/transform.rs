@@ -8,6 +8,9 @@
 //! larger collectives amortize per-collective latency; over-fusing delays
 //! the first gradients and shrinks the overlap window — the classic
 //! trade-off the `ablation_fusion` bench sweeps.
+//!
+//! [`scale_compute_power`] models a faster or slower NPU by scaling every
+//! compute delay of a built workload — the knob Fig 18 sweeps.
 
 use crate::{CommSpec, Workload};
 use astra_collectives::CollectiveOp;
@@ -72,6 +75,21 @@ pub fn fuse_weight_gradients(workload: &Workload, bucket_bytes: u64) -> Workload
     }
     flush(&mut out.layers, bucket_start, acc);
     out
+}
+
+/// Scales every compute delay of a workload by `den/num` — i.e. `num/den`×
+/// compute *power* (Fig 18's knob). Delays round up.
+///
+/// # Panics
+///
+/// Panics if `num == 0`.
+pub fn scale_compute_power(mut wl: Workload, num: u64, den: u64) -> Workload {
+    for l in &mut wl.layers {
+        l.fwd_compute = l.fwd_compute.scale(den, num);
+        l.ig_compute = l.ig_compute.scale(den, num);
+        l.wg_compute = l.wg_compute.scale(den, num);
+    }
+    wl
 }
 
 #[cfg(test)]

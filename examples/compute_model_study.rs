@@ -69,12 +69,12 @@ fn main() {
     }
     print!("{}", t.render());
 
-    // 3. Compute-power scaling (the Fig 18 knob).
+    // 3. Compute-power scaling (Fig 18's knob): a `num/den`x faster NPU
+    // takes `den/num` of the time, as `transform::scale_compute_power`
+    // applies to a whole workload.
     println!("\n== compute power scaling (Fig 18's knob) ==\n");
-    let base = ComputeModel::tpu_like_256();
-    let g = Gemm::new(32 * 56 * 56, 576, 64);
+    let base = ComputeModel::tpu_like_256().gemm_time(Gemm::new(32 * 56 * 56, 576, 64));
     for (label, num, den) in [("0.5x", 1u64, 2u64), ("1x", 1, 1), ("2x", 2, 1), ("4x", 4, 1)] {
-        let m = base.with_compute_power(num, den);
-        println!("  {label:>4}: {} cycles", m.gemm_time(g).cycles());
+        println!("  {label:>4}: {} cycles", base.scale(den, num).cycles());
     }
 }

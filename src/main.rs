@@ -343,7 +343,12 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     let spec = match args.get("spec") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            serde_json::from_str(&text).map_err(|e| format!("{path}: not a sweep spec: {e}"))?
+            let spec: SweepSpec =
+                serde_json::from_str(&text).map_err(|e| format!("{path}: not a sweep spec: {e}"))?;
+            // Checked before simulating, as the CLI's own shapes are: a base
+            // fabric above a size cap is a malformed spec, not a point.
+            spec.base.topology.build().map_err(|e| format!("{path}: base topology: {e}"))?;
+            spec
         }
         None => inline_spec(args)?,
     };

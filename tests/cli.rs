@@ -313,6 +313,28 @@ fn sweep_spec_file_runs() {
 }
 
 #[test]
+fn sweep_spec_with_too_many_rings_exits_1_naming_the_count() {
+    // The CLI's shapes fix the ring counts; a spec sets any. 100,000,000
+    // local rings on 2x2x2 would build 800,000,032 links.
+    use astra_sim::sweep::SweepSpec;
+    use astra_sim::{Experiment, SimConfig};
+    let base = SimConfig::torus(2, 2, 2).local_rings(100_000_000);
+    let spec = SweepSpec::new("rings", base, Experiment::all_reduce(1 << 10));
+    let tmp = std::env::temp_dir();
+    let path = tmp.join(format!("astra_cli_rings_{}.json", std::process::id()));
+    std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+        .args(["sweep", "--spec", path.to_str().unwrap()])
+        .args(["--out-dir", tmp.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("100000000 local"), "{stderr}");
+}
+
+#[test]
 fn sweep_into_a_missing_out_dir_fails_before_simulating() {
     let missing = std::env::temp_dir().join(format!("astra_cli_no_dir_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&missing);

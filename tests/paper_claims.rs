@@ -106,14 +106,13 @@ fn fig11_smoke() {
 /// Figs 17/18 trend: more NPUs or faster NPUs expose more communication.
 #[test]
 fn exposure_trends_smoke() {
-    use astra_sim::workload::zoo;
+    use astra_sim::workload::{transform::scale_compute_power, zoo};
     let run = |cfg: &SimConfig, speedup: u64| {
-        let mut wl = zoo::resnet50(&astra_sim::compute::ComputeModel::tpu_like_256(), 32);
-        for l in &mut wl.layers {
-            l.fwd_compute = l.fwd_compute.scale(1, speedup);
-            l.ig_compute = l.ig_compute.scale(1, speedup);
-            l.wg_compute = l.wg_compute.scale(1, speedup);
-        }
+        let wl = scale_compute_power(
+            zoo::resnet50(&astra_sim::compute::ComputeModel::tpu_like_256(), 32),
+            speedup,
+            1,
+        );
         Simulator::new(cfg.clone())
             .unwrap()
             .run_training(wl)
