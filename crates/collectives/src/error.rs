@@ -15,8 +15,6 @@ pub enum CollectiveError {
         /// The offending dimension.
         dim: Dim,
     },
-    /// A zero-byte collective was requested.
-    EmptySet,
     /// A phase machine received a message for an unexpected step.
     UnexpectedStep {
         /// Step carried by the message.
@@ -35,7 +33,6 @@ impl fmt::Display for CollectiveError {
             CollectiveError::InactiveDim { dim } => {
                 write!(f, "dimension {dim} is inactive on this topology")
             }
-            CollectiveError::EmptySet => write!(f, "collective set size must be positive"),
             CollectiveError::UnexpectedStep { step, expected } => {
                 write!(f, "unexpected step {step} (expected {expected})")
             }

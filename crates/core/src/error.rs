@@ -16,8 +16,6 @@ pub enum CoreError {
     Network(ConfigError),
     /// The system layer rejected the experiment.
     System(SystemError),
-    /// The workload was malformed.
-    Workload(String),
     /// A collective reported completion but the system layer had no report
     /// for it — an internal invariant violation, never caused by user
     /// input. The payload is the raw collective id.
@@ -30,7 +28,6 @@ impl fmt::Display for CoreError {
             CoreError::Topology(e) => write!(f, "topology configuration invalid: {e}"),
             CoreError::Network(e) => write!(f, "network configuration invalid: {e}"),
             CoreError::System(e) => write!(f, "system layer error: {e}"),
-            CoreError::Workload(msg) => write!(f, "workload invalid: {msg}"),
             CoreError::MissingReport(id) => write!(
                 f,
                 "internal error: completed collective coll{id} has no report"
@@ -45,7 +42,7 @@ impl Error for CoreError {
             CoreError::Topology(e) => Some(e),
             CoreError::Network(e) => Some(e),
             CoreError::System(e) => Some(e),
-            CoreError::Workload(_) | CoreError::MissingReport(_) => None,
+            CoreError::MissingReport(_) => None,
         }
     }
 }

@@ -103,7 +103,7 @@ impl RunReport {
 
 /// The end-to-end simulator: a validated configuration plus experiment
 /// drivers. See the [crate docs](crate) for an example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Simulator {
     cfg: SimConfig,
 }
@@ -204,7 +204,6 @@ impl Simulator {
                 Ok((RunReport::Collective(Box::new(report)), sim.events_processed()))
             }
             Experiment::Training(workload) => {
-                workload.validate().map_err(CoreError::Workload)?;
                 let sim = self.system_sim()?;
                 let runner = TrainingRunner::new(sim, workload, self.cfg.passes)
                     .map_err(CoreError::System)?;
@@ -304,10 +303,12 @@ mod tests {
             parallelism: astra_workload::Parallelism::Data,
             layers: vec![],
         };
+        let err = sim.run_training(empty).unwrap_err();
         assert!(matches!(
-            sim.run_training(empty),
-            Err(CoreError::Workload(_))
+            err,
+            CoreError::System(astra_system::SystemError::InvalidWorkload { .. })
         ));
+        assert!(err.to_string().starts_with("system layer error: invalid workload: "));
     }
 
     #[test]

@@ -89,19 +89,24 @@ pub struct LossSpec {
 
 /// A deterministic fault-injection schedule.
 ///
-/// Loadable from JSON (`--faults plan.json` on the CLI). All randomness —
+/// Loadable from JSON (`--faults plan.json` on the CLI); a field left out
+/// takes its empty default, so `{}` is the empty plan. All randomness —
 /// currently only loss decisions — derives from `seed` through the
 /// simulator's own seeded RNG, never from ambient entropy.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed for fault randomness (message drops). Two runs with the same
     /// `(seed, plan)` produce identical cycle counts.
+    #[serde(default)]
     pub seed: u64,
     /// Link outage / degradation windows.
+    #[serde(default)]
     pub link_faults: Vec<LinkFault>,
     /// Per-NPU compute slowdowns.
+    #[serde(default)]
     pub stragglers: Vec<Straggler>,
     /// Lossy scale-out transport, if any.
+    #[serde(default)]
     pub loss: Option<LossSpec>,
 }
 
@@ -403,6 +408,20 @@ mod tests {
         assert!(p.validate_for(1, 1).is_ok());
         assert_eq!(p.compute_slowdown(0), 1.0);
         assert!(p.windows_for(NodeId(0), NodeId(1)).is_empty());
+    }
+
+    #[test]
+    fn missing_plan_fields_take_their_empty_defaults() {
+        use serde::{Map, Value};
+        let parse = |m: Map| FaultPlan::from_value(&Value::Object(m)).unwrap();
+        assert_eq!(parse(Map::new()), FaultPlan::default());
+        let seeded = parse(Map::from_iter([("seed".into(), 1u64.to_value())]));
+        assert_eq!(seeded.seed, 1);
+        assert!(seeded.is_empty());
+        // Serialization still writes every field.
+        let written = seeded.to_value();
+        let fields = ["seed", "link_faults", "stragglers", "loss"];
+        assert!(fields.iter().all(|f| written.get(f).is_some()), "{written:?}");
     }
 
     #[test]

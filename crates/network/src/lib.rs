@@ -51,6 +51,8 @@
 #![warn(missing_debug_implementations)]
 
 mod analytical;
+#[cfg(test)]
+mod backend_tests;
 mod config;
 mod error;
 pub mod faults;

@@ -1,10 +1,11 @@
 //! The dense link index both backends share: every distinct directed
 //! physical link of a topology gets a `u32` index, and a route resolves to
-//! the indices of its hops.
+//! the indices of its hops and each link to its installed fault windows.
 
 use crate::faults::{FaultPlan, LinkWindows};
 use crate::NetworkError;
 use astra_des::hash::IdMap;
+use astra_des::Time;
 use astra_topology::{Channel, Hop, LinkClass, LogicalTopology, NodeId, Route};
 
 type LinkKey = (usize, usize, usize, usize); // (from, to, dim index, ring)
@@ -51,6 +52,8 @@ pub(crate) struct LinkIndex {
     index: IdMap<LinkKey, u32>,
     /// Class of each link, by index.
     classes: Vec<LinkClass>,
+    /// Fault windows of each link, by index; empty without link faults.
+    faults: Vec<LinkWindows>,
 }
 
 impl LinkIndex {
@@ -76,7 +79,11 @@ impl LinkIndex {
             "{} physical links exceed the u32 link index",
             classes.len()
         );
-        LinkIndex { index, classes }
+        LinkIndex {
+            index,
+            classes,
+            faults: Vec::new(),
+        }
     }
 
     /// The class of every link, by index.
@@ -111,19 +118,31 @@ impl LinkIndex {
         Ok(LinkPath::Inline(links))
     }
 
-    /// `plan`'s fault windows of every link, by index. Empty when the plan
-    /// has no link faults, so a backend can skip every fault check.
-    pub(crate) fn fault_windows(&self, plan: &FaultPlan) -> Vec<LinkWindows> {
-        if plan.link_faults.is_empty() {
-            return Vec::new();
+    /// Installs `plan`'s fault windows on every link, replacing any before.
+    pub(crate) fn install_faults(&mut self, plan: &FaultPlan) {
+        self.faults.clear();
+        if !plan.link_faults.is_empty() {
+            self.faults
+                .resize_with(self.classes.len(), Default::default);
+            // Each link's windows land in its own slot, so the map's
+            // arbitrary iteration order cannot show.
+            for (&(from, to, _dim, _ring), &idx) in &self.index {
+                self.faults[idx as usize] = plan.windows_for(NodeId(from), NodeId(to));
+            }
         }
-        let mut windows = vec![LinkWindows::default(); self.classes.len()];
-        // Each link's windows land in its own slot, so the map's arbitrary
-        // iteration order cannot show.
-        for (&(from, to, _dim, _ring), &idx) in &self.index {
-            windows[idx as usize] = plan.windows_for(NodeId(from), NodeId(to));
+    }
+
+    /// The earliest time `>= t` that `link` may start a transmission, past
+    /// its hard-down windows, and the bandwidth factor in effect then.
+    #[inline]
+    pub(crate) fn fault_release(&self, link: usize, t: Time) -> (Time, f64) {
+        match self.faults.get(link) {
+            Some(w) if !w.is_empty() => {
+                let at = w.release_after(t);
+                (at, w.factor_at(at))
+            }
+            _ => (t, 1.0),
         }
-        windows
     }
 }
 

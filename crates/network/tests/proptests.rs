@@ -3,21 +3,14 @@
 
 use astra_des::EventQueue;
 use astra_network::{
-    AnalyticalNet, Backend, GarnetNet, Message, NetEvent, NetworkConfig, RoutingMode,
+    AnalyticalNet, Arrival, Backend, GarnetNet, Message, NetEvent, NetworkConfig, RoutingMode,
 };
 use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
 use proptest::prelude::*;
 
-fn drain(net: &mut dyn Backend, q: &mut EventQueue<NetEvent>) -> Vec<astra_network::Arrival> {
-    let mut out = Vec::new();
-    let mut guard = 0u64;
-    while let Some((_, ev)) = q.pop() {
-        net.handle(q, ev, &mut out);
-        guard += 1;
-        assert!(guard < 50_000_000, "network drain diverged");
-    }
-    out
-}
+#[path = "../src/backend_tests/drain.rs"]
+mod drain;
+use drain::drain;
 
 /// (source node, ring distance 1..=7, bytes)
 fn traffic_strategy() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {

@@ -398,6 +398,16 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
         run.stats.events_per_sec(),
         path.display()
     );
+    // A lossy point may fail by design, so only a sweep with no successful
+    // point is an error (after every point is printed and written).
+    let points = &run.report.points;
+    let failed = points
+        .iter()
+        .filter(|p| matches!(p.outcome, PointOutcome::Error { .. }))
+        .count();
+    if failed > 0 && failed == points.len() {
+        return Err(format!("every sweep point failed ({failed} of {failed})").into());
+    }
     Ok(())
 }
 

@@ -355,6 +355,42 @@ fn sweep_into_a_missing_out_dir_fails_before_simulating() {
 }
 
 #[test]
+fn sweep_with_every_point_failed_exits_1_naming_the_count() {
+    let dir = std::env::temp_dir().join(format!("astra_cli_all_failed_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
+        .args(["sweep", "--topology", "1x4x1", "--sizes", "0"])
+        .args(["--out-dir", dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("every sweep point failed (1 of 1)"), "{stderr}");
+    // Every point is still printed and the artifact still written.
+    assert!(stdout.contains("size=0: FAILED"), "{stdout}");
+    assert!(dir.join("BENCH_cli.json").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fault_plan_of_only_a_seed_runs_as_no_plan() {
+    let path =
+        std::env::temp_dir().join(format!("astra_cli_seed_plan_{}.json", std::process::id()));
+    std::fs::write(&path, r#"{"seed":1}"#).unwrap();
+    let args = ["collective", "--topology", "2x2x2", "--bytes", "65536"];
+    let (ok, plain, stderr) = run(&args);
+    assert!(ok, "{stderr}");
+    let (ok, seeded, stderr) = run(&[&args[..], &["--faults", path.to_str().unwrap()]].concat());
+    std::fs::remove_file(&path).unwrap();
+    assert!(ok, "{stderr}");
+    assert_eq!(seeded, plain);
+}
+
+#[test]
 fn bad_arguments_fail_gracefully() {
     let (ok, _, stderr) = run(&["collective", "--topology", "banana", "--bytes", "1"]);
     assert!(!ok);

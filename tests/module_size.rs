@@ -3,9 +3,9 @@
 //! The system layer's `sim.rs` once reached ~1800 lines before being
 //! staged into `scheduler`/`endpoint`/`transport`/`routing` modules; this
 //! guard keeps every non-vendored `.rs` file — sources, tests, and benches
-//! alike — under 1000 lines so the next oversized module is caught at
-//! review time, not after it calcifies. CI runs the same check as a shell
-//! step; this test enforces it locally.
+//! alike, `perfbench/` included — under 1000 lines so the next oversized
+//! module is caught at review time, not after it calcifies. Every
+//! `cargo test` runs it, CI's included.
 
 use std::path::{Path, PathBuf};
 
