@@ -52,21 +52,14 @@ pub fn training(cfg: &SimConfig, workload: Workload) -> TrainingReport {
 }
 
 /// The workspace `target/` directory, where bench sweeps leave their
-/// `BENCH_*.json` artifacts and result cache.
+/// `BENCH_*.json` artifacts.
 fn workspace_target() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"))
 }
 
-/// The shared on-disk result cache every figure bench points at: grid
-/// points two figures have in common are simulated once, and re-running a
-/// figure is served entirely from cache.
-pub fn sweep_cache_dir() -> PathBuf {
-    workspace_target().join("sweep-cache")
-}
-
-/// Runs a figure's grid through the parallel sweep engine with the shared
-/// result cache, writes the `BENCH_<name>.json` artifact into the
-/// workspace `target/` directory, and returns the deterministic report.
+/// Runs a figure's grid through the parallel sweep engine, writes the
+/// `BENCH_<name>.json` artifact into the workspace `target/` directory,
+/// and returns the deterministic report.
 ///
 /// # Panics
 ///
@@ -77,7 +70,7 @@ pub fn run_grid(spec: SweepSpec) -> SweepReport {
 }
 
 /// Like [`run_grid`], but also hands back the host-side
-/// [`SweepStats`](astra_sweep::SweepStats) (wall clock, cache behavior,
+/// [`SweepStats`](astra_sweep::SweepStats) (wall clock, worker count,
 /// events processed) for benches that report engine throughput. The stats
 /// never influence the written artifact.
 ///
@@ -85,20 +78,16 @@ pub fn run_grid(spec: SweepSpec) -> SweepReport {
 ///
 /// As [`run_grid`].
 pub fn run_grid_stats(spec: SweepSpec) -> SweepRun {
-    let run = SweepEngine::new(spec)
-        .cache_dir(sweep_cache_dir())
-        .run()
-        .expect("figure sweep runs");
+    let run = SweepEngine::new(spec).run().expect("figure sweep runs");
     let path = run
         .report
         .write_bench_json(workspace_target())
         .expect("bench artifact written");
     println!(
-        "[sweep] {}: {} points ({} simulated, {} cache hits, {} deduped) on {} workers -> {}",
+        "[sweep] {}: {} points ({} simulated, {} deduped) on {} workers -> {}",
         run.report.name,
         run.stats.points,
         run.stats.computed,
-        run.stats.cache_hits,
         run.stats.deduped,
         run.stats.workers,
         path.display()

@@ -184,7 +184,7 @@ fn shrink_moves(case: &ConformCase) -> Vec<ConformCase> {
     // Degenerate fabrics (a single NPU, or no active dimension) are
     // rejected by the simulator, which the shrinker must not mistake for
     // the original failure — filter to still-valid configs.
-    out.retain(|c| c.config.topology.num_npus() >= 2 && c.config.topology.build().is_ok());
+    out.retain(|c| c.config.topology.build().is_ok_and(|t| t.num_npus() >= 2));
     out
 }
 

@@ -73,9 +73,9 @@ fn generated_cases_are_valid_and_small() {
     let mut rng = TestRng::new(0xFEED);
     for _ in 0..256 {
         let case = CaseStrategy.generate(&mut rng);
-        let n = case.config.topology.num_npus();
+        let topo = case.config.topology.build().expect("generated topology builds");
+        let n = topo.num_npus();
         assert!((2..=16).contains(&n), "fabric size {n} out of bounds");
-        case.config.topology.build().expect("generated topology builds");
         assert!(case.request.bytes >= 256 && case.request.bytes <= 4096);
         if let Some(plan) = &case.config.faults {
             assert!(plan.loss.is_some());
@@ -105,7 +105,8 @@ fn seeded_failure_is_shrunk_and_dumped() {
         assert_eq!(bundle.case.request.bytes, 1, "bytes not minimized");
         assert_eq!(bundle.case.config.system.set_splits, 1, "splits not minimized");
         assert!(bundle.case.config.faults.is_none(), "faults not dropped");
-        assert!(bundle.case.config.topology.num_npus() <= 4, "fabric not shrunk");
+        let topo = bundle.case.config.topology.build().expect("shrunk topology builds");
+        assert!(topo.num_npus() <= 4, "fabric not shrunk");
         // The bundle on disk replays byte-for-byte.
         let path = path.as_ref().expect("repro bundle written");
         let json = std::fs::read_to_string(path).expect("repro readable");
@@ -123,9 +124,10 @@ fn shrinker_reaches_the_boundary_of_a_synthetic_predicate() {
         request: CollectiveRequest::all_reduce(4096),
     };
     let (min_case, msg) = shrink_case(case, "seed failure".into(), |c| {
-        (c.config.topology.num_npus() >= 4).then(|| "still big".into())
+        let topo = c.config.topology.build().expect("shrink candidates build");
+        (topo.num_npus() >= 4).then(|| "still big".into())
     });
-    assert_eq!(min_case.config.topology.num_npus(), 4);
+    assert_eq!(min_case.config.topology.build().unwrap().num_npus(), 4);
     assert_eq!(min_case.request.bytes, 1);
     assert_eq!(msg, "still big");
 }

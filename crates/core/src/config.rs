@@ -125,22 +125,6 @@ impl TopologyConfig {
             } => format!("{}*{pods}@{switches}", pod.shape()),
         }
     }
-
-    /// Total NPUs of the configured fabric.
-    pub fn num_npus(&self) -> usize {
-        match *self {
-            TopologyConfig::Torus {
-                local,
-                horizontal,
-                vertical,
-                ..
-            } => local * horizontal * vertical,
-            TopologyConfig::AllToAll {
-                local, packages, ..
-            } => local * packages,
-            TopologyConfig::Pods { ref pod, pods, .. } => pod.num_npus() * pods,
-        }
-    }
 }
 
 /// Parses the CLI's shape notation (see [`TopologyConfig::shape`]). Ring
@@ -435,7 +419,6 @@ mod tests {
     #[test]
     fn torus_config_builds() {
         let c = SimConfig::torus(2, 4, 4);
-        assert_eq!(c.topology.num_npus(), 32);
         let t = c.topology.build().unwrap();
         assert_eq!(t.num_npus(), 32);
         assert_eq!(t.shape_string(), "2x4x4 torus");
@@ -443,9 +426,9 @@ mod tests {
 
     #[test]
     fn alltoall_config_builds() {
-        let c = SimConfig::alltoall(1, 8, 7);
-        assert_eq!(c.topology.num_npus(), 8);
-        assert_eq!(c.topology.build().unwrap().shape_string(), "1x8 alltoall");
+        let t = SimConfig::alltoall(1, 8, 7).topology.build().unwrap();
+        assert_eq!(t.num_npus(), 8);
+        assert_eq!(t.shape_string(), "1x8 alltoall");
     }
 
     #[test]
@@ -500,7 +483,7 @@ mod tests {
             .pods(2, 1)
             .horizontal_rings(3);
         assert_eq!(c.topology.shape(), "1x4x1*2@1");
-        assert_eq!(c.topology.num_npus(), 8);
+        assert_eq!(c.topology.build().unwrap().num_npus(), 8);
         let TopologyConfig::Pods { pod, .. } = &c.topology else {
             panic!("pods expected");
         };

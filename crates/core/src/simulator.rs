@@ -4,6 +4,7 @@ use crate::{CoreError, SimConfig};
 use astra_des::Time;
 use astra_network::NetStats;
 use astra_system::{CollId, CollReport, CollectiveRequest, SystemSim, SystemStats};
+use astra_topology::{LogicalTopology, Mapping};
 use astra_workload::{TrainingReport, TrainingRunner, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -113,13 +114,15 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Fails if the topology cannot be built, the network or system
-    /// parameters are out of range, or the fault plan is internally
-    /// inconsistent. (Fault
+    /// Fails if the topology, the overlay's physical fabric or its
+    /// permutation cannot be built, the overlay's NPU counts differ, the
+    /// network or system parameters are out of range, or the fault plan
+    /// is internally inconsistent. (Fault
     /// node indices are bounds-checked against the fabric when the plan is
     /// installed into a concrete simulation.)
     pub fn new(cfg: SimConfig) -> Result<Self, CoreError> {
-        cfg.topology.build()?; // validate eagerly
+        let topo = cfg.topology.build()?; // validate eagerly
+        build_overlay(&cfg, &topo)?;
         cfg.network.validate()?;
         cfg.system.validate()?;
         if let Some(plan) = &cfg.faults {
@@ -137,29 +140,22 @@ impl Simulator {
     /// instance; they are cheap).
     pub fn system_sim(&self) -> Result<SystemSim, CoreError> {
         let topo = self.cfg.topology.build()?;
-        let mut sim = match &self.cfg.overlay {
+        let mut sim = match build_overlay(&self.cfg, &topo)? {
             None => SystemSim::new(
                 topo,
                 self.cfg.system,
                 &self.cfg.network,
                 self.cfg.backend,
             ),
-            Some(overlay) => {
-                let physical = overlay.physical.build()?;
-                let mapping = match &overlay.permutation {
-                    None => astra_topology::Mapping::identity(topo.num_npus()),
-                    Some(perm) => astra_topology::Mapping::from_permutation(perm.clone())?,
-                };
-                SystemSim::with_overlay(
-                    topo,
-                    &physical,
-                    mapping,
-                    self.cfg.system,
-                    &self.cfg.network,
-                    self.cfg.backend,
-                )
-                .map_err(CoreError::System)?
-            }
+            Some((physical, mapping)) => SystemSim::with_overlay(
+                topo,
+                &physical,
+                mapping,
+                self.cfg.system,
+                &self.cfg.network,
+                self.cfg.backend,
+            )
+            .map_err(CoreError::System)?,
         };
         if let Some(plan) = &self.cfg.faults {
             sim.install_faults(plan).map_err(CoreError::System)?;
@@ -242,6 +238,25 @@ impl Simulator {
             RunReport::Collective(_) => unreachable!("training experiment"),
         }
     }
+}
+
+/// Builds `cfg`'s overlay, if any: its physical fabric and the mapping of
+/// `topo`'s logical NPUs onto it (the identity without a permutation),
+/// checked to cover exactly the NPUs of both.
+fn build_overlay(
+    cfg: &SimConfig,
+    topo: &LogicalTopology,
+) -> Result<Option<(LogicalTopology, Mapping)>, CoreError> {
+    let Some(overlay) = &cfg.overlay else {
+        return Ok(None);
+    };
+    let physical = overlay.physical.build()?;
+    let mapping = match &overlay.permutation {
+        None => Mapping::identity(topo.num_npus()),
+        Some(perm) => Mapping::from_permutation(perm.clone())?,
+    };
+    SystemSim::check_overlay(topo, &physical, &mapping)?;
+    Ok(Some((physical, mapping)))
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
 //! Stable content hashing.
 //!
 //! The simulator's determinism story extends to artifacts derived from
-//! configurations: a result cache keyed by "the same experiment" needs a
-//! hash that is identical across runs, processes, and platforms. Rust's
-//! `DefaultHasher` is explicitly *not* stable across releases, so this
+//! configurations: a sweep point's `key_hash`, which names "the same
+//! experiment", must be identical across runs, processes, and platforms.
+//! Rust's `DefaultHasher` is explicitly *not* stable across releases, so this
 //! module provides a tiny fixed-algorithm alternative: 64-bit FNV-1a.
 //!
 //! FNV-1a is not cryptographic; callers that cannot tolerate collisions
-//! must store (and compare) the full key alongside the digest, as
-//! `astra-sweep`'s result cache does.
+//! must store (and compare) the full key alongside the digest.
 //!
 //! The module also provides [`IdHasher`], the one hasher every per-event
 //! map in the simulator uses: its keys are integer ids and small tuples of

@@ -7,21 +7,18 @@
 //! (config, experiment) key, the assembled report is identical for any
 //! worker count — parallel runs are bit-identical to sequential ones.
 
-use crate::cache::ResultCache;
 use crate::report::{PointOutcome, PointReport, SweepReport, SweepStats};
 use crate::{SweepError, SweepSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// A configured sweep execution: spec + worker count + optional cache.
+/// A configured sweep execution: spec + worker count.
 #[derive(Debug)]
 pub struct SweepEngine {
     spec: SweepSpec,
     workers: usize,
-    cache_dir: Option<PathBuf>,
 }
 
 /// The result of [`SweepEngine::run`]: the deterministic report plus the
@@ -30,39 +27,23 @@ pub struct SweepEngine {
 pub struct SweepRun {
     /// The deterministic, serializable report.
     pub report: SweepReport,
-    /// Wall-clock and cache observations (never serialized into the
-    /// report).
+    /// Host-side observations (never serialized into the report).
     pub stats: SweepStats,
 }
 
 impl SweepEngine {
-    /// An engine for `spec` with one worker per available core and no
-    /// result cache.
+    /// An engine for `spec` with one worker per available core.
     pub fn new(spec: SweepSpec) -> Self {
         let workers = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        SweepEngine {
-            spec,
-            workers,
-            cache_dir: None,
-        }
+        SweepEngine { spec, workers }
     }
 
     /// Sets the worker-thread count (clamped to at least 1).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables the on-disk result cache rooted at `dir`. Points whose
-    /// (config, experiment) key is already cached are served without
-    /// simulating; figure benches pointed at a shared directory skip the
-    /// grid points they have in common.
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
         self
     }
 
@@ -73,46 +54,24 @@ impl SweepEngine {
 
     /// Expands the spec and executes every point.
     ///
-    /// Within one run, points with identical keys are simulated once and
-    /// shared; across runs, the optional cache serves repeated points.
-    /// Per-point simulation failures are recorded as point outcomes, not
-    /// engine errors.
+    /// Within one run, points with identical (config, experiment) are
+    /// simulated once and share the result. Per-point simulation failures
+    /// are recorded as point outcomes, not engine errors.
     ///
     /// # Errors
     ///
-    /// Fails on an invalid spec or on cache I/O errors (a corrupt cache
-    /// *entry* degrades to a miss; failure to create or write the cache
-    /// directory is surfaced).
+    /// Fails on an invalid spec.
     pub fn run(&self) -> Result<SweepRun, SweepError> {
         let started = Instant::now();
         let points = self.spec.expand()?;
         let n = points.len();
-        let cache = match &self.cache_dir {
-            Some(dir) => Some(ResultCache::open(dir).map_err(SweepError::cache_io)?),
-            None => None,
-        };
-
         let mut outcomes: Vec<Option<PointOutcome>> = vec![None; n];
-        let mut cache_hits = 0usize;
 
-        // Serve what the cache already knows.
-        if let Some(cache) = &cache {
-            for point in &points {
-                if let Some(outcome) = cache.get(point) {
-                    outcomes[point.index] = Some(outcome);
-                    cache_hits += 1;
-                }
-            }
-        }
-
-        // Of the remaining points, simulate each distinct key once.
+        // Simulate each distinct point once.
         let mut first_of_key: HashMap<u64, usize> = HashMap::new();
         let mut duplicates: Vec<(usize, usize)> = Vec::new(); // (dup, first)
         let mut pending: Vec<usize> = Vec::new();
         for point in &points {
-            if outcomes[point.index].is_some() {
-                continue;
-            }
             match first_of_key.entry(point.hash) {
                 std::collections::hash_map::Entry::Occupied(first) => {
                     duplicates.push((point.index, *first.get()));
@@ -127,42 +86,29 @@ impl SweepEngine {
         let computed = pending.len();
         let workers = self.workers.min(computed.max(1));
         let mut events = 0u64;
-        if computed > 0 {
-            let injector = Mutex::new(pending.into_iter().collect::<VecDeque<usize>>());
-            let slots = Mutex::new(&mut outcomes);
-            let event_total = Mutex::new(&mut events);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let Some(index) = injector.lock().expect("injector lock").pop_front()
-                        else {
-                            break;
-                        };
-                        let (outcome, point_events) = PointOutcome::run(&points[index]);
-                        slots.lock().expect("slots lock")[index] = Some(outcome);
-                        accumulate_events(
-                            *event_total.lock().expect("events lock"),
-                            point_events,
-                        );
-                    });
-                }
-            });
-        }
+        let injector = Mutex::new(pending.into_iter().collect::<VecDeque<usize>>());
+        let slots = Mutex::new(&mut outcomes);
+        let event_total = Mutex::new(&mut events);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let Some(index) = injector.lock().expect("injector lock").pop_front()
+                    else {
+                        break;
+                    };
+                    let (outcome, point_events) = PointOutcome::run(&points[index]);
+                    slots.lock().expect("slots lock")[index] = Some(outcome);
+                    accumulate_events(
+                        *event_total.lock().expect("events lock"),
+                        point_events,
+                    );
+                });
+            }
+        });
 
-        // Propagate computed results to in-run duplicates, then persist
-        // everything newly computed.
+        // Propagate computed results to in-run duplicates.
         for (dup, first) in &duplicates {
             outcomes[*dup] = outcomes[*first].clone();
-        }
-        if let Some(cache) = &cache {
-            for &index in first_of_key.values() {
-                let outcome = outcomes[index]
-                    .as_ref()
-                    .expect("every pending point ran");
-                cache
-                    .put(&points[index], outcome)
-                    .map_err(SweepError::cache_io)?;
-            }
         }
 
         let report = SweepReport {
@@ -182,7 +128,6 @@ impl SweepEngine {
         let stats = SweepStats {
             points: n,
             computed,
-            cache_hits,
             deduped: duplicates.len(),
             workers,
             wall: started.elapsed(),
@@ -266,24 +211,6 @@ mod tests {
         // Deterministic: the same spec always costs the same events.
         let again = SweepEngine::new(small_spec()).workers(4).run().unwrap();
         assert_eq!(run.stats.events, again.stats.events);
-        // Fully cached reruns simulate nothing.
-        let dir = std::env::temp_dir().join(format!(
-            "astra-sweep-events-{}",
-            std::process::id()
-        ));
-        let warm = SweepEngine::new(small_spec())
-            .cache_dir(&dir)
-            .run()
-            .unwrap();
-        assert_eq!(warm.stats.events, run.stats.events);
-        let cached = SweepEngine::new(small_spec())
-            .cache_dir(&dir)
-            .run()
-            .unwrap();
-        assert_eq!(cached.stats.computed, 0);
-        assert_eq!(cached.stats.events, 0);
-        assert_eq!(cached.report.to_json(), warm.report.to_json());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Runs `small_spec` over a base config that `edit` breaks and returns

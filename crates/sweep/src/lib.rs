@@ -15,10 +15,9 @@
 //!   `std::thread` workers pulling from a shared injector queue — results
 //!   are collected in input order, and because points are independent and
 //!   deterministic, the report is **bit-identical for any worker count**;
-//! * an optional content-hash result cache
-//!   ([`SweepEngine::cache_dir`]) skips points whose canonical
-//!   (config, experiment) key has already been simulated — including
-//!   duplicates shared across different figure benches;
+//! * points of one run with the same canonical (config, experiment) are
+//!   simulated once and share the result; every run simulates each
+//!   distinct point afresh;
 //! * the [`SweepReport`] serializes to a stable, versioned JSON schema
 //!   (`schema: 1`) written as `BENCH_<name>.json`.
 //!
@@ -44,12 +43,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cache;
 mod engine;
 mod report;
 mod spec;
 
-pub use cache::ResultCache;
 pub use engine::{SweepEngine, SweepRun};
 pub use report::{
     ExperimentKind, PointMetrics, PointOutcome, PointReport, SweepReport, SweepStats,
@@ -59,7 +56,6 @@ pub use spec::{Axis, SweepPoint, SweepSpec, MAX_POINTS};
 
 use std::error::Error;
 use std::fmt;
-use std::io;
 
 /// Errors from sweep expansion or engine execution. Per-point simulation
 /// failures are *not* errors — they are recorded as
@@ -70,33 +66,17 @@ pub enum SweepError {
     /// The spec was invalid (empty axis, incompatible axis, oversized
     /// grid).
     Spec(String),
-    /// The result cache could not be created or written.
-    CacheIo(io::Error),
-}
-
-impl SweepError {
-    pub(crate) fn cache_io(e: io::Error) -> Self {
-        SweepError::CacheIo(e)
-    }
 }
 
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SweepError::Spec(msg) => write!(f, "invalid sweep spec: {msg}"),
-            SweepError::CacheIo(e) => write!(f, "sweep result cache: {e}"),
         }
     }
 }
 
-impl Error for SweepError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SweepError::Spec(_) => None,
-            SweepError::CacheIo(e) => Some(e),
-        }
-    }
-}
+impl Error for SweepError {}
 
 #[cfg(test)]
 mod tests {
@@ -107,8 +87,6 @@ mod tests {
         let e = SweepError::Spec("x".into());
         assert!(e.to_string().contains("invalid sweep spec"));
         assert!(e.source().is_none());
-        let e = SweepError::CacheIo(io::Error::other("disk gone"));
-        assert!(e.source().is_some());
         fn assert_err<E: Error + Send + Sync + 'static>() {}
         assert_err::<SweepError>();
     }

@@ -1,12 +1,11 @@
 //! Sweep results: the stable `BENCH_*.json` schema and run statistics.
 //!
 //! The serialized [`SweepReport`] is a pure function of the sweep spec —
-//! it contains only simulated quantities, never wall-clock measurements or
-//! cache provenance, so a parallel run, a sequential run, and a fully
-//! cached re-run of the same spec all produce byte-identical files.
-//! Host-side observations (elapsed time, cache hits, worker count) live in
-//! [`SweepStats`], which is reported separately and never written into the
-//! bench artifact.
+//! it contains only simulated quantities, never wall-clock measurements,
+//! so a parallel run and a sequential run of the same spec produce
+//! byte-identical files. Host-side observations (elapsed time, worker
+//! count, events) live in [`SweepStats`], which is reported separately
+//! and never written into the bench artifact.
 
 use astra_core::{RunReport, Simulator};
 use serde::{Deserialize, Serialize};
@@ -15,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Version of the `BENCH_*.json` schema (the report's `schema` field).
-/// Bump on any change to the serialized shape; the result cache keys on it
-/// too, so old cache entries can never satisfy a new engine.
+/// Bump on any change to the serialized shape. It is also the first field
+/// of the canonical JSON that each point's `key_hash` digests.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Which experiment shape a point ran.
@@ -109,8 +108,7 @@ impl PointOutcome {
     /// Runs one point, capturing any error as an outcome. Also returns the
     /// number of discrete events the simulation processed — a host-side
     /// throughput observation accumulated into [`SweepStats::events`],
-    /// never into the serialized outcome (cached points would otherwise
-    /// report different artifacts than computed ones).
+    /// never into the serialized outcome.
     pub(crate) fn run(point: &crate::SweepPoint) -> (Self, u64) {
         let result = Simulator::new(point.config.clone())
             .and_then(|sim| sim.run_instrumented(point.experiment.clone()));
@@ -143,8 +141,8 @@ pub struct PointReport {
     pub index: u64,
     /// `knob=value` summary of the point's coordinates.
     pub label: String,
-    /// Hex FNV-1a digest of the point's canonical (config, experiment)
-    /// key — the result-cache entry name.
+    /// Hex FNV-1a digest of the point's canonical (schema, config,
+    /// experiment) JSON: equal digests mark points the run simulated once.
     pub key_hash: String,
     /// Metrics or error.
     pub outcome: PointOutcome,
@@ -214,7 +212,7 @@ impl SweepReport {
 }
 
 /// Host-side observations of one engine run. Deliberately **not** part of
-/// [`SweepReport`]: wall-clock time and cache behavior vary run to run,
+/// [`SweepReport`]: wall-clock time and worker count vary run to run,
 /// and the bench artifact must not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepStats {
@@ -222,8 +220,6 @@ pub struct SweepStats {
     pub points: usize,
     /// Points actually simulated this run.
     pub computed: usize,
-    /// Points served from the on-disk result cache.
-    pub cache_hits: usize,
     /// Points that duplicated an earlier point of the same run and reused
     /// its in-flight result.
     pub deduped: usize,
@@ -232,7 +228,7 @@ pub struct SweepStats {
     /// Wall-clock time of the run.
     pub wall: Duration,
     /// Discrete events processed across the points simulated this run
-    /// (cache hits and in-run duplicates contribute nothing). Divide by
+    /// (in-run duplicates contribute nothing). Divide by
     /// [`wall`](SweepStats::wall) for the engine's events/sec throughput.
     pub events: u64,
 }

@@ -8,13 +8,12 @@ use astra_core::{Experiment, FaultPlan, SimConfig, TopologyConfig};
 use astra_des::hash::fnv1a_64;
 use serde::{Deserialize, Serialize};
 
-/// Keys a point's result cache entry. The canonical JSON rendering of this
-/// struct — fixed field order, insertion-ordered maps — is the cache key;
-/// its FNV-1a digest names the entry. `schema` is bumped with the report
-/// schema so caches written by an incompatible engine can never be
-/// mistaken for hits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CacheKey {
+/// A point's identity. The FNV-1a digest of its canonical JSON rendering
+/// — fixed field order, insertion-ordered maps — is the point's
+/// [`hash`](SweepPoint::hash): the report's `key_hash` and the engine's
+/// in-run dedupe key.
+#[derive(Serialize)]
+struct PointIdentity {
     schema: u32,
     config: SimConfig,
     experiment: Experiment,
@@ -233,28 +232,28 @@ pub struct SweepPoint {
     pub config: SimConfig,
     /// The point's experiment.
     pub experiment: Experiment,
-    /// Canonical JSON of (schema, config, experiment) — the cache key.
-    pub key: String,
-    /// FNV-1a digest of [`key`](SweepPoint::key).
+    /// FNV-1a digest of the canonical JSON of (schema, config,
+    /// experiment): equal for points with the same config and experiment.
     pub hash: u64,
 }
 
 impl SweepPoint {
     fn new(index: usize, label: String, config: SimConfig, experiment: Experiment) -> Self {
-        let key = serde_json::to_string(&CacheKey {
+        let identity = PointIdentity {
             schema: crate::SCHEMA_VERSION,
-            config: config.clone(),
-            experiment: experiment.clone(),
-        })
-        .expect("config serialization is infallible");
-        let hash = fnv1a_64(key.as_bytes());
+            config,
+            experiment,
+        };
+        let key = serde_json::to_string(&identity).expect("config serialization is infallible");
+        let PointIdentity {
+            config, experiment, ..
+        } = identity;
         SweepPoint {
             index,
             label,
             config,
             experiment,
-            key,
-            hash,
+            hash: fnv1a_64(key.as_bytes()),
         }
     }
 }
@@ -295,9 +294,8 @@ mod tests {
     fn identical_coordinates_hash_identically_and_others_differ() {
         let s = spec().axis(Axis::MessageSizes(vec![7, 7, 8]));
         let pts = s.expand().unwrap();
-        assert_eq!(pts[0].key, pts[1].key);
         assert_eq!(pts[0].hash, pts[1].hash);
-        assert_ne!(pts[0].key, pts[2].key);
+        assert_ne!(pts[0].hash, pts[2].hash);
     }
 
     #[test]
@@ -336,7 +334,7 @@ mod tests {
         assert_eq!(pts[0].label, "sched=lifo");
         assert_eq!(pts[2].label, "sched=priority");
         assert_eq!(pts[1].config.system.scheduling, SchedulingPolicy::Fifo);
-        // Distinct policies are distinct cache entries.
+        // Distinct policies are distinct points.
         assert_ne!(pts[0].hash, pts[1].hash);
     }
 

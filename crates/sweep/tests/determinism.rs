@@ -1,11 +1,10 @@
 //! Sweep determinism: the serialized `SweepReport` is a pure function of
-//! the spec — independent of worker count and of cache state.
+//! the spec — independent of worker count.
 
 use astra_core::collectives::Algorithm;
 use astra_core::{Experiment, SimConfig};
 use astra_sweep::{Axis, SweepEngine, SweepSpec};
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 /// A 2 topologies × 2 algorithms × 4 sizes = 16-point grid.
 fn grid_spec() -> SweepSpec {
@@ -30,56 +29,24 @@ fn grid_spec() -> SweepSpec {
     ]))
 }
 
-/// A unique scratch directory under the target-friendly temp root.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "astra-sweep-determinism-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn parallel_sequential_and_cached_reports_are_byte_identical() {
-    let cache = scratch("cache");
-
     let sequential = SweepEngine::new(grid_spec()).workers(1).run().unwrap();
     let parallel = SweepEngine::new(grid_spec()).workers(4).run().unwrap();
     assert_eq!(sequential.stats.points, 16);
+    assert_eq!(sequential.stats.computed, 16);
     assert_eq!(
         sequential.report.to_json(),
         parallel.report.to_json(),
         "worker count must not change a single byte of the report"
     );
-
-    // Cold cache run, then a warm one: every point served from cache,
-    // still byte-identical.
-    let cold = SweepEngine::new(grid_spec())
-        .workers(4)
-        .cache_dir(&cache)
-        .run()
-        .unwrap();
-    assert_eq!(cold.stats.cache_hits, 0);
-    assert_eq!(cold.stats.computed, 16);
-    let warm = SweepEngine::new(grid_spec())
-        .workers(4)
-        .cache_dir(&cache)
-        .run()
-        .unwrap();
-    assert_eq!(warm.stats.cache_hits, 16, "warm run must be all cache hits");
-    assert_eq!(warm.stats.computed, 0);
-    assert_eq!(sequential.report.to_json(), cold.report.to_json());
-    assert_eq!(cold.report.to_json(), warm.report.to_json());
-
-    std::fs::remove_dir_all(&cache).unwrap();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Any multi-axis sub-grid drawn from the figure domains produces the
-    /// same bytes with 1 worker, N workers, and a warm cache.
+    /// same bytes with 1 worker and N workers.
     fn any_subgrid_is_worker_and_cache_invariant(
         sizes in proptest::collection::vec(
             prop_oneof![
@@ -114,23 +81,7 @@ proptest! {
         .axis(Axis::MessageSizes(sizes));
 
         let one = SweepEngine::new(spec.clone()).workers(1).run().unwrap();
-        let many = SweepEngine::new(spec.clone()).workers(workers).run().unwrap();
+        let many = SweepEngine::new(spec).workers(workers).run().unwrap();
         prop_assert_eq!(&one.report.to_json(), &many.report.to_json());
-
-        let cache = scratch("prop");
-        let cold = SweepEngine::new(spec.clone())
-            .workers(workers)
-            .cache_dir(&cache)
-            .run()
-            .unwrap();
-        let warm = SweepEngine::new(spec)
-            .workers(workers)
-            .cache_dir(&cache)
-            .run()
-            .unwrap();
-        prop_assert_eq!(warm.stats.computed, 0);
-        prop_assert_eq!(&one.report.to_json(), &cold.report.to_json());
-        prop_assert_eq!(&cold.report.to_json(), &warm.report.to_json());
-        std::fs::remove_dir_all(&cache).unwrap();
     }
 }

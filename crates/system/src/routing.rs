@@ -51,6 +51,30 @@ impl fmt::Debug for Overlay {
 }
 
 impl SystemSim {
+    /// Checks that `mapping` covers exactly the NPUs of both topologies,
+    /// as [`with_overlay`](SystemSim::with_overlay) requires.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::InvalidOverlay`] naming the three NPU counts.
+    pub fn check_overlay(
+        logical: &LogicalTopology,
+        physical: &LogicalTopology,
+        mapping: &Mapping,
+    ) -> Result<(), SystemError> {
+        if mapping.len() != logical.num_npus() || logical.num_npus() != physical.num_npus() {
+            return Err(SystemError::InvalidOverlay {
+                what: format!(
+                    "mapping covers {} nodes, logical has {}, physical has {}",
+                    mapping.len(),
+                    logical.num_npus(),
+                    physical.num_npus()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Builds a simulator whose *logical* topology (used for collective
     /// synthesis and scheduling) differs from the *physical* fabric the
     /// messages actually traverse — the paper's §IV-B flexibility: "map a
@@ -70,16 +94,7 @@ impl SystemSim {
         net_cfg: &NetworkConfig,
         backend: BackendKind,
     ) -> Result<Self, SystemError> {
-        if mapping.len() != logical.num_npus() || logical.num_npus() != physical.num_npus() {
-            return Err(SystemError::InvalidOverlay {
-                what: format!(
-                    "mapping covers {} nodes, logical has {}, physical has {}",
-                    mapping.len(),
-                    logical.num_npus(),
-                    physical.num_npus()
-                ),
-            });
-        }
+        Self::check_overlay(&logical, physical, &mapping)?;
         let net = backend.build(physical, net_cfg);
         let mut inverse = vec![usize::MAX; physical.num_npus()];
         for l in 0..logical.num_npus() {

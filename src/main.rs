@@ -45,7 +45,7 @@ USAGE:
                        [--op <OP,...>] [--sizes <N,...>] [--algorithms <ALG,...>]
                        [--scheduling <SCHED,...>] [--faults <FILE>]
                        [--name <NAME>] [--workers <N>]
-                       [--cache-dir <DIR>] [--out-dir <DIR>] [--json]
+                       [--out-dir <DIR>] [--json]
 
 SHAPE:  MxNxK       torus (local x horizontal x vertical), e.g. 2x4x4
         MxN@S       hierarchical alltoall with S global switches, e.g. 4x16@4
@@ -63,8 +63,7 @@ FAULTS: a JSON fault plan (seeded link degradation/outage windows, straggler
 
 SWEEPS: `sweep` expands the cartesian grid of all axes (topologies x ops x
         algorithms x sizes), runs it on a worker pool, and writes
-        BENCH_<name>.json; reports are byte-identical for any --workers and
-        any --cache-dir state"
+        BENCH_<name>.json; reports are byte-identical for any --workers"
     );
     ExitCode::from(2)
 }
@@ -120,7 +119,6 @@ const COMMANDS: &[Command] = &[
             "faults",
             "name",
             "workers",
-            "cache-dir",
             "out-dir",
         ],
     },
@@ -362,9 +360,6 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     if let Some(w) = args.get("workers") {
         engine = engine.workers(w.parse().map_err(|_| "--workers must be an integer")?);
     }
-    if let Some(dir) = args.get("cache-dir") {
-        engine = engine.cache_dir(dir);
-    }
     let run = engine.run()?;
     if args.has("json") {
         write!(out, "{}", run.report.to_json())?;
@@ -386,12 +381,11 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
         .write_bench_json(out_dir)
         .map_err(|e| format!("{out_dir}: {e}"))?;
     eprintln!(
-        "sweep `{}`: {} points ({} simulated, {} cache hits, {} deduped) \
+        "sweep `{}`: {} points ({} simulated, {} deduped) \
          on {} workers in {:.3}s ({:.0} events/s) -> {}",
         run.report.name,
         run.stats.points,
         run.stats.computed,
-        run.stats.cache_hits,
         run.stats.deduped,
         run.stats.workers,
         run.stats.wall.as_secs_f64(),

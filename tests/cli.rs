@@ -239,31 +239,31 @@ fn export_roundtrips_through_train() {
 }
 
 #[test]
-fn sweep_command_writes_bench_json_and_hits_cache() {
+fn sweep_command_writes_bench_json_identical_for_any_worker_count() {
     let dir = std::env::temp_dir().join(format!("astra_cli_sweep_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("cache");
-    let sweep_args = [
-        "sweep",
-        "--topology",
-        "1x4x1,1x4@3",
-        "--op",
-        "all-reduce,all-to-all",
-        "--sizes",
-        "65536,1048576",
-        "--name",
-        "cli-test",
-        "--workers",
-        "2",
-        "--cache-dir",
-        cache.to_str().unwrap(),
-        "--out-dir",
-        dir.to_str().unwrap(),
-    ];
-    let (ok, _, stderr) = run(&sweep_args);
+    let out_dir = dir.to_str().unwrap();
+    let sweep = |workers| {
+        run(&[
+            "sweep",
+            "--topology",
+            "1x4x1,1x4@3",
+            "--op",
+            "all-reduce,all-to-all",
+            "--sizes",
+            "65536,1048576",
+            "--name",
+            "cli-test",
+            "--workers",
+            workers,
+            "--out-dir",
+            out_dir,
+        ])
+    };
+    let (ok, _, stderr) = sweep("2");
     assert!(ok, "{stderr}");
-    assert!(stderr.contains("8 points (8 simulated, 0 cache hits"), "{stderr}");
+    assert!(stderr.contains("8 points (8 simulated, 0 deduped) on 2 workers"), "{stderr}");
 
     let artifact = dir.join("BENCH_cli-test.json");
     let first = std::fs::read_to_string(&artifact).expect("artifact written");
@@ -271,12 +271,12 @@ fn sweep_command_writes_bench_json_and_hits_cache() {
     assert_eq!(v["schema"].as_u64(), Some(1));
     assert_eq!(v["points"].as_array().unwrap().len(), 8);
 
-    // Warm re-run: all points served from cache, byte-identical artifact.
-    let (ok, _, stderr) = run(&sweep_args);
+    // Re-run on one worker: every point simulated again, same bytes.
+    let (ok, _, stderr) = sweep("1");
     assert!(ok, "{stderr}");
-    assert!(stderr.contains("8 cache hits"), "{stderr}");
+    assert!(stderr.contains("8 points (8 simulated, 0 deduped) on 1 workers"), "{stderr}");
     let second = std::fs::read_to_string(&artifact).unwrap();
-    assert_eq!(first, second, "cached re-run must not change a byte");
+    assert_eq!(first, second, "worker count must not change a byte");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -410,6 +410,7 @@ fn bad_arguments_fail_gracefully() {
         ("collective --topolgy 1x4x1 --bytes 1024", "--topolgy"),
         ("train --topology 2x2x1 --enhanced", "--enhanced"),
         ("collective --topology 1x4x1 extra --bytes 1024", "extra"),
+        ("sweep --topology 1x4x1 --cache-dir x", "--cache-dir"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_astra-sim"))
             .args(line.split(' '))

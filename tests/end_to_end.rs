@@ -247,20 +247,35 @@ fn overlay_config_via_facade() {
     assert_eq!(overlaid.duration, ident.duration);
 }
 
+/// A bad overlay fails at construction, not at its first run.
 #[test]
 fn bad_overlay_permutation_rejected() {
-    let cfg = SimConfig::torus(1, 4, 1).with_overlay(astra_sim::OverlayConfig {
-        physical: SimConfig::torus(1, 4, 1)
+    let ring = |n| {
+        SimConfig::torus(1, n, 1)
             .local_rings(1)
             .horizontal_rings(1)
             .vertical_rings(1)
-            .topology,
-        permutation: Some(vec![0, 0, 1, 2]), // not a permutation
-    });
-    let sim = Simulator::new(cfg).unwrap();
-    assert!(sim
-        .run_collective(CollectiveRequest::all_reduce(1 << 10))
-        .is_err());
+            .topology
+    };
+    for (physical, permutation, expected) in [
+        (
+            4,
+            Some(vec![0, 0, 1, 2]), // not a permutation
+            "topology configuration invalid: invalid mapping: index 0 appears twice",
+        ),
+        (
+            8,
+            None,
+            "system layer error: invalid overlay: \
+             mapping covers 4 nodes, logical has 4, physical has 8",
+        ),
+    ] {
+        let cfg = SimConfig::torus(1, 4, 1).with_overlay(astra_sim::OverlayConfig {
+            physical: ring(physical),
+            permutation,
+        });
+        assert_eq!(Simulator::new(cfg).unwrap_err().to_string(), expected);
+    }
 }
 
 #[test]
