@@ -41,9 +41,15 @@ fn main() {
         .vertical_rings(1);
 
     let mut t = Table::new(
-        ["size", "switch_direct", "switch_hd", "torus_ring", "torus_hd"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "size",
+            "switch_direct",
+            "switch_hd",
+            "torus_ring",
+            "torus_hd",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     let mut rows = Vec::new();
     for bytes in SIZE_SWEEP {
@@ -77,7 +83,9 @@ fn main() {
         "every variant completes within 10x of the best at every size (sanity)",
         rows.iter().all(|r| {
             let best = r.0.min(r.1).min(r.2).min(r.3) as f64;
-            [r.0, r.1, r.2, r.3].iter().all(|&v| (v as f64) < 10.0 * best)
+            [r.0, r.1, r.2, r.3]
+                .iter()
+                .all(|&v| (v as f64) < 10.0 * best)
         }),
     );
 }

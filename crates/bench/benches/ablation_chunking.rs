@@ -19,7 +19,10 @@ use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 
 fn main() {
-    header("Ablation", "preferred-set-splits sweep (16MB all-reduce, 4x4x4 asymmetric, 4-phase)");
+    header(
+        "Ablation",
+        "preferred-set-splits sweep (16MB all-reduce, 4x4x4 asymmetric, 4-phase)",
+    );
     let bytes = 16 << 20;
     let mut t = Table::new(["set_splits", "cycles"].map(String::from).to_vec());
     let mut series = Vec::new();

@@ -18,11 +18,21 @@ use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 
 fn main() {
-    header("Ablation", "dispatcher T/P sweep (16MB all-reduce, 64 chunks, 4x4x4 asymmetric)");
+    header(
+        "Ablation",
+        "dispatcher T/P sweep (16MB all-reduce, 64 chunks, 4x4x4 asymmetric)",
+    );
     let bytes = 16 << 20;
     let mut t = Table::new(["T", "P", "cycles"].map(String::from).to_vec());
     let mut results = Vec::new();
-    for (threshold, batch) in [(1usize, 1usize), (2, 4), (4, 8), (8, 16), (16, 32), (64, 64)] {
+    for (threshold, batch) in [
+        (1usize, 1usize),
+        (2, 4),
+        (4, 8),
+        (8, 16),
+        (16, 32),
+        (64, 64),
+    ] {
         let mut cfg = SimConfig::torus(4, 4, 4).algorithm(Algorithm::Enhanced);
         cfg.system.set_splits = 64;
         cfg.system.dispatcher_threshold = threshold;

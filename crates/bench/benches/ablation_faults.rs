@@ -19,8 +19,8 @@
 //!   cycle-identical.
 
 use astra_bench::{check, emit, header, run_grid};
-use astra_core::{FaultKind, FaultPlan, LinkFault, LossSpec, SimConfig};
 use astra_core::output::Table;
+use astra_core::{FaultKind, FaultPlan, LinkFault, LossSpec, SimConfig};
 use astra_des::Time;
 use astra_sweep::{Axis, PointMetrics, SweepEngine, SweepSpec};
 use astra_topology::NodeId;
@@ -96,9 +96,8 @@ fn main() {
     }
     let report = run_grid(spec("ablation_faults", plans));
     let bare = triple(report.expect_metrics(0));
-    let cell = |deg: usize, dr: usize| {
-        triple(report.expect_metrics(1 + deg * DROP_RATES.len() + dr))
-    };
+    let cell =
+        |deg: usize, dr: usize| triple(report.expect_metrics(1 + deg * DROP_RATES.len() + dr));
 
     let mut t = Table::new(
         ["drop_rate", "degrade", "cycles", "drops", "retransmits"]
@@ -133,7 +132,9 @@ fn main() {
     );
     check(
         "completion time grows with drop rate at full link bandwidth",
-        grid[0].windows(2).all(|w| w[1].0 > w[0].0 || w[0].1 == w[1].1),
+        grid[0]
+            .windows(2)
+            .all(|w| w[1].0 > w[0].0 || w[0].1 == w[1].1),
     );
     check(
         "lossless runs never drop or retransmit",
@@ -147,9 +148,7 @@ fn main() {
     );
     check(
         "loss and degradation compound: the worst cell is the slowest",
-        grid[2][3].0 > grid[0][0].0
-            && grid[2][3].0 >= grid[0][3].0
-            && grid[2][3].0 >= grid[2][0].0,
+        grid[2][3].0 > grid[0][0].0 && grid[2][3].0 >= grid[0][3].0 && grid[2][3].0 >= grid[2][0].0,
     );
     // A fresh, uncached engine must re-simulate to the same cycle count —
     // the determinism claim, not a cache round-trip.

@@ -25,9 +25,15 @@ fn main() {
     let base = calibrated_resnet50();
 
     let mut t = Table::new(
-        ["bucket", "collectives", "total_cycles", "exposed_cycles", "exposed_pct"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "bucket",
+            "collectives",
+            "total_cycles",
+            "exposed_cycles",
+            "exposed_pct",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     let mut series = Vec::new();
     let buckets: [(&str, Option<u64>); 5] = [
@@ -75,7 +81,10 @@ fn main() {
     let sim = Simulator::new(cfg.clone()).expect("valid config");
     let with = sim.run_training(base.clone()).expect("trains");
     let without = {
-        let ssim = Simulator::new(cfg).expect("valid config").system_sim().expect("builds");
+        let ssim = Simulator::new(cfg)
+            .expect("valid config")
+            .system_sim()
+            .expect("builds");
         TrainingRunner::new(ssim, base, 2)
             .expect("valid workload")
             .without_overlap()

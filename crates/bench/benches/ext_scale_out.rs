@@ -62,10 +62,7 @@ fn main() {
             (8 * pods).to_string(),
             base.duration.cycles().to_string(),
             enh.duration.cycles().to_string(),
-            format!(
-                "{:.1}",
-                base.network.scale_out_link_bytes as f64 / 1e6
-            ),
+            format!("{:.1}", base.network.scale_out_link_bytes as f64 / 1e6),
         ]);
         rows.push((
             base.duration.cycles(),
@@ -101,8 +98,5 @@ fn main() {
         "scale-out traffic grows with pod count",
         rows.windows(2).all(|w| w[1].2 > w[0].2),
     );
-    check(
-        "a single pod touches no scale-out links",
-        rows[0].2 == 0,
-    );
+    check("a single pod touches no scale-out links", rows[0].2 == 0);
 }

@@ -31,7 +31,10 @@ fn main() {
     let torus = base.topology.clone();
 
     let spec = SweepSpec::new("fig09_1d_topology", base, Experiment::all_reduce(1 << 20))
-        .axis(Axis::Ops(vec![CollectiveOp::AllReduce, CollectiveOp::AllToAll]))
+        .axis(Axis::Ops(vec![
+            CollectiveOp::AllReduce,
+            CollectiveOp::AllToAll,
+        ]))
         .axis(Axis::MessageSizes(SIZE_SWEEP.to_vec()))
         .axis(Axis::Topologies(vec![a2a, torus]));
     let report = run_grid(spec);

@@ -97,10 +97,7 @@ fn main() {
         "3D (4x4x4) beats 2x8x4 in the latency-bound region (worst-case hops go down)",
         small[3] < small[2],
     );
-    check(
-        "4x4x4 beats 1x8x8 at small messages",
-        small[3] < small[1],
-    );
+    check("4x4x4 beats 1x8x8 at small messages", small[3] < small[1]);
     check(
         "1x8x8 overtakes 4x4x4 at the largest size (bandwidth-bound: 28/8·N vs 36/8·N)",
         large[1] < large[3],

@@ -28,9 +28,15 @@ fn main() {
     asym_enh.system.algorithm = Algorithm::Enhanced;
 
     let mut t = Table::new(
-        ["collective", "size", "sym_baseline", "asym_baseline", "asym_enhanced"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "collective",
+            "size",
+            "sym_baseline",
+            "asym_baseline",
+            "asym_enhanced",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     let mut ar: Vec<[u64; 3]> = Vec::new();
     let mut a2a: Vec<[u64; 2]> = Vec::new();

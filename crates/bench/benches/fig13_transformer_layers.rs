@@ -24,7 +24,10 @@ fn main() {
         "Transformer, 2x2x2 torus, hybrid parallel, LIFO, minibatch 32, 2 passes",
     );
     let cfg = SimConfig::torus(2, 2, 2);
-    let report = training(&cfg, zoo::transformer(&ComputeModel::tpu_like_256(), 32, 64));
+    let report = training(
+        &cfg,
+        zoo::transformer(&ComputeModel::tpu_like_256(), 32, 64),
+    );
 
     let mut t = Table::new(
         ["layer", "fwd_comm", "ig_comm", "wg_comm", "total_comm"]
@@ -75,8 +78,6 @@ fn main() {
             .layers
             .iter()
             .filter(|l| l.name.starts_with("encoder"))
-            .all(|l| {
-                l.fwd_comm > Time::ZERO && l.ig_comm > Time::ZERO && l.wg_comm > Time::ZERO
-            }),
+            .all(|l| l.fwd_comm > Time::ZERO && l.ig_comm > Time::ZERO && l.wg_comm > Time::ZERO),
     );
 }

@@ -28,7 +28,13 @@ fn main() {
 
     let mut t = Table::new(
         [
-            "layer", "lifo_qP1", "lifo_qP2", "lifo_qP3", "lifo_nP2", "fifo_qP2", "lifo_exposed",
+            "layer",
+            "lifo_qP1",
+            "lifo_qP2",
+            "lifo_qP3",
+            "lifo_nP2",
+            "fifo_qP2",
+            "lifo_exposed",
             "fifo_exposed",
         ]
         .map(String::from)

@@ -29,7 +29,12 @@ fn main() {
             .to_vec(),
     );
     let mut ratios = Vec::new();
-    for (label, num, den) in [("0.5x", 1u64, 2u64), ("1x", 1, 1), ("2x", 2, 1), ("4x", 4, 1)] {
+    for (label, num, den) in [
+        ("0.5x", 1u64, 2u64),
+        ("1x", 1, 1),
+        ("2x", 2, 1),
+        ("4x", 4, 1),
+    ] {
         let wl = scale_compute_power(base.clone(), num, den);
         let report = training(&cfg, wl);
         let ratio = report.exposed_ratio();

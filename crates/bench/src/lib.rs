@@ -16,14 +16,7 @@ use astra_workload::{TrainingReport, Workload};
 use std::path::PathBuf;
 
 /// The message-size sweep the bandwidth-test figures use (64 KiB – 64 MiB).
-pub const SIZE_SWEEP: [u64; 6] = [
-    64 << 10,
-    256 << 10,
-    1 << 20,
-    4 << 20,
-    16 << 20,
-    64 << 20,
-];
+pub const SIZE_SWEEP: [u64; 6] = [64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20];
 
 /// Completion time (cycles) of one collective on `cfg`.
 ///

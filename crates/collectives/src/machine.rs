@@ -555,8 +555,11 @@ mod hd_tests {
         let input = 1 << 20;
         let m = PhaseMachine::with_algo(Hd, PhaseOp::AllReduce, 16, input);
         assert_eq!(m.expected_receives(), 8); // 2 * log2(16)
-        // 2(n-1)/n of input.
-        assert_eq!(m.bytes_sent_total() as f64, input as f64 * 2.0 * 15.0 / 16.0);
+                                              // 2(n-1)/n of input.
+        assert_eq!(
+            m.bytes_sent_total() as f64,
+            input as f64 * 2.0 * 15.0 / 16.0
+        );
         assert!(m.reduces_on(3));
         assert!(!m.reduces_on(4));
     }

@@ -179,7 +179,8 @@ mod tests {
 
     #[test]
     fn no_overflow_on_large_products() {
-        let r = Ratio::new(u64::MAX / 2, u64::MAX / 2 + 1) * Ratio::new(u64::MAX / 2 + 1, u64::MAX / 2);
+        let r =
+            Ratio::new(u64::MAX / 2, u64::MAX / 2 + 1) * Ratio::new(u64::MAX / 2 + 1, u64::MAX / 2);
         assert_eq!(r, Ratio::ONE);
     }
 

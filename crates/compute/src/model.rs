@@ -73,8 +73,7 @@ impl ComputeModel {
     pub fn gemm_time(&self, gemm: Gemm) -> Time {
         let compute = self.array.gemm_cycles(gemm);
         let rooflined = self.dram.roofline(gemm, compute);
-        let with_overhead =
-            rooflined + rooflined * self.non_gemm_overhead_per_1024 / 1024;
+        let with_overhead = rooflined + rooflined * self.non_gemm_overhead_per_1024 / 1024;
         Time::from_cycles(with_overhead)
     }
 

@@ -144,12 +144,20 @@ pub enum Divergence {
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Divergence::ChunkSet { npu, analytical, garnet } => write!(
+            Divergence::ChunkSet {
+                npu,
+                analytical,
+                garnet,
+            } => write!(
                 f,
                 "npu {npu} chunk completion multiset diverged: analytical {analytical:?} \
                  vs garnet {garnet:?}"
             ),
-            Divergence::CompletionOrder { npu, analytical, garnet } => write!(
+            Divergence::CompletionOrder {
+                npu,
+                analytical,
+                garnet,
+            } => write!(
                 f,
                 "npu {npu} chunk completion order diverged: analytical {analytical:?} \
                  vs garnet {garnet:?}"
@@ -162,7 +170,12 @@ impl fmt::Display for Divergence {
                 f,
                 "payload bytes diverged: analytical {analytical} vs garnet {garnet}"
             ),
-            Divergence::LatencyEnvelope { ratio, envelope, analytical, garnet } => write!(
+            Divergence::LatencyEnvelope {
+                ratio,
+                envelope,
+                analytical,
+                garnet,
+            } => write!(
                 f,
                 "duration ratio {ratio:.4} outside [{}, {}] (analytical {analytical} \
                  vs garnet {garnet} cycles)",
@@ -268,7 +281,10 @@ pub(crate) fn compare(a: &TracedRun, g: &TracedRun, opts: &DiffOptions) -> Resul
     if analytical != garnet {
         return Err(Divergence::MessageCount { analytical, garnet });
     }
-    let (analytical, garnet) = (a.report.network.payload_bytes, g.report.network.payload_bytes);
+    let (analytical, garnet) = (
+        a.report.network.payload_bytes,
+        g.report.network.payload_bytes,
+    );
     if analytical != garnet {
         return Err(Divergence::PayloadBytes { analytical, garnet });
     }
@@ -281,17 +297,30 @@ pub(crate) fn compare(a: &TracedRun, g: &TracedRun, opts: &DiffOptions) -> Resul
     for (npu, (analytical, garnet)) in orders.enumerate() {
         let (a_set, g_set) = (sorted(&analytical), sorted(&garnet));
         if a_set != g_set {
-            return Err(Divergence::ChunkSet { npu, analytical: a_set, garnet: g_set });
+            return Err(Divergence::ChunkSet {
+                npu,
+                analytical: a_set,
+                garnet: g_set,
+            });
         }
         if opts.strict_order && analytical != garnet {
-            return Err(Divergence::CompletionOrder { npu, analytical, garnet });
+            return Err(Divergence::CompletionOrder {
+                npu,
+                analytical,
+                garnet,
+            });
         }
     }
     let (analytical, garnet) = (a.report.duration.cycles(), g.report.duration.cycles());
     let ratio = analytical as f64 / garnet.max(1) as f64;
     let envelope = opts.envelope;
     if ratio < envelope.lo || ratio > envelope.hi {
-        return Err(Divergence::LatencyEnvelope { ratio, envelope, analytical, garnet });
+        return Err(Divergence::LatencyEnvelope {
+            ratio,
+            envelope,
+            analytical,
+            garnet,
+        });
     }
     Ok(())
 }

@@ -194,7 +194,11 @@ fn shrink_moves(case: &ConformCase) -> Vec<ConformCase> {
 /// Deterministic and bounded: at most 200 adoption steps, each trying the
 /// fixed move ladder in order and adopting the first still-failing
 /// simplification.
-pub fn shrink_case<F>(case: ConformCase, original_failure: String, failing: F) -> (ConformCase, String)
+pub fn shrink_case<F>(
+    case: ConformCase,
+    original_failure: String,
+    failing: F,
+) -> (ConformCase, String)
 where
     F: Fn(&ConformCase) -> Option<String>,
 {
@@ -244,11 +248,7 @@ fn gives_up_under_faults(e: &CoreError) -> bool {
 /// at most once. Returns the failure message, tagged with the oracle that
 /// produced it, or `None`.
 fn check_case(case: &ConformCase, opts: &DiffOptions) -> Option<(String, String)> {
-    let has_faults = case
-        .config
-        .faults
-        .as_ref()
-        .is_some_and(|p| !p.is_empty());
+    let has_faults = case.config.faults.as_ref().is_some_and(|p| !p.is_empty());
     let run = |backend| run_traced(&on_backend(&case.config, backend), &case.request);
     let tag = |oracle: &str, msg: String| Some((oracle.to_owned(), msg));
     // Shadow oracle: data-plane semantics + trace conformance, on the
@@ -330,9 +330,20 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_is_not_a_failure() {
         let mut config = SimConfig::torus(1, 2, 1).pods(2, 1);
-        let loss = LossSpec { drop_rate: 0.9, timeout: Time::from_cycles(500), max_retries: 0 };
-        config.faults = Some(FaultPlan { seed: 1, loss: Some(loss), ..FaultPlan::default() });
-        let case = ConformCase { config, request: CollectiveRequest::all_reduce(2048) };
+        let loss = LossSpec {
+            drop_rate: 0.9,
+            timeout: Time::from_cycles(500),
+            max_retries: 0,
+        };
+        config.faults = Some(FaultPlan {
+            seed: 1,
+            loss: Some(loss),
+            ..FaultPlan::default()
+        });
+        let case = ConformCase {
+            config,
+            request: CollectiveRequest::all_reduce(2048),
+        };
         let err = run_traced(&case.config, &case.request).expect_err("no retries at 90% loss");
         assert!(gives_up_under_faults(&err), "{err}");
         assert_eq!(check_case(&case, &DiffOptions::default()), None);

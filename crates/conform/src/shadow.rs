@@ -77,8 +77,7 @@ pub fn shadow_verify(
 ) -> Result<(), String> {
     // Apply the structural mutations, keeping original phase indices so
     // DropContribution can still target by index.
-    let mut phases: Vec<(usize, PhaseSpec)> =
-        plan.phases().iter().copied().enumerate().collect();
+    let mut phases: Vec<(usize, PhaseSpec)> = plan.phases().iter().copied().enumerate().collect();
     for m in mutations {
         match *m {
             Mutation::SkipPhase(i) => phases.retain(|&(idx, _)| idx != i),
@@ -167,10 +166,11 @@ pub(crate) fn check_trace(run: &TracedRun, plan: &CollectivePlan) -> Result<(), 
                 s.npu, s.chunk, s.phase
             ));
         }
-        by_key
-            .entry((s.npu, s.chunk))
-            .or_default()
-            .push((s.phase, s.start.cycles(), s.end.cycles()));
+        by_key.entry((s.npu, s.chunk)).or_default().push((
+            s.phase,
+            s.start.cycles(),
+            s.end.cycles(),
+        ));
     }
     let n = run.npus;
     if by_key.len() != n * chunks {

@@ -10,7 +10,9 @@
 //! strict order or the matrix's band does not hold.
 
 use astra_collectives::{Algorithm, CollectiveOp};
-use astra_conform::{diff_check, dump_repro, ConformCase, DiffError, DiffOptions, Envelope, ReproBundle};
+use astra_conform::{
+    diff_check, dump_repro, ConformCase, DiffError, DiffOptions, Envelope, ReproBundle,
+};
 use astra_core::SimConfig;
 use astra_des::Time;
 use astra_network::{FaultKind, FaultPlan, LinkFault};
@@ -40,29 +42,89 @@ fn matrix() -> Vec<(&'static str, SimConfig, CollectiveRequest)> {
     use CollectiveOp::{AllGather, AllReduce, AllToAll, ReduceScatter};
     vec![
         // Torus family (paper's scale-up fabric), default 16-way chunking.
-        ("torus-1x4x1/all-reduce", SimConfig::torus(1, 4, 1), req(AllReduce, 2048)),
-        ("torus-1x4x1/all-to-all", SimConfig::torus(1, 4, 1), req(AllToAll, 2048)),
-        ("torus-1x4x1/reduce-scatter", SimConfig::torus(1, 4, 1), req(ReduceScatter, 2048)),
-        ("torus-1x4x1/all-gather", SimConfig::torus(1, 4, 1), req(AllGather, 2048)),
-        ("torus-2x2x1/all-reduce", SimConfig::torus(2, 2, 1), req(AllReduce, 2048)),
-        ("torus-2x2x1/reduce-scatter", SimConfig::torus(2, 2, 1), req(ReduceScatter, 2048)),
-        ("torus-1x8x1/all-reduce", SimConfig::torus(1, 8, 1), req(AllReduce, 2048)),
-        ("torus-1x8x1/all-gather", SimConfig::torus(1, 8, 1), req(AllGather, 2048)),
+        (
+            "torus-1x4x1/all-reduce",
+            SimConfig::torus(1, 4, 1),
+            req(AllReduce, 2048),
+        ),
+        (
+            "torus-1x4x1/all-to-all",
+            SimConfig::torus(1, 4, 1),
+            req(AllToAll, 2048),
+        ),
+        (
+            "torus-1x4x1/reduce-scatter",
+            SimConfig::torus(1, 4, 1),
+            req(ReduceScatter, 2048),
+        ),
+        (
+            "torus-1x4x1/all-gather",
+            SimConfig::torus(1, 4, 1),
+            req(AllGather, 2048),
+        ),
+        (
+            "torus-2x2x1/all-reduce",
+            SimConfig::torus(2, 2, 1),
+            req(AllReduce, 2048),
+        ),
+        (
+            "torus-2x2x1/reduce-scatter",
+            SimConfig::torus(2, 2, 1),
+            req(ReduceScatter, 2048),
+        ),
+        (
+            "torus-1x8x1/all-reduce",
+            SimConfig::torus(1, 8, 1),
+            req(AllReduce, 2048),
+        ),
+        (
+            "torus-1x8x1/all-gather",
+            SimConfig::torus(1, 8, 1),
+            req(AllGather, 2048),
+        ),
         // 3D torus and the enhanced (multi-ring) algorithm, 4-way chunking.
-        ("torus-2x2x2/all-reduce", splits(SimConfig::torus(2, 2, 2), 4), req(AllReduce, 2048)),
-        ("torus-2x4x2/all-reduce", splits(SimConfig::torus(2, 4, 2), 4), req(AllReduce, 2048)),
+        (
+            "torus-2x2x2/all-reduce",
+            splits(SimConfig::torus(2, 2, 2), 4),
+            req(AllReduce, 2048),
+        ),
+        (
+            "torus-2x4x2/all-reduce",
+            splits(SimConfig::torus(2, 4, 2), 4),
+            req(AllReduce, 2048),
+        ),
         (
             "torus-1x4x1/all-reduce-enhanced",
             SimConfig::torus(1, 4, 1).algorithm(Algorithm::Enhanced),
             req(AllReduce, 2048),
         ),
         // Switch-based all-to-all family.
-        ("a2a-1x4x3/all-reduce", splits(SimConfig::alltoall(1, 4, 3), 1), req(AllReduce, 2048)),
-        ("a2a-1x8x7/all-reduce", splits(SimConfig::alltoall(1, 8, 7), 4), req(AllReduce, 2048)),
+        (
+            "a2a-1x4x3/all-reduce",
+            splits(SimConfig::alltoall(1, 4, 3), 1),
+            req(AllReduce, 2048),
+        ),
+        (
+            "a2a-1x8x7/all-reduce",
+            splits(SimConfig::alltoall(1, 8, 7), 4),
+            req(AllReduce, 2048),
+        ),
         // Pods (scale-out) family.
-        ("pods-1x2x1p2/all-reduce", SimConfig::torus(1, 2, 1).pods(2, 1), req(AllReduce, 2048)),
-        ("pods-1x2x1p2/all-to-all", SimConfig::torus(1, 2, 1).pods(2, 1), req(AllToAll, 2048)),
-        ("pods-1x4x1p2/all-reduce", splits(SimConfig::torus(1, 4, 1).pods(2, 1), 4), req(AllReduce, 2048)),
+        (
+            "pods-1x2x1p2/all-reduce",
+            SimConfig::torus(1, 2, 1).pods(2, 1),
+            req(AllReduce, 2048),
+        ),
+        (
+            "pods-1x2x1p2/all-to-all",
+            SimConfig::torus(1, 2, 1).pods(2, 1),
+            req(AllToAll, 2048),
+        ),
+        (
+            "pods-1x4x1p2/all-reduce",
+            splits(SimConfig::torus(1, 4, 1).pods(2, 1), 4),
+            req(AllReduce, 2048),
+        ),
     ]
 }
 
@@ -81,7 +143,10 @@ fn differential_matrix_conforms_with_strict_order() {
             let bundle = ReproBundle {
                 seed: None,
                 oracle: "differential".into(),
-                case: ConformCase { config: cfg, request },
+                case: ConformCase {
+                    config: cfg,
+                    request,
+                },
                 failure: e.to_string(),
             };
             let dumped = dump_repro(&bundle);
@@ -109,7 +174,9 @@ fn loose_row((local, horizontal): (usize, usize), chunks: u32, kib: u64) -> (Tim
         envelope: Envelope { lo: 0.5, hi: 2.0 },
         strict_order: false,
     };
-    let ring = SimConfig::torus(local, horizontal, 1).local_rings(1).horizontal_rings(1);
+    let ring = SimConfig::torus(local, horizontal, 1)
+        .local_rings(1)
+        .horizontal_rings(1);
     let request = req(CollectiveOp::AllReduce, kib << 10);
     let (a, g) = diff_check(&splits(ring, chunks), &request, &opts)
         .unwrap_or_else(|e| panic!("{local}x{horizontal}x1 {kib} KiB: {e}"));
@@ -128,7 +195,10 @@ fn loose_ring_rows_conform_within_2x() {
 
 #[test]
 fn loose_ring_rows_grow_with_size_on_both_backends() {
-    let durations: Vec<_> = RING_KIB.iter().map(|&kib| loose_row((1, 4), 4, kib)).collect();
+    let durations: Vec<_> = RING_KIB
+        .iter()
+        .map(|&kib| loose_row((1, 4), 4, kib))
+        .collect();
     for w in durations.windows(2) {
         assert!(
             w[0].0 < w[1].0 && w[0].1 < w[1].1,
@@ -172,11 +242,19 @@ fn structural_summaries_match_exactly_across_backends() {
     )
     .expect("baseline pair conforms");
     assert_eq!(a.report.system.messages, g.report.system.messages);
-    assert_eq!(a.report.network.payload_bytes, g.report.network.payload_bytes);
+    assert_eq!(
+        a.report.network.payload_bytes,
+        g.report.network.payload_bytes
+    );
     assert_eq!(a.completion_order(), g.completion_order());
     // The backends are genuinely different machines, not aliases: the
     // flit-level one must process strictly more discrete events.
-    assert!(g.events > a.events, "garnet {} <= analytical {}", g.events, a.events);
+    assert!(
+        g.events > a.events,
+        "garnet {} <= analytical {}",
+        g.events,
+        a.events
+    );
 }
 
 #[test]
@@ -192,7 +270,11 @@ fn faulted_configs_are_rejected_not_compared() {
         }],
         ..FaultPlan::default()
     });
-    match diff_check(&cfg, &req(CollectiveOp::AllReduce, 2048), &DiffOptions::default()) {
+    match diff_check(
+        &cfg,
+        &req(CollectiveOp::AllReduce, 2048),
+        &DiffOptions::default(),
+    ) {
         Err(DiffError::Run(msg)) => assert!(msg.contains("fault-free"), "wrong reason: {msg}"),
         other => panic!("faulted config must be rejected, got {other:?}"),
     }
@@ -204,7 +286,11 @@ fn impossible_envelope_reports_latency_divergence() {
         envelope: Envelope { lo: 3.0, hi: 4.0 },
         strict_order: false,
     };
-    match diff_check(&SimConfig::torus(1, 4, 1), &req(CollectiveOp::AllReduce, 2048), &opts) {
+    match diff_check(
+        &SimConfig::torus(1, 4, 1),
+        &req(CollectiveOp::AllReduce, 2048),
+        &opts,
+    ) {
         Err(DiffError::Divergence(d)) => {
             let msg = d.to_string();
             assert!(msg.contains("duration ratio"), "wrong divergence: {msg}");

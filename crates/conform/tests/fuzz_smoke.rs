@@ -7,9 +7,7 @@
 //! determined by `(seed, index)` — replaying a CI failure locally is
 //! exactly one env var.
 
-use astra_conform::{
-    run_fuzz, shrink_case, CaseStrategy, ConformCase, DiffOptions, Envelope,
-};
+use astra_conform::{run_fuzz, shrink_case, CaseStrategy, ConformCase, DiffOptions, Envelope};
 use astra_core::SimConfig;
 use astra_system::CollectiveRequest;
 use proptest::rng::TestRng;
@@ -73,7 +71,11 @@ fn generated_cases_are_valid_and_small() {
     let mut rng = TestRng::new(0xFEED);
     for _ in 0..256 {
         let case = CaseStrategy.generate(&mut rng);
-        let topo = case.config.topology.build().expect("generated topology builds");
+        let topo = case
+            .config
+            .topology
+            .build()
+            .expect("generated topology builds");
         let n = topo.num_npus();
         assert!((2..=16).contains(&n), "fabric size {n} out of bounds");
         assert!(case.request.bytes >= 256 && case.request.bytes <= 4096);
@@ -100,12 +102,24 @@ fn seeded_failure_is_shrunk_and_dumped() {
     );
     for (bundle, path) in outcome.failures.iter().zip(&outcome.repro_paths) {
         assert_eq!(bundle.oracle, "differential");
-        assert!(bundle.failure.contains("duration ratio"), "{}", bundle.failure);
+        assert!(
+            bundle.failure.contains("duration ratio"),
+            "{}",
+            bundle.failure
+        );
         // Shrinking drove the case to the floor of every move ladder rung.
         assert_eq!(bundle.case.request.bytes, 1, "bytes not minimized");
-        assert_eq!(bundle.case.config.system.set_splits, 1, "splits not minimized");
+        assert_eq!(
+            bundle.case.config.system.set_splits, 1,
+            "splits not minimized"
+        );
         assert!(bundle.case.config.faults.is_none(), "faults not dropped");
-        let topo = bundle.case.config.topology.build().expect("shrunk topology builds");
+        let topo = bundle
+            .case
+            .config
+            .topology
+            .build()
+            .expect("shrunk topology builds");
         assert!(topo.num_npus() <= 4, "fabric not shrunk");
         // The bundle on disk replays byte-for-byte.
         let path = path.as_ref().expect("repro bundle written");

@@ -44,8 +44,16 @@ fn randomized_plans_verify_clean() {
     for trial in 0..64 {
         let (name, topo) = &pool[rng.below(pool.len() as u64) as usize];
         let op = OPS[rng.below(4) as usize];
-        let algorithm = if rng.next_bool() { Algorithm::Baseline } else { Algorithm::Enhanced };
-        let intra = if rng.next_bool() { IntraAlgo::Auto } else { IntraAlgo::HalvingDoubling };
+        let algorithm = if rng.next_bool() {
+            Algorithm::Baseline
+        } else {
+            Algorithm::Enhanced
+        };
+        let intra = if rng.next_bool() {
+            IntraAlgo::Auto
+        } else {
+            IntraAlgo::HalvingDoubling
+        };
         let plan = plan_with_intra(topo, op, algorithm, None, intra).expect("plannable combo");
         shadow_verify(topo, &plan, &[]).unwrap_or_else(|e| {
             panic!("trial {trial}: {name}/{op:?}/{algorithm:?}/{intra:?}: {e}")
@@ -59,8 +67,14 @@ fn randomized_plans_verify_clean() {
 #[test]
 fn swapped_reduction_op_is_caught() {
     let topo = SimConfig::torus(1, 4, 1).topology.build().unwrap();
-    let plan = plan_with_intra(&topo, CollectiveOp::AllReduce, Algorithm::Baseline, None, IntraAlgo::Auto)
-        .unwrap();
+    let plan = plan_with_intra(
+        &topo,
+        CollectiveOp::AllReduce,
+        Algorithm::Baseline,
+        None,
+        IntraAlgo::Auto,
+    )
+    .unwrap();
     // On a single-dimension fabric the planner folds RS+AG into one
     // AllReduce phase; either way the first phase reduces.
     let rs_phase = plan
@@ -68,7 +82,10 @@ fn swapped_reduction_op_is_caught() {
         .iter()
         .position(|p| matches!(p.op, PhaseOp::ReduceScatter | PhaseOp::AllReduce))
         .expect("an all-reduce plan must contain a reducing phase");
-    let mutation = Mutation::SwapOp { phase: rs_phase, op: PhaseOp::AllGather };
+    let mutation = Mutation::SwapOp {
+        phase: rs_phase,
+        op: PhaseOp::AllGather,
+    };
     let err = shadow_verify(&topo, &plan, &[mutation]).expect_err("mutation must be caught");
     assert!(
         err.contains(&format!("phase {rs_phase}")) || err.starts_with("all-reduce:"),
@@ -100,7 +117,9 @@ fn dropped_contribution_is_caught() {
         )
         .expect_err("a lost partial sum must be caught");
         assert!(
-            err.contains("not fully reduced") || err.contains("contributor") || err.contains("piece"),
+            err.contains("not fully reduced")
+                || err.contains("contributor")
+                || err.contains("piece"),
             "diagnosis should name the corruption: {err}"
         );
     }
@@ -112,10 +131,22 @@ fn dropped_contribution_is_caught() {
 #[test]
 fn shadow_conformance_passes_on_timed_runs() {
     for (cfg, req) in [
-        (SimConfig::torus(1, 4, 1), CollectiveRequest::all_reduce(2048)),
-        (SimConfig::torus(2, 2, 2), CollectiveRequest::all_reduce(1024)),
-        (SimConfig::alltoall(1, 8, 7), CollectiveRequest::all_to_all(2048)),
-        (SimConfig::torus(1, 2, 1).pods(2, 1), CollectiveRequest::all_reduce(2048)),
+        (
+            SimConfig::torus(1, 4, 1),
+            CollectiveRequest::all_reduce(2048),
+        ),
+        (
+            SimConfig::torus(2, 2, 2),
+            CollectiveRequest::all_reduce(1024),
+        ),
+        (
+            SimConfig::alltoall(1, 8, 7),
+            CollectiveRequest::all_to_all(2048),
+        ),
+        (
+            SimConfig::torus(1, 2, 1).pods(2, 1),
+            CollectiveRequest::all_reduce(2048),
+        ),
     ] {
         shadow_conformance(&cfg, &req).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
     }

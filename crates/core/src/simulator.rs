@@ -30,7 +30,10 @@ impl CollectiveRunReport {
     ///
     /// [`CoreError::MissingReport`] if `sim` has no report for `id`.
     pub fn from_sim(sim: &SystemSim, id: CollId) -> Result<Self, CoreError> {
-        let coll = sim.report(id).ok_or(CoreError::MissingReport(id.0))?.clone();
+        let coll = sim
+            .report(id)
+            .ok_or(CoreError::MissingReport(id.0))?
+            .clone();
         Ok(CollectiveRunReport {
             duration: coll.duration(),
             coll,
@@ -141,12 +144,7 @@ impl Simulator {
     pub fn system_sim(&self) -> Result<SystemSim, CoreError> {
         let topo = self.cfg.topology.build()?;
         let mut sim = match build_overlay(&self.cfg, &topo)? {
-            None => SystemSim::new(
-                topo,
-                self.cfg.system,
-                &self.cfg.network,
-                self.cfg.backend,
-            ),
+            None => SystemSim::new(topo, self.cfg.system, &self.cfg.network, self.cfg.backend),
             Some((physical, mapping)) => SystemSim::with_overlay(
                 topo,
                 &physical,
@@ -188,23 +186,22 @@ impl Simulator {
     /// # Errors
     ///
     /// As [`run`](Simulator::run).
-    pub fn run_instrumented(
-        &self,
-        experiment: Experiment,
-    ) -> Result<(RunReport, u64), CoreError> {
+    pub fn run_instrumented(&self, experiment: Experiment) -> Result<(RunReport, u64), CoreError> {
         match experiment {
             Experiment::Collective(req) => {
                 let mut sim = self.system_sim()?;
                 let id = sim.complete_collective(req)?;
                 let report = CollectiveRunReport::from_sim(&sim, id)?;
-                Ok((RunReport::Collective(Box::new(report)), sim.events_processed()))
+                Ok((
+                    RunReport::Collective(Box::new(report)),
+                    sim.events_processed(),
+                ))
             }
             Experiment::Training(workload) => {
                 let sim = self.system_sim()?;
                 let runner = TrainingRunner::new(sim, workload, self.cfg.passes)
                     .map_err(CoreError::System)?;
-                let (report, events) =
-                    runner.run_instrumented().map_err(CoreError::System)?;
+                let (report, events) = runner.run_instrumented().map_err(CoreError::System)?;
                 Ok((RunReport::Training(report), events))
             }
         }
@@ -216,10 +213,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Fails if the request is empty or no fabric dimension matches it.
-    pub fn run_collective(
-        &self,
-        req: CollectiveRequest,
-    ) -> Result<CollectiveRunReport, CoreError> {
+    pub fn run_collective(&self, req: CollectiveRequest) -> Result<CollectiveRunReport, CoreError> {
         match self.run(Experiment::Collective(req))? {
             RunReport::Collective(r) => Ok(*r),
             RunReport::Training(_) => unreachable!("collective experiment"),
@@ -323,7 +317,9 @@ mod tests {
             err,
             CoreError::System(astra_system::SystemError::InvalidWorkload { .. })
         ));
-        assert!(err.to_string().starts_with("system layer error: invalid workload: "));
+        assert!(err
+            .to_string()
+            .starts_with("system layer error: invalid workload: "));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * invalid plans are rejected at `Simulator::new` with actionable errors.
 
 use astra_core::{
-    CoreError, FaultPlan, LinkFault, LossSpec, SimConfig, Simulator, Straggler,
-    TopologyConfig,
+    CoreError, FaultPlan, LinkFault, LossSpec, SimConfig, Simulator, Straggler, TopologyConfig,
 };
 use astra_des::Time;
 use astra_network::FaultKind;

@@ -22,7 +22,10 @@ fn equal_time_events_pop_in_scheduling_order() {
     while let Some((_, payload)) = q.pop() {
         order.push(payload);
     }
-    assert_eq!(order, ["t10-a", "t10-b", "t10-c", "t50-a", "t50-b", "t50-c"]);
+    assert_eq!(
+        order,
+        ["t10-a", "t10-b", "t10-c", "t50-a", "t50-b", "t50-c"]
+    );
 }
 
 /// The FIFO tie-break survives events scheduled *while draining*: a handler

@@ -128,7 +128,10 @@ impl FaultPlan {
     pub fn validate(&self) -> Result<(), FaultError> {
         for (index, f) in self.link_faults.iter().enumerate() {
             if f.from == f.to {
-                return Err(FaultError::SelfLoop { index, node: f.from });
+                return Err(FaultError::SelfLoop {
+                    index,
+                    node: f.from,
+                });
             }
             if f.start >= f.end {
                 return Err(FaultError::BadWindow {
@@ -421,7 +424,10 @@ mod tests {
         // Serialization still writes every field.
         let written = seeded.to_value();
         let fields = ["seed", "link_faults", "stragglers", "loss"];
-        assert!(fields.iter().all(|f| written.get(f).is_some()), "{written:?}");
+        assert!(
+            fields.iter().all(|f| written.get(f).is_some()),
+            "{written:?}"
+        );
     }
 
     #[test]
@@ -492,10 +498,7 @@ mod tests {
         };
         assert!(p.validate().is_ok());
         let err = p.validate_for(4, 4).unwrap_err();
-        assert!(matches!(
-            err,
-            FaultError::NodeOutOfRange { node: 7, .. }
-        ));
+        assert!(matches!(err, FaultError::NodeOutOfRange { node: 7, .. }));
         assert!(err.to_string().contains("only 4 npus"));
         // Link faults may name switches; stragglers only NPUs.
         assert!(p.validate_for(4, 8).is_ok());
@@ -510,7 +513,11 @@ mod tests {
         let err = p.validate_for(4, 8).unwrap_err();
         assert!(matches!(
             err,
-            FaultError::NodeOutOfRange { what: "straggler", node: 5, num_nodes: 4 }
+            FaultError::NodeOutOfRange {
+                what: "straggler",
+                node: 5,
+                num_nodes: 4
+            }
         ));
     }
 
@@ -545,7 +552,11 @@ mod tests {
     #[test]
     fn chained_down_windows_skip_through() {
         let p = FaultPlan {
-            link_faults: vec![down(0, 1, 0, 100), down(0, 1, 100, 250), down(0, 1, 200, 300)],
+            link_faults: vec![
+                down(0, 1, 0, 100),
+                down(0, 1, 100, 250),
+                down(0, 1, 200, 300),
+            ],
             ..FaultPlan::default()
         };
         let w = p.windows_for(NodeId(0), NodeId(1));
@@ -588,7 +599,10 @@ mod tests {
             p.down_pairs_at(cyc(75)),
             vec![(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]
         );
-        assert!(p.down_pairs_at(cyc(200)).is_empty(), "degrades never exclude");
+        assert!(
+            p.down_pairs_at(cyc(200)).is_empty(),
+            "degrades never exclude"
+        );
     }
 
     #[test]

@@ -264,7 +264,10 @@ mod tests {
         };
         assert_eq!(a.source_queueing(), Time::from_cycles(15));
         assert_eq!(a.wire_time(), Time::from_cycles(75));
-        assert_eq!(a.source_queueing() + a.wire_time(), a.delivered - a.injected);
+        assert_eq!(
+            a.source_queueing() + a.wire_time(),
+            a.delivered - a.injected
+        );
     }
 
     #[test]

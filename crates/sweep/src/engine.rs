@@ -92,16 +92,12 @@ impl SweepEngine {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let Some(index) = injector.lock().expect("injector lock").pop_front()
-                    else {
+                    let Some(index) = injector.lock().expect("injector lock").pop_front() else {
                         break;
                     };
                     let (outcome, point_events) = PointOutcome::run(&points[index]);
                     slots.lock().expect("slots lock")[index] = Some(outcome);
-                    accumulate_events(
-                        *event_total.lock().expect("events lock"),
-                        point_events,
-                    );
+                    accumulate_events(*event_total.lock().expect("events lock"), point_events);
                 });
             }
         });

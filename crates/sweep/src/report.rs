@@ -55,9 +55,7 @@ impl PointMetrics {
     pub fn from_report(report: &RunReport) -> Self {
         let impact = report.fault_impact();
         let (kind, compute, exposed, messages) = match report {
-            RunReport::Collective(r) => {
-                (ExperimentKind::Collective, 0, 0, r.system.messages)
-            }
+            RunReport::Collective(r) => (ExperimentKind::Collective, 0, 0, r.system.messages),
             RunReport::Training(r) => (
                 ExperimentKind::Training,
                 r.total_compute.cycles(),
@@ -113,9 +111,7 @@ impl PointOutcome {
         let result = Simulator::new(point.config.clone())
             .and_then(|sim| sim.run_instrumented(point.experiment.clone()));
         match result {
-            Ok((report, events)) => {
-                (PointOutcome::Ok(PointMetrics::from_report(&report)), events)
-            }
+            Ok((report, events)) => (PointOutcome::Ok(PointMetrics::from_report(&report)), events),
             Err(e) => (
                 PointOutcome::Error {
                     message: e.to_string(),
@@ -178,7 +174,13 @@ impl SweepReport {
         let stem: String = self
             .name
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                    c
+                } else {
+                    '_'
+                }
+            })
             .collect();
         let path = dir.as_ref().join(format!("BENCH_{stem}.json"));
         std::fs::write(&path, self.to_json())?;
@@ -200,7 +202,10 @@ impl SweepReport {
         match &point.outcome {
             PointOutcome::Ok(m) => m,
             PointOutcome::Error { message } => {
-                panic!("sweep `{}` point {index} ({}): {message}", self.name, point.label)
+                panic!(
+                    "sweep `{}` point {index} ({}): {message}",
+                    self.name, point.label
+                )
             }
         }
     }

@@ -341,7 +341,10 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let s = spec()
-            .axis(Axis::Algorithms(vec![Algorithm::Baseline, Algorithm::Enhanced]))
+            .axis(Axis::Algorithms(vec![
+                Algorithm::Baseline,
+                Algorithm::Enhanced,
+            ]))
             .axis(Axis::Faults(vec![None]));
         let json = serde_json::to_string(&s).unwrap();
         let back: SweepSpec = serde_json::from_str(&json).unwrap();

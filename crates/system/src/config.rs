@@ -184,9 +184,6 @@ mod tests {
         }
         .validate()
         .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "invalid set_splits = 0, expected 1..=4096"
-        );
+        assert_eq!(err.to_string(), "invalid set_splits = 0, expected 1..=4096");
     }
 }

@@ -118,7 +118,9 @@ mod tests {
     }
 
     fn drain(q: &mut ReadyQueue) -> Vec<(u64, u32)> {
-        std::iter::from_fn(|| q.pop()).map(|c| (c.coll, c.chunk)).collect()
+        std::iter::from_fn(|| q.pop())
+            .map(|c| (c.coll, c.chunk))
+            .collect()
     }
 
     #[test]

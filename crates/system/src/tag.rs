@@ -33,7 +33,10 @@ impl Tag {
     pub fn pack(self) -> u64 {
         assert!(self.coll < 1 << COLL_BITS, "collective id overflow");
         assert!(self.chunk < 1 << CHUNK_BITS, "chunk index overflow");
-        assert!((self.phase as u32) < 1 << PHASE_BITS, "phase index overflow");
+        assert!(
+            (self.phase as u32) < 1 << PHASE_BITS,
+            "phase index overflow"
+        );
         assert!(self.step < 1 << STEP_BITS, "step overflow");
         self.coll
             | (self.chunk as u64) << COLL_BITS

@@ -78,8 +78,7 @@ enum Step {
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     let step = prop_oneof![
-        (1u32..=8, 1u64..=1 << 20)
-            .prop_map(|(chunks, bytes)| Step::Admit { chunks, bytes }),
+        (1u32..=8, 1u64..=1 << 20).prop_map(|(chunks, bytes)| Step::Admit { chunks, bytes }),
         (1u8..=12).prop_map(Step::Pop),
     ];
     proptest::collection::vec(step, 1..40)

@@ -133,10 +133,8 @@ pub fn parse(name: &str, input: &str) -> Result<Workload, ParseError> {
                 }
             }
             Parallelism::Hybrid {
-                data_dims: data_dims
-                    .ok_or_else(|| err(pline, "HYBRID needs data=<dims>"))?,
-                model_dims: model_dims
-                    .ok_or_else(|| err(pline, "HYBRID needs model=<dims>"))?,
+                data_dims: data_dims.ok_or_else(|| err(pline, "HYBRID needs data=<dims>"))?,
+                model_dims: model_dims.ok_or_else(|| err(pline, "HYBRID needs model=<dims>"))?,
             }
         }
         other => {
@@ -309,9 +307,11 @@ mod tests {
         let missing = parse("x", "DATA\n2\nl1 10 NONE 0 10 NONE 0 10 NONE 0 2\n").unwrap_err();
         assert!(missing.message.contains("expected 2"));
 
-        let trailing =
-            parse("x", "DATA\n1\nl1 10 NONE 0 10 NONE 0 10 NONE 0 2\nextra line here 1 2\n")
-                .unwrap_err();
+        let trailing = parse(
+            "x",
+            "DATA\n1\nl1 10 NONE 0 10 NONE 0 10 NONE 0 2\nextra line here 1 2\n",
+        )
+        .unwrap_err();
         assert!(trailing.message.contains("trailing"));
 
         let empty = parse("x", "# nothing\n").unwrap_err();

@@ -159,10 +159,7 @@ fn data_parallel_layer(model: &ComputeModel, name: String, gemm: Gemm, params: u
         ig_compute: t.input_grad,
         ig_comm: None,
         wg_compute: t.weight_grad,
-        wg_comm: Some(CommSpec::new(
-            CollectiveOp::AllReduce,
-            params * DTYPE_BYTES,
-        )),
+        wg_comm: Some(CommSpec::new(CollectiveOp::AllReduce, params * DTYPE_BYTES)),
         local_update_per_kb: UPDATE_PER_KB,
     }
 }
@@ -508,7 +505,14 @@ mod tests {
 
     #[test]
     fn by_name_builds_every_model_up_to_the_minibatch_cap() {
-        for name in ["resnet50", "vgg16", "transformer", "gpt", "dlrm", "tiny_mlp"] {
+        for name in [
+            "resnet50",
+            "vgg16",
+            "transformer",
+            "gpt",
+            "dlrm",
+            "tiny_mlp",
+        ] {
             for minibatch in [1, 32, MAX_MINIBATCH] {
                 let w = by_name(name, minibatch).unwrap();
                 assert!(w.validate().is_ok(), "{name} at {minibatch}");
@@ -530,7 +534,10 @@ mod tests {
         for n in [0, MAX_MINIBATCH + 1, u64::MAX] {
             let err = by_name("resnet50", n).unwrap_err();
             assert_eq!(err, ZooError::Minibatch(n));
-            assert!(err.to_string().contains(&format!("minibatch {n} ")), "{err}");
+            assert!(
+                err.to_string().contains(&format!("minibatch {n} ")),
+                "{err}"
+            );
         }
     }
 }

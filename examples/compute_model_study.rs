@@ -64,7 +64,12 @@ fn main() {
             format!("{gbps}"),
             compute.to_string(),
             stream.to_string(),
-            if stream > compute { "memory" } else { "compute" }.into(),
+            if stream > compute {
+                "memory"
+            } else {
+                "compute"
+            }
+            .into(),
         ]);
     }
     print!("{}", t.render());
@@ -74,7 +79,12 @@ fn main() {
     // applies to a whole workload.
     println!("\n== compute power scaling (Fig 18's knob) ==\n");
     let base = ComputeModel::tpu_like_256().gemm_time(Gemm::new(32 * 56 * 56, 576, 64));
-    for (label, num, den) in [("0.5x", 1u64, 2u64), ("1x", 1, 1), ("2x", 2, 1), ("4x", 4, 1)] {
+    for (label, num, den) in [
+        ("0.5x", 1u64, 2u64),
+        ("1x", 1, 1),
+        ("2x", 2, 1),
+        ("4x", 4, 1),
+    ] {
         println!("  {label:>4}: {} cycles", base.scale(den, num).cycles());
     }
 }

@@ -45,21 +45,16 @@ fn main() -> Result<(), CoreError> {
 
     // ---- software vs hardware routing on multi-hop traffic ----
     println!("== packet routing: software (store-and-forward) vs hardware (cut-through) ==\n");
-    let mut t = Table::new(vec![
-        "size".into(),
-        "software".into(),
-        "hardware".into(),
-    ]);
+    let mut t = Table::new(vec!["size".into(), "software".into(), "hardware".into()]);
     for bytes in [2 << 10, 16 << 10, 256 << 10] {
         let mut row = vec![fmt_bytes(bytes)];
         for mode in [RoutingMode::Software, RoutingMode::Hardware] {
             let mut cfg = SimConfig::torus(1, 8, 1);
             cfg.network.routing = mode;
             cfg.system.set_splits = 1; // one chunk: expose per-hop latency
-            // All-to-all on a ring sends distance-i messages: multi-hop,
-            // where the routing mode matters.
-            let out =
-                Simulator::new(cfg)?.run_collective(CollectiveRequest::all_to_all(bytes))?;
+                                       // All-to-all on a ring sends distance-i messages: multi-hop,
+                                       // where the routing mode matters.
+            let out = Simulator::new(cfg)?.run_collective(CollectiveRequest::all_to_all(bytes))?;
             row.push(fmt_time(out.duration));
         }
         t.row(row);

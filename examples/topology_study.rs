@@ -24,7 +24,10 @@ fn main() -> Result<(), CoreError> {
     // ---- Fig 9 flavor: 8 NAPs as alltoall vs 1D ring ----
     println!("== 1D topology: 1x8 alltoall vs 1x8x1 torus (8 links/NAM) ==\n");
     let fabrics = [
-        ("1x8 alltoall", Simulator::new(SimConfig::alltoall(1, 8, 7))?),
+        (
+            "1x8 alltoall",
+            Simulator::new(SimConfig::alltoall(1, 8, 7))?,
+        ),
         ("1x8x1 torus", Simulator::new(torus(1, 8, 1, 4))?),
     ];
     let mut t = Table::new(vec![
@@ -62,12 +65,15 @@ fn main() -> Result<(), CoreError> {
         for &(m, n, k) in &shapes {
             let sim = Simulator::new(torus(m, n, k, 2))?;
             cells.push(fmt_time(
-                sim.run_collective(CollectiveRequest::all_reduce(bytes))?.duration,
+                sim.run_collective(CollectiveRequest::all_reduce(bytes))?
+                    .duration,
             ));
         }
         t.row(cells);
     }
     print!("{}", t.render());
-    println!("\nNote the paper's shape: 2D >> 1D; 2x8x4 loses to 1x8x8; 4x4x4 wins at small sizes.");
+    println!(
+        "\nNote the paper's shape: 2D >> 1D; 2x8x4 loses to 1x8x8; 4x4x4 wins at small sizes."
+    );
     Ok(())
 }

@@ -17,9 +17,7 @@ use astra_sim::output::{fault_table, fmt_time, training_table};
 use astra_sim::sweep::{Axis, PointOutcome, SweepEngine, SweepSpec};
 use astra_sim::system::CollectiveRequest;
 use astra_sim::workload::{parser, zoo};
-use astra_sim::{
-    CollectiveRunReport, Experiment, FaultPlan, SimConfig, Simulator, TopologyConfig,
-};
+use astra_sim::{CollectiveRunReport, Experiment, FaultPlan, SimConfig, Simulator, TopologyConfig};
 use std::error::Error;
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -341,11 +339,14 @@ fn cmd_sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     let spec = match args.get("spec") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let spec: SweepSpec =
-                serde_json::from_str(&text).map_err(|e| format!("{path}: not a sweep spec: {e}"))?;
+            let spec: SweepSpec = serde_json::from_str(&text)
+                .map_err(|e| format!("{path}: not a sweep spec: {e}"))?;
             // Checked before simulating, as the CLI's own shapes are: a base
             // fabric above a size cap is a malformed spec, not a point.
-            spec.base.topology.build().map_err(|e| format!("{path}: base topology: {e}"))?;
+            spec.base
+                .topology
+                .build()
+                .map_err(|e| format!("{path}: base topology: {e}"))?;
             spec
         }
         None => inline_spec(args)?,

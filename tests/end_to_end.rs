@@ -82,7 +82,10 @@ fn lifo_prioritizes_late_layers_under_contention() {
     let run = |policy| {
         let mut cfg = SimConfig::torus(1, 8, 1);
         cfg.system.scheduling = policy;
-        Simulator::new(cfg).unwrap().run_training(wl.clone()).unwrap()
+        Simulator::new(cfg)
+            .unwrap()
+            .run_training(wl.clone())
+            .unwrap()
     };
     let lifo = run(SchedulingPolicy::Lifo);
     let fifo = run(SchedulingPolicy::Fifo);
@@ -184,9 +187,9 @@ fn every_collective_op_runs_on_every_fabric() {
                 algorithm: None,
                 local_update_per_kb: None,
             };
-            let out = sim.run_collective(req).unwrap_or_else(|e| {
-                panic!("{op:?} failed on {:?}: {e}", cfg.topology)
-            });
+            let out = sim
+                .run_collective(req)
+                .unwrap_or_else(|e| panic!("{op:?} failed on {:?}: {e}", cfg.topology));
             assert!(out.duration > Time::ZERO);
         }
     }
