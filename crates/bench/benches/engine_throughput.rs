@@ -7,7 +7,7 @@
 use astra_des::{EventQueue, Time};
 use astra_network::{AnalyticalNet, Backend, Message, NetworkConfig};
 use astra_system::{BackendKind, CollectiveRequest, SystemConfig, SystemSim};
-use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
+use astra_topology::{Dim, LogicalTopology, NodeId};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -79,7 +79,7 @@ fn bench_analytical_net(c: &mut Criterion) {
     const MSGS: u64 = 1_000;
     g.throughput(Throughput::Elements(MSGS));
     g.bench_function("ring_messages_1k", |b| {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 2, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 8, 1, 1, 2, 1).unwrap();
         b.iter(|| {
             let mut net = AnalyticalNet::new(&topo, &NetworkConfig::default());
             let mut q = EventQueue::new();
@@ -104,7 +104,7 @@ fn bench_system_all_reduce(c: &mut Criterion) {
     let mut g = c.benchmark_group("system_sim");
     g.bench_function("all_reduce_4x4x4_1MB", |b| {
         b.iter(|| {
-            let topo = LogicalTopology::torus(Torus3d::new(4, 4, 4, 2, 2, 2).unwrap());
+            let topo = LogicalTopology::torus(4, 4, 4, 2, 2, 2).unwrap();
             let mut sim = SystemSim::new(
                 topo,
                 SystemConfig::default(),

@@ -35,10 +35,10 @@
 //!
 //! ```
 //! use astra_collectives::{plan, Algorithm, CollectiveOp};
-//! use astra_topology::{LogicalTopology, Torus3d};
+//! use astra_topology::LogicalTopology;
 //!
 //! // Fig 11's 4x4x4 torus, enhanced all-reduce: 4 phases.
-//! let topo = LogicalTopology::torus(Torus3d::new(4, 4, 4, 2, 2, 2)?);
+//! let topo = LogicalTopology::torus(4, 4, 4, 2, 2, 2)?;
 //! let plan = plan(&topo, CollectiveOp::AllReduce, Algorithm::Enhanced, None)?;
 //! assert_eq!(plan.phases().len(), 4);
 //! // The enhanced plan moves 4x less data over inter-package links than

@@ -236,7 +236,7 @@ mod tests {
     };
     use crate::MsgId;
     use astra_des::EventQueue;
-    use astra_topology::{Dim, NodeId, Torus3d};
+    use astra_topology::{Dim, LogicalTopology, NodeId};
 
     #[test]
     fn single_hop_latency_is_serialization_plus_propagation() {
@@ -296,7 +296,7 @@ mod tests {
         // Build net on a 4-ring, then ask for a vertical route from another topo.
         let (topo, cfg) = analytical_ring();
         let mut net = AnalyticalNet::new(&topo, &cfg);
-        let other = LogicalTopology::torus(Torus3d::new(1, 1, 4, 1, 1, 1).unwrap());
+        let other = LogicalTopology::torus(1, 1, 4, 1, 1, 1).unwrap();
         let route = other.ring_route(Dim::Vertical, 0, NodeId(0), 1).unwrap();
         let mut q = EventQueue::new();
         assert!(matches!(
@@ -339,11 +339,11 @@ mod hardware_routing_tests {
     use super::*;
     use crate::backend_tests::{analytical_ring, send_and_drain};
     use crate::{MsgId, RoutingMode};
-    use astra_topology::Torus3d;
+    use astra_topology::LogicalTopology;
 
     /// The analytical ring's links on an 8-NPU ring, with `routing`.
     fn ring(routing: RoutingMode) -> (LogicalTopology, NetworkConfig) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 1, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 8, 1, 1, 1, 1).unwrap();
         let (_, mut cfg) = analytical_ring();
         cfg.routing = routing;
         cfg.router_latency = Time::from_cycles(1);

@@ -12,12 +12,12 @@ use crate::{
     NetworkConfig,
 };
 use astra_des::{Clock, EventQueue, Time};
-use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
+use astra_topology::{Dim, LogicalTopology, NodeId};
 
 /// A 1x4x1 ring with easy analytical numbers: 10 GB/s (10 B/cyc), 5 cycles
 /// of latency, no packet overhead.
 pub(crate) fn analytical_ring() -> (LogicalTopology, NetworkConfig) {
-    let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+    let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap();
     let mut cfg = NetworkConfig {
         clock: Clock::GHZ1,
         ..NetworkConfig::default()
@@ -32,7 +32,7 @@ pub(crate) fn analytical_ring() -> (LogicalTopology, NetworkConfig) {
 /// A 1x4x1 ring with easy garnet numbers: 4 cycles per 128 B flit, 10
 /// cycles of latency, two VCs of four buffers each.
 pub(crate) fn garnet_ring() -> (LogicalTopology, NetworkConfig) {
-    let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+    let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap();
     let cfg = NetworkConfig {
         clock: Clock::GHZ1,
         package: LinkParams {

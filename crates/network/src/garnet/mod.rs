@@ -439,7 +439,7 @@ mod tests {
         garnet_ring, one_send, send_and_drain, send_pairs_to_quiescence, GARNET,
     };
     use astra_des::EventQueue;
-    use astra_topology::Torus3d;
+    use astra_topology::LogicalTopology;
 
     #[test]
     fn single_flit_message_latency() {
@@ -517,7 +517,7 @@ mod tests {
 
     #[test]
     fn in_flight_state_does_not_grow_with_message_size() {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap();
         let cfg = NetworkConfig::default();
         for hops in [1, 2] {
             let mut queue_capacity = Vec::new();

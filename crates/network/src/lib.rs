@@ -28,9 +28,9 @@
 //! ```
 //! use astra_des::{EventQueue, Time};
 //! use astra_network::{AnalyticalNet, Backend, Message, NetworkConfig};
-//! use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
+//! use astra_topology::{Dim, LogicalTopology, NodeId};
 //!
-//! let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1)?);
+//! let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1)?;
 //! let mut net = AnalyticalNet::new(&topo, &NetworkConfig::default());
 //! let mut q = EventQueue::new();
 //!

@@ -7,12 +7,12 @@
 use astra_des::EventQueue;
 use astra_network::{AnalyticalNet, GarnetNet};
 use astra_network::{Arrival, Backend, Message, NetEvent, NetworkConfig, NetworkError};
-use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
+use astra_topology::{Dim, LogicalTopology, NodeId};
 
 type Net = Box<dyn Backend>;
 
 fn ring() -> LogicalTopology {
-    LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap())
+    LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap()
 }
 
 fn send(net: &mut Net, q: &mut EventQueue<NetEvent>, id: u64) -> Result<(), NetworkError> {

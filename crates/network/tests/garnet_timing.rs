@@ -8,7 +8,7 @@
 use astra_des::{EventQueue, Time};
 use astra_network::{Backend, GarnetNet, Message, NetworkConfig};
 use astra_network::{FaultKind, FaultPlan, LinkFault, LinkParams};
-use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
+use astra_topology::{Dim, LogicalTopology, NodeId};
 use std::fmt::Write;
 
 /// The `1x4x1` ring: 4 cycles per 128-byte flit, 256-byte packets (two
@@ -51,7 +51,7 @@ fn send(id: u64, src: usize, hops: usize, bytes: u64, after: usize) -> Send {
 /// Runs `sends` until the network drains, and renders the arrivals and
 /// link statistics.
 fn run(cfg: &NetworkConfig, plan: Option<FaultPlan>, sends: &[Send]) -> String {
-    let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+    let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap();
     let mut net = GarnetNet::new(&topo, cfg);
     if let Some(plan) = plan {
         net.install_link_faults(&plan);

@@ -5,7 +5,7 @@ use astra_des::EventQueue;
 use astra_network::{
     AnalyticalNet, Arrival, Backend, GarnetNet, Message, NetEvent, NetworkConfig, RoutingMode,
 };
-use astra_topology::{Dim, LogicalTopology, NodeId, Torus3d};
+use astra_topology::{Dim, LogicalTopology, NodeId};
 use proptest::prelude::*;
 
 #[path = "../src/backend_tests/drain.rs"]
@@ -24,7 +24,7 @@ proptest! {
     /// destination, with sane timestamps — under both routing modes.
     #[test]
     fn analytical_delivers_everything(msgs in traffic_strategy(), hardware in any::<bool>()) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 2, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 8, 1, 1, 2, 1).unwrap();
         let cfg = NetworkConfig {
             routing: if hardware { RoutingMode::Hardware } else { RoutingMode::Software },
             ..NetworkConfig::default()
@@ -63,7 +63,7 @@ proptest! {
     /// routing for a single uncontended message.
     #[test]
     fn cut_through_dominates_uncontended(dist in 1usize..8, bytes in 1u64..1_000_000) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 2, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 8, 1, 1, 2, 1).unwrap();
         let run = |routing| {
             let cfg = NetworkConfig { routing, ..NetworkConfig::default() };
             let mut net = AnalyticalNet::new(&topo, &cfg);
@@ -82,7 +82,7 @@ proptest! {
     /// injection order (FIFO links).
     #[test]
     fn same_route_is_fifo(count in 2usize..20, bytes in 1u64..50_000, dist in 1usize..4) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 8, 1, 1, 2, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 8, 1, 1, 2, 1).unwrap();
         let mut net = AnalyticalNet::new(&topo, &NetworkConfig::default());
         let mut q = EventQueue::new();
         for id in 0..count {
@@ -103,7 +103,7 @@ proptest! {
     fn garnet_delivers_everything(
         msgs in proptest::collection::vec((0usize..4, 1u64..4_096), 1..12)
     ) {
-        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+        let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap();
         let cfg = NetworkConfig {
             vcs_per_vnet: 4,
             buffers_per_vc: 8,

@@ -290,8 +290,8 @@ mod tests {
     #[test]
     fn record_arrival_grows_phase_histograms_on_demand() {
         use astra_collectives::{plan, Algorithm, CollectiveOp};
-        use astra_topology::{LogicalTopology, Torus3d};
-        let topo = LogicalTopology::torus(Torus3d::new(1, 4, 1, 1, 1, 1).unwrap());
+        use astra_topology::LogicalTopology;
+        let topo = LogicalTopology::torus(1, 4, 1, 1, 1, 1).unwrap();
         let p = plan(&topo, CollectiveOp::AllReduce, Algorithm::Baseline, None).unwrap();
         let mut cs = CollState::new(
             p,

@@ -42,9 +42,9 @@
 //! use astra_collectives::CollectiveOp;
 //! use astra_network::NetworkConfig;
 //! use astra_system::{BackendKind, CollectiveRequest, Notification, SystemConfig, SystemSim};
-//! use astra_topology::{LogicalTopology, Torus3d};
+//! use astra_topology::LogicalTopology;
 //!
-//! let topo = LogicalTopology::torus(Torus3d::new(2, 2, 2, 1, 1, 1)?);
+//! let topo = LogicalTopology::torus(2, 2, 2, 1, 1, 1)?;
 //! let mut sim = SystemSim::new(
 //!     topo,
 //!     SystemConfig::default(),

@@ -10,8 +10,8 @@ use std::fmt;
 pub enum TopologyError {
     /// A dimension size or ring/switch count was zero.
     InvalidShape {
-        /// Human-readable description of the offending parameter.
-        what: &'static str,
+        /// Human-readable description naming the offending parameter.
+        what: String,
     },
     /// The queried dimension does not exist / is inactive on this topology.
     InactiveDim {

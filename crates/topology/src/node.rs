@@ -1,12 +1,12 @@
-//! Node identity and coordinates.
+//! Node identity.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a network endpoint.
 ///
-/// Ids `0..num_npus` are NPUs; in the hierarchical alltoall fabric, ids
-/// `num_npus..num_npus+switches` are global switches.
+/// Ids `0..num_npus` are NPUs; in the alltoall and pod fabrics, ids
+/// `num_npus..num_npus+switches` are switches.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -32,83 +32,39 @@ impl From<usize> for NodeId {
     }
 }
 
-/// 3-D coordinates of an NPU in a hierarchical torus.
-///
-/// The paper describes a torus as `M × N × K` where `M` is the local
-/// dimension, `N` horizontal and `K` vertical (§III-C). We linearize ids as
-/// `id = l + M * (h + N * v)`: the local coordinate varies fastest, so NPUs
-/// `0..M` share package `(h=0, v=0)`.
-///
-/// # Example
-///
-/// ```
-/// use astra_topology::Coord;
-/// let c = Coord { l: 1, h: 0, v: 2 };
-/// let id = c.to_id(2, 2); // M=2, N=2
-/// assert_eq!(id.index(), 1 + 2 * (0 + 2 * 2));
-/// assert_eq!(Coord::from_id(id, 2, 2), c);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Coord {
-    /// Local (intra-package) coordinate, `0..M`.
-    pub l: usize,
-    /// Horizontal coordinate, `0..N`.
-    pub h: usize,
-    /// Vertical coordinate, `0..K`.
-    pub v: usize,
-}
-
-impl Coord {
-    /// Linearizes the coordinate given the local (`m`) and horizontal (`n`)
-    /// dimension sizes.
-    pub fn to_id(self, m: usize, n: usize) -> NodeId {
-        NodeId(self.l + m * (self.h + n * self.v))
-    }
-
-    /// Inverse of [`Coord::to_id`].
-    pub fn from_id(id: NodeId, m: usize, n: usize) -> Coord {
-        let l = id.0 % m;
-        let rest = id.0 / m;
-        Coord {
-            l,
-            h: rest % n,
-            v: rest / n,
-        }
-    }
-}
-
-impl fmt::Display for Coord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(l{},h{},v{})", self.l, self.h, self.v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dim, LogicalTopology};
+
+    /// The `(l, h, v)` coordinates of a torus NPU.
+    fn lhv(t: &LogicalTopology, id: usize) -> [usize; 3] {
+        [Dim::Local, Dim::Horizontal, Dim::Vertical].map(|d| t.coord(NodeId(id), d).unwrap())
+    }
 
     #[test]
     fn id_coord_roundtrip_exhaustive() {
+        // Ids linearize as l + M * (h + N * v).
         let (m, n, k) = (2, 3, 4);
+        let t = LogicalTopology::torus(m, n, k, 1, 1, 1).unwrap();
         for id in 0..m * n * k {
-            let c = Coord::from_id(NodeId(id), m, n);
-            assert!(c.l < m && c.h < n && c.v < k);
-            assert_eq!(c.to_id(m, n), NodeId(id));
+            let [l, h, v] = lhv(&t, id);
+            assert!(l < m && h < n && v < k);
+            assert_eq!(l + m * (h + n * v), id);
         }
     }
 
     #[test]
     fn local_varies_fastest() {
         // Consecutive ids within a package differ only in l.
-        let a = Coord::from_id(NodeId(0), 4, 2);
-        let b = Coord::from_id(NodeId(1), 4, 2);
-        assert_eq!((a.h, a.v), (b.h, b.v));
-        assert_eq!(b.l, a.l + 1);
+        let t = LogicalTopology::torus(4, 2, 2, 1, 1, 1).unwrap();
+        let ([la, ha, va], [lb, hb, vb]) = (lhv(&t, 0), lhv(&t, 1));
+        assert_eq!((ha, va), (hb, vb));
+        assert_eq!(lb, la + 1);
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(NodeId(3).to_string(), "n3");
-        assert_eq!(Coord { l: 1, h: 2, v: 0 }.to_string(), "(l1,h2,v0)");
     }
 }

@@ -36,10 +36,10 @@
 //! ```
 //! use astra_network::NetworkConfig;
 //! use astra_system::{BackendKind, SystemConfig, SystemSim};
-//! use astra_topology::{LogicalTopology, Torus3d};
+//! use astra_topology::LogicalTopology;
 //! use astra_workload::{zoo, TrainingRunner};
 //!
-//! let topo = LogicalTopology::torus(Torus3d::new(2, 2, 2, 1, 1, 1)?);
+//! let topo = LogicalTopology::torus(2, 2, 2, 1, 1, 1)?;
 //! let sim = SystemSim::new(
 //!     topo,
 //!     SystemConfig::default(),

@@ -10,13 +10,13 @@
 use astra_des::Time;
 use astra_network::NetworkConfig;
 use astra_system::{BackendKind, SystemConfig, SystemSim};
-use astra_topology::{LogicalTopology, Torus3d};
+use astra_topology::LogicalTopology;
 use astra_workload::{zoo, TrainingReport, TrainingRunner};
 
 fn train(shape: (usize, usize, usize), backend: BackendKind) -> TrainingReport {
     let (m, n, k) = shape;
     let sim = SystemSim::new(
-        LogicalTopology::torus(Torus3d::new(m, n, k, 2, 2, 2).unwrap()),
+        LogicalTopology::torus(m, n, k, 2, 2, 2).unwrap(),
         SystemConfig::default(),
         &NetworkConfig::default(),
         backend,

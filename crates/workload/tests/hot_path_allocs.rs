@@ -16,7 +16,7 @@ use astra_network::{
     NetworkConfig, NetworkError,
 };
 use astra_system::{BackendKind, CollectiveRequest, SystemConfig, SystemSim};
-use astra_topology::{LogicalTopology, Route, Torus3d};
+use astra_topology::{LogicalTopology, Route};
 use astra_workload::{zoo, TrainingRunner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,7 +117,7 @@ impl Drop for CountDeliveries {
 }
 
 fn torus(m: usize, n: usize, k: usize) -> LogicalTopology {
-    LogicalTopology::torus(Torus3d::new(m, n, k, 2, 2, 2).unwrap())
+    LogicalTopology::torus(m, n, k, 2, 2, 2).unwrap()
 }
 
 /// Allocations made while training `tiny_mlp` for two passes on a 2x2x2

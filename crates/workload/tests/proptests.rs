@@ -5,7 +5,7 @@ use astra_collectives::CollectiveOp;
 use astra_des::Time;
 use astra_network::NetworkConfig;
 use astra_system::{BackendKind, SystemConfig, SystemSim};
-use astra_topology::{Dim, LogicalTopology, Torus3d};
+use astra_topology::{Dim, LogicalTopology};
 use astra_workload::{parser, CommSpec, LayerSpec, Parallelism, TrainingRunner, Workload};
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
     /// with sane accounting.
     #[test]
     fn random_workloads_train(wl in workload_strategy(4), passes in 1u32..3) {
-        let topo = LogicalTopology::torus(Torus3d::new(2, 2, 2, 1, 1, 1).unwrap());
+        let topo = LogicalTopology::torus(2, 2, 2, 1, 1, 1).unwrap();
         let sim = SystemSim::new(
             topo,
             SystemConfig { set_splits: 4, ..SystemConfig::default() },
