@@ -131,8 +131,8 @@ impl<S: Default> InFlight<S> {
     /// over existing links, then a fresh id, so a rejected send leaves no
     /// id behind) and stores it with a default `S` for the backend to start.
     ///
-    /// `#[inline]`: an out-of-line call here cost `sweep_fig10` ~3% of its
-    /// events/s (perfbench, alternating runs).
+    /// `#[inline]`: without the hot-path hints, events/s falls 8–28% even
+    /// under the thin-LTO release profile (perfbench; pairs in DESIGN.md).
     #[inline]
     pub(crate) fn admit(
         &mut self,

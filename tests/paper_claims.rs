@@ -115,24 +115,23 @@ fn fig11_smoke() {
 /// Figs 17/18 trend: more NPUs or faster NPUs expose more communication.
 #[test]
 fn exposure_trends_smoke() {
+    use astra_sim::compute::ComputeModel;
     use astra_sim::workload::{transform::scale_compute_power, zoo};
     let run = |cfg: &SimConfig, speedup: u64| {
-        let wl = scale_compute_power(
-            zoo::resnet50(&astra_sim::compute::ComputeModel::tpu_like_256(), 32),
-            speedup,
-            1,
-        );
-        Simulator::new(cfg.clone())
-            .unwrap()
-            .run_training(wl)
-            .unwrap()
-            .exposed_ratio()
+        let wl = scale_compute_power(zoo::resnet50(&ComputeModel::tpu_like_256(), 32), speedup, 1);
+        let sim = Simulator::new(cfg.clone()).unwrap();
+        sim.run_training(wl).unwrap().exposed_ratio()
     };
-    let small_sys = SimConfig::torus(2, 2, 2);
-    let big_sys = SimConfig::torus(2, 8, 4);
+    let (small, big) = (SimConfig::torus(2, 2, 2), SimConfig::torus(2, 8, 4));
+    // The four trainings are independent, so they run side by side.
+    let [small_20, big_20, big_24, big_12] = std::thread::scope(|s| {
+        [(&small, 20), (&big, 20), (&big, 24), (&big, 12)]
+            .map(|(cfg, speedup)| s.spawn(move || run(cfg, speedup)))
+            .map(|training| training.join().unwrap())
+    });
     // Fig 17 direction: bigger system, more exposure (at a compute speed
     // where communication is near the surface).
-    assert!(run(&big_sys, 20) >= run(&small_sys, 20));
+    assert!(big_20 >= small_20);
     // Fig 18 direction: faster compute, more exposure.
-    assert!(run(&big_sys, 24) >= run(&big_sys, 12));
+    assert!(big_24 >= big_12);
 }
